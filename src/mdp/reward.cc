@@ -1,9 +1,11 @@
 #include "mdp/reward.h"
 
+#include <cassert>
 #include <cmath>
 
 #include "geo/latlng.h"
 #include "model/topic_vector.h"
+#include "util/simd.h"
 
 namespace rlplanner::mdp {
 
@@ -55,24 +57,50 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
       options_(options),
       num_items_(instance.catalog->size()),
       required_new_topics_(ComputeRequiredNewIdealTopics()) {
+  // One pass over the catalog builds every per-item cache.
+  const model::TopicVector& ideal = instance_->soft.ideal_topics;
   if (options_.cache_topic_gain) {
-    ideal_topics_of_item_.reserve(num_items_);
-    ideal_topic_count_of_item_.reserve(num_items_);
-    for (const model::Item& item : instance_->catalog->items()) {
-      model::TopicVector ideal = item.topics;
-      ideal &= instance_->soft.ideal_topics;
-      ideal_topic_count_of_item_.push_back(ideal.Count());
-      ideal_topics_of_item_.push_back(std::move(ideal));
-    }
+    ideal_words_per_item_ = ideal.word_count();
+    ideal_topic_words_.resize(num_items_ * ideal_words_per_item_);
   }
-  type_weight_of_item_.reserve(num_items_);
+  // Reward class key: type x category bucket, the last bucket of each type
+  // holding every category without a weight. Classes are numbered in order
+  // of first appearance, so only the pairs the catalog uses exist.
+  const std::size_t buckets = weights_->category_weights.size() + 1;
+  std::vector<int> class_of_key(2 * buckets, -1);
+  class_of_item_.reserve(num_items_);
+  r2_may_fail_.Resize(num_items_);
+  std::uint64_t* words = ideal_topic_words_.data();
   for (const model::Item& item : instance_->catalog->items()) {
-    const int category = item.category;
+    const auto id = static_cast<std::size_t>(item.id);
+    if (options_.cache_topic_gain) {
+      // Written straight into the flat array: no per-item TopicVector.
+      assert(item.topics.size() == ideal.size());
+      for (std::size_t w = 0; w < ideal_words_per_item_; ++w) {
+        *words++ = item.topics.word_data()[w] & ideal.word_data()[w];
+      }
+    }
     const bool in_range =
-        category >= 0 && static_cast<std::size_t>(category) <
-                             weights_->category_weights.size();
-    type_weight_of_item_.push_back(
-        in_range ? weights_->category_weights[category] : 0.0);
+        item.category >= 0 &&
+        static_cast<std::size_t>(item.category) < buckets - 1;
+    const std::size_t bucket =
+        in_range ? static_cast<std::size_t>(item.category) : buckets - 1;
+    const std::size_t key =
+        (item.type == model::ItemType::kPrimary ? 0 : buckets) + bucket;
+    if (class_of_key[key] < 0) {
+      class_of_key[key] = static_cast<int>(classes_.size());
+      classes_.push_back(
+          {item.type, in_range ? weights_->category_weights[bucket] : 0.0,
+           util::DynamicBitset(num_items_)});
+    }
+    const auto c = static_cast<std::size_t>(class_of_key[key]);
+    classes_[c].items.Set(id);
+    class_of_item_.push_back(static_cast<std::uint32_t>(c));
+    if (!item.prereqs.empty() ||
+        (instance_->hard.no_consecutive_same_theme &&
+         item.primary_theme >= 0)) {
+      r2_may_fail_.Set(id);
+    }
   }
   if (options_.cache_distances &&
       instance_->catalog->domain() == model::Domain::kTrip &&
@@ -106,13 +134,15 @@ std::size_t RewardFunction::ComputeRequiredNewIdealTopics() const {
 int RewardFunction::TopicCoverageReward(const EpisodeState& state,
                                         model::ItemId next) const {
   if (options_.cache_topic_gain) {
-    // |T_ideal ∩ T_next \ T_current| via the precomputed per-item
-    // intersection: its popcount minus the part already covered.
-    const auto index = static_cast<std::size_t>(next);
-    const std::size_t gained =
-        ideal_topic_count_of_item_[index] -
-        ideal_topics_of_item_[index].IntersectCount(state.covered_topics());
-    return gained >= required_new_topics_ ? 1 : 0;
+    // ThetaOneSubset's kernel over a one-row selection: the item's row.
+    std::uint64_t select = 1;
+    util::simd::Active().retain_rows_andnot_count_at_least(
+        &select, 1,
+        ideal_topic_words_.data() +
+            static_cast<std::size_t>(next) * ideal_words_per_item_,
+        ideal_words_per_item_, state.covered_topics().word_data(),
+        required_new_topics_);
+    return select != 0 ? 1 : 0;
   }
   const model::Item& item = instance_->catalog->item(next);
   const std::size_t gained = model::NewlyCoveredIdealTopics(
@@ -146,9 +176,32 @@ int RewardFunction::Theta(const EpisodeState& state,
   return r1 * PrerequisiteReward(state, next);
 }
 
-double RewardFunction::InterleavingSimilarity(const EpisodeState& state,
-                                              model::ItemId next) const {
-  const model::ItemType type = instance_->catalog->item(next).type;
+void RewardFunction::ThetaOneSubset(const EpisodeState& state,
+                                    const util::DynamicBitset& candidates,
+                                    util::DynamicBitset* out) const {
+  *out = candidates;
+  if (options_.cache_topic_gain) {
+    util::simd::Active().retain_rows_andnot_count_at_least(
+        out->mutable_word_data(), out->word_count(),
+        ideal_topic_words_.data(), ideal_words_per_item_,
+        state.covered_topics().word_data(), required_new_topics_);
+  } else {
+    candidates.ForEachSetBit([&](std::size_t i) {
+      if (TopicCoverageReward(state, static_cast<model::ItemId>(i)) == 0) {
+        out->Set(i, false);
+      }
+    });
+  }
+  r2_may_fail_.ForEachSetBit([&](std::size_t i) {
+    if (out->Test(i) &&
+        PrerequisiteReward(state, static_cast<model::ItemId>(i)) == 0) {
+      out->Set(i, false);
+    }
+  });
+}
+
+double RewardFunction::TypeSimilarity(const EpisodeState& state,
+                                      model::ItemType type) const {
   if (options_.incremental_similarity) {
     return state.similarity_tracker().ScoreAppend(type, weights_->similarity);
   }
@@ -158,16 +211,25 @@ double RewardFunction::InterleavingSimilarity(const EpisodeState& state,
                              weights_->similarity);
 }
 
+double RewardFunction::InterleavingSimilarity(const EpisodeState& state,
+                                              model::ItemId next) const {
+  return TypeSimilarity(state, instance_->catalog->item(next).type);
+}
+
 double RewardFunction::TypeWeight(model::ItemId next) const {
-  return type_weight_of_item_[static_cast<std::size_t>(next)];
+  return classes_[RewardClassOf(next)].weight;
+}
+
+double RewardFunction::ClassReward(const EpisodeState& state,
+                                   std::size_t c) const {
+  return weights_->delta * TypeSimilarity(state, classes_[c].type) +
+         weights_->beta * classes_[c].weight;
 }
 
 double RewardFunction::Reward(const EpisodeState& state,
                               model::ItemId next) const {
-  const int theta = Theta(state, next);
-  if (theta == 0) return 0.0;
-  return weights_->delta * InterleavingSimilarity(state, next) +
-         weights_->beta * TypeWeight(next);
+  if (Theta(state, next) == 0) return 0.0;
+  return ClassReward(state, RewardClassOf(next));
 }
 
 bool RewardFunction::IsFeasible(const EpisodeState& state,

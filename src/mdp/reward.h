@@ -1,10 +1,12 @@
 #ifndef RLPLANNER_MDP_REWARD_H_
 #define RLPLANNER_MDP_REWARD_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "mdp/episode_state.h"
 #include "mdp/similarity.h"
+#include "util/bitset.h"
 #include "util/status.h"
 
 namespace rlplanner::mdp {
@@ -43,9 +45,10 @@ struct RewardFunctionOptions {
   /// (O(|IT|) per candidate) instead of copying the type sequence and
   /// recomputing Eq. 7 from scratch (O(L * |IT|) plus allocations).
   bool incremental_similarity = true;
-  /// Precompute per-item `topics & T_ideal` bitsets and their popcounts so
-  /// the Eq. 3 topic gain is one IntersectCount (O(vocab/64), no
-  /// allocation) per candidate.
+  /// Precompute every item's `topics & T_ideal` words in one contiguous
+  /// items x words array so the Eq. 3 topic gain is a popcount of
+  /// `ideal & ~T_current` over O(vocab/64) words (no allocation) per
+  /// candidate.
   bool cache_topic_gain = true;
   /// Trip domain: precompute the pairwise haversine matrix (catalogs up to
   /// 1024 items) so budget checks do a table lookup per candidate.
@@ -82,6 +85,16 @@ class RewardFunction {
   /// theta = r1 * r2 (Eq. 5).
   int Theta(const EpisodeState& state, model::ItemId next) const;
 
+  /// The theta = 1 members of `candidates`, written to `out` (resized to
+  /// the catalog): one pass over the candidate bits against the flat
+  /// ideal-topic array, with the prerequisite gap and the trip theme rule
+  /// checked only for items that carry them. Bit i of `out` is set iff
+  /// `candidates` has it and `Theta(state, i) == 1`, under every
+  /// RewardFunctionOptions setting.
+  void ThetaOneSubset(const EpisodeState& state,
+                      const util::DynamicBitset& candidates,
+                      util::DynamicBitset* out) const;
+
   /// The interleaving term: AggSim of the type sequence extended by `next`.
   double InterleavingSimilarity(const EpisodeState& state,
                                 model::ItemId next) const;
@@ -89,8 +102,26 @@ class RewardFunction {
   /// The type-weight term `weight_{type^m}` = category weight of `next`.
   double TypeWeight(model::ItemId next) const;
 
-  /// Full Eq. 2 reward of taking the action that appends `next`.
+  /// Full Eq. 2 reward of taking the action that appends `next`:
+  /// `ClassReward(state, RewardClassOf(next))` when theta = 1, else 0.
   double Reward(const EpisodeState& state, model::ItemId next) const;
+
+  /// Reward classes. Beyond theta, Eq. 2 sees an item only through its
+  /// type and its category weight, so the catalog splits into at most
+  /// 2 x (categories + 1) classes — one per (type, category) pair present,
+  /// with every category outside `category_weights` (weight 0) in one
+  /// bucket per type — whose theta = 1 members all earn the same reward.
+  std::size_t num_reward_classes() const { return classes_.size(); }
+  std::size_t RewardClassOf(model::ItemId item) const {
+    return class_of_item_[static_cast<std::size_t>(item)];
+  }
+  /// The items of reward class `c` (a partition of the catalog).
+  const util::DynamicBitset& RewardClassItems(std::size_t c) const {
+    return classes_[c].items;
+  }
+  /// The Eq. 2 reward every theta = 1 member of class `c` earns from
+  /// `state`.
+  double ClassReward(const EpisodeState& state, std::size_t c) const;
 
   /// True when appending `next` keeps the episode within the hard budget
   /// constraints that terminate trajectories: item not already chosen, and
@@ -117,19 +148,33 @@ class RewardFunction {
   const RewardFunctionOptions& options() const { return options_; }
 
  private:
+  // One reward class: its type, its category weight, and its members.
+  struct RewardClass {
+    model::ItemType type;
+    double weight;
+    util::DynamicBitset items;
+  };
+
   double ComputeDistanceKm(model::ItemId a, model::ItemId b) const;
   std::size_t ComputeRequiredNewIdealTopics() const;
+  double TypeSimilarity(const EpisodeState& state,
+                        model::ItemType type) const;
 
   const model::TaskInstance* instance_;
   const RewardWeights* weights_;
   RewardFunctionOptions options_;
   std::size_t num_items_ = 0;
   std::size_t required_new_topics_ = 0;
-  // Per-item `topics & T_ideal` and its popcount (cache_topic_gain).
-  std::vector<model::TopicVector> ideal_topics_of_item_;
-  std::vector<std::size_t> ideal_topic_count_of_item_;
-  // Per-item category weight (0 for out-of-range categories).
-  std::vector<double> type_weight_of_item_;
+  // Row-major items x words array of each item's `topics & T_ideal`
+  // (cache_topic_gain).
+  std::size_t ideal_words_per_item_ = 0;
+  std::vector<std::uint64_t> ideal_topic_words_;
+  // Reward class of each item, and the classes themselves.
+  std::vector<std::uint32_t> class_of_item_;
+  std::vector<RewardClass> classes_;
+  // Items whose r2 can be 0: a non-empty prerequisite expression, or a
+  // theme under the trip no-consecutive-theme rule. r2 = 1 for the rest.
+  util::DynamicBitset r2_may_fail_;
   // Row-major pairwise haversine matrix (cache_distances, trip domain).
   std::vector<double> distance_matrix_;
 };

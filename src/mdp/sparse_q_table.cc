@@ -103,39 +103,34 @@ model::ItemId SparseQTable::ArgmaxAction(
   // unordered, so the lowest winning id needs an explicit comparison.
   std::uint32_t best_stored = kEmptyKey;
   double best_value = 0.0;
-  bool have_stored = false;
+  std::size_t stored_allowed = 0;
   for (std::size_t i = 0; i < row.keys.size(); ++i) {
     const std::uint32_t key = row.keys[i];
     if (key == kEmptyKey || !allowed.Test(key)) continue;
     const double value = row.values[i];
-    if (!have_stored || value > best_value ||
+    if (stored_allowed++ == 0 || value > best_value ||
         (value == best_value && key < best_stored)) {
       best_stored = key;
       best_value = value;
-      have_stored = true;
     }
   }
-  // A strictly positive stored max beats every missing entry (0.0), and the
-  // dense tie-break (lowest id at the max) cannot involve a missing cell.
-  if (have_stored && best_value > 0.0) {
-    return static_cast<model::ItemId>(best_stored);
+  // A strictly positive stored max beats every missing entry (0.0), and
+  // when every allowed id is stored no missing entry takes part at all.
+  if ((stored_allowed > 0 && best_value > 0.0) ||
+      stored_allowed == allowed.Count()) {
+    return stored_allowed > 0 ? static_cast<model::ItemId>(best_stored) : -1;
   }
 
-  // Slow path: the row max over the allowed set is <= 0, so missing cells
-  // participate. Replay the dense semantics — adopt the first allowed
-  // action, replace only on strictly greater value — with one probe per
-  // candidate.
-  model::ItemId best = -1;
-  best_value = 0.0;
-  allowed.ForEachSetBit([&](std::size_t a) {
+  // Some allowed id is missing and no stored value is positive, so the max
+  // is exactly 0.0 and the dense walk (first allowed adopted, replaced only
+  // on strictly greater) ends on the lowest allowed id that is missing or
+  // stores +-0.0. Probe ascending and stop at the first.
+  for (std::size_t a = allowed.FindNext(0); a < num_items_;
+       a = allowed.FindNext(a + 1)) {
     const double* v = Find(row, static_cast<std::uint32_t>(a));
-    const double value = v != nullptr ? *v : 0.0;
-    if (best < 0 || value > best_value) {
-      best = static_cast<model::ItemId>(a);
-      best_value = value;
-    }
-  });
-  return best;
+    if (v == nullptr || *v == 0.0) return static_cast<model::ItemId>(a);
+  }
+  return -1;  // unreachable: a missing allowed id ends the walk
 }
 
 void SparseQTable::AccumulateDelta(const SparseQTable& local,

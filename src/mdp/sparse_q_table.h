@@ -75,10 +75,11 @@ class SparseQTable {
   }
 
   /// Bitset overload, result-identical to QTable::ArgmaxAction(state,
-  /// bitset). Fast path: when the stored-and-allowed maximum is positive it
-  /// beats every missing (0.0) entry, so one O(row entries) scan decides;
-  /// otherwise it falls back to the dense-equivalent ascending walk over
-  /// the allowed set with one hash probe per candidate.
+  /// bitset). One O(row entries) scan decides when the stored-and-allowed
+  /// maximum is positive (it beats every missing 0.0 entry) or every
+  /// allowed id is stored. Otherwise the maximum is exactly 0.0, and an
+  /// ascending walk over the allowed set probes the row only until the
+  /// first id that is missing or stores +-0.0.
   model::ItemId ArgmaxAction(model::ItemId state,
                              const util::DynamicBitset& allowed) const;
 

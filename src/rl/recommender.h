@@ -22,8 +22,9 @@ struct RecommendConfig {
   model::ItemId start_item = 0;
   /// Apply the same split-lookahead masking used during learning.
   bool mask_type_overflow = true;
-  /// Discount used for the one-step-lookahead value R + gamma * max Q;
-  /// should match the learner's gamma.
+  /// The learner's discount, carried for callers that mirror a training
+  /// config. No traversal reads it: the walk ranks by (theta, R, Q) and
+  /// never forms R + gamma * max Q.
   double gamma = 0.95;
   /// Items the traversal must never pick ("never recommend X"); the start
   /// item is not subject to exclusion.
@@ -53,6 +54,32 @@ struct BeamEntry {
   bool done = false;
 };
 
+// The stream rule's two reward comparisons between a candidate's reward `r`
+// and the held best `held`: an outright win, and a tie that Q settles.
+inline bool RewardBeats(double r, double held) { return r > held + 1e-9; }
+inline bool RewardTies(double r, double held) { return r >= held - 1e-9; }
+
+// Per-traversal scratch of RecommendPlan's class step, reused across steps.
+struct ClassStep {
+  explicit ClassStep(const mdp::RewardFunction& reward);
+
+  util::DynamicBitset theta_one;      // theta = 1 admissible items
+  util::DynamicBitset pick;           // theta = 1 members of the top group
+  std::vector<double> class_reward;   // Eq. 2 value by reward class
+  std::vector<std::size_t> present;   // classes with a theta = 1 member
+};
+
+// Evaluates Eq. 2 once per reward class present in `step->theta_one` and
+// finds the top group: the classes the best one does not beat outright.
+// Returns true with the group's members in `step->pick` when the group is
+// clean — its members tie each other both ways under the stream rule, and
+// every other present class loses to every member both ways — so the
+// stream's winner is the Q argmax over `pick`. Returns false when the
+// +-1e-9 band chains classes and the winner depends on id order; every
+// present class's reward is in `step->class_reward` either way.
+bool SelectTopRewardGroup(const mdp::RewardFunction& reward,
+                          const mdp::EpisodeState& state, ClassStep* step);
+
 // Candidate expansion of one beam entry.
 struct Expansion {
   model::ItemId item = -1;
@@ -71,19 +98,50 @@ double DomainScore(const model::TaskInstance& instance,
 }  // namespace recommender_internal
 
 /// Recommends a plan from a learned policy: starting at `start_item`, it
-/// repeatedly moves to the admissible unchosen item with the maximum Q value
-/// until the plan has H items (courses) or the time budget is exhausted
-/// (trips).
+/// repeatedly moves to the best admissible unchosen item until the plan has
+/// H items (courses) or the time budget is exhausted (trips).
 ///
-/// Templated over the policy representation: `QModel` needs only
-/// `Get(state, action) -> double` with QTable semantics, so dense tables,
-/// sparse tables, and the mmap-backed serve-side `MappedPolicy` view all
-/// drive the identical traversal (the selection rule below never touches
-/// any other part of the Q surface).
+/// Each step picks lexicographically by (theta, immediate reward, Q), then
+/// the lowest id:
+/// 1. theta first — the Q state is only the last item, so Q(s, a) of an
+///    action that violates a constraint *here* can still carry a high
+///    future value learned at other positions; Theorem 1's guarantee needs
+///    constraint-admissible actions to win outright;
+/// 2. the immediate Eq. 2 reward next, compared within +-1e-9 — it encodes
+///    the template-following type choice exactly as Algorithm 1's argmax-R
+///    behavior policy does;
+/// 3. Q last, to order the reward ties: beyond theta, Eq. 2 sees an item
+///    only through its reward class (type and category weight), so all
+///    theta = 1 items of one class tie, and the learned Q resolves which
+///    item fills the slot (e.g. the antecedent elective a later core
+///    depends on). This is precisely what separates RL-Planner from the
+///    EDA baseline, whose tie-break is a coin flip.
+///
+/// Because the reward comparison is banded, the rule is defined as a stream
+/// over the admissible candidates in ascending id order: the held item is
+/// replaced on a higher theta, an outright reward win (RewardBeats), or a
+/// reward tie (RewardTies) with strictly greater Q. A step computes that
+/// stream's winner from the classes: one batched theta pass; if nothing has
+/// theta = 1, every reward is 0.0 and Q alone decides over the admissible
+/// set; otherwise one Eq. 2 evaluation per class and, when the top group is
+/// clean (see SelectTopRewardGroup), one `ArgmaxAction` over its theta = 1
+/// members. That is exact because the stream restarts at the first
+/// theta = 1 item, after which members of a clean group replace each other
+/// only on strictly greater Q and no other class displaces them —
+/// ArgmaxAction's rule (first allowed id adopted, ties to the lowest id).
+/// An unclean group runs the stream itself over the theta = 1 items, with
+/// rewards looked up per class.
+///
+/// Templated over the policy representation: `QModel` needs `Get(state,
+/// action) -> double` and `ArgmaxAction(state, const DynamicBitset&)` with
+/// QTable semantics, so dense tables, sparse tables, and the mmap-backed
+/// serve-side `MappedPolicy` view all drive the identical traversal.
 template <typename QModel>
 model::Plan RecommendPlan(const QModel& q, const model::TaskInstance& instance,
                           const mdp::RewardFunction& reward,
                           const RecommendConfig& config) {
+  using recommender_internal::RewardBeats;
+  using recommender_internal::RewardTies;
   const int horizon =
       instance.catalog->domain() == model::Domain::kTrip
           ? static_cast<int>(instance.catalog->size())
@@ -96,47 +154,34 @@ model::Plan RecommendPlan(const QModel& q, const model::TaskInstance& instance,
   mdp::EpisodeState state(instance);
   state.Add(config.start_item);
   util::DynamicBitset allowed(instance.catalog->size());
+  recommender_internal::ClassStep step(reward);
   while (static_cast<int>(state.Length()) < horizon) {
     const model::ItemId current = state.CurrentItem();
-    // Select lexicographically by (theta, immediate reward, Q):
-    // 1. theta first — the Q state is only the last item, so Q(s, a) of an
-    //    action that violates a constraint *here* can still carry a high
-    //    future value learned at other positions; Theorem 1's guarantee
-    //    needs constraint-admissible actions to win outright;
-    // 2. the immediate Eq. 2 reward next — it encodes the template-
-    //    following type choice exactly as Algorithm 1's argmax-R behavior
-    //    policy does;
-    // 3. Q last, to order the *exact reward ties*: Eq. 2 depends on an item
-    //    only through its type, so all admissible same-type items tie, and
-    //    the learned Q resolves which item fills the slot (e.g. the
-    //    antecedent elective a later core depends on). This is precisely
-    //    what separates RL-Planner from the EDA baseline, whose tie-break
-    //    is a coin flip.
-    model::ItemId next = -1;
-    int best_theta = -1;
-    double best_q = 0.0;
-    double best_reward = 0.0;
-    // One word-level mask scan per step; candidates stream out in ascending
-    // id order, preserving the historical tie-break exactly.
     mask.AllowedSet(state, &allowed);
     allowed.AndNotAssign(excluded);
-    allowed.ForEachSetBit([&](std::size_t i) {
-      const auto item = static_cast<model::ItemId>(i);
-      const int theta = reward.Theta(state, item);
-      const double q_value = q.Get(current, item);
-      const double item_reward = reward.Reward(state, item);
-      const bool better =
-          next < 0 || theta > best_theta ||
-          (theta == best_theta &&
-           (item_reward > best_reward + 1e-9 ||
-            (item_reward >= best_reward - 1e-9 && q_value > best_q)));
-      if (better) {
-        next = item;
-        best_theta = theta;
-        best_q = q_value;
-        best_reward = item_reward;
-      }
-    });
+    reward.ThetaOneSubset(state, allowed, &step.theta_one);
+    model::ItemId next = -1;
+    if (step.theta_one.None()) {
+      next = q.ArgmaxAction(current, allowed);
+    } else if (recommender_internal::SelectTopRewardGroup(reward, state,
+                                                          &step)) {
+      next = q.ArgmaxAction(current, step.pick);
+    } else {
+      double best_q = 0.0;
+      double best_reward = 0.0;
+      step.theta_one.ForEachSetBit([&](std::size_t i) {
+        const auto item = static_cast<model::ItemId>(i);
+        const double item_reward =
+            step.class_reward[reward.RewardClassOf(item)];
+        const double q_value = q.Get(current, item);
+        if (next < 0 || RewardBeats(item_reward, best_reward) ||
+            (RewardTies(item_reward, best_reward) && q_value > best_q)) {
+          next = item;
+          best_q = q_value;
+          best_reward = item_reward;
+        }
+      });
+    }
     if (next < 0) break;
     state.Add(next);
   }
@@ -149,7 +194,7 @@ model::Plan RecommendPlan(const QModel& q, const model::TaskInstance& instance,
 /// steps, largest cumulative Eq. 2 reward), and finally returns the
 /// completed plan with the best (hard-constraint satisfaction, domain
 /// score). Strictly generalizes RecommendPlan (width 1, expansion 1).
-/// Same QModel requirement as RecommendPlan: `Get(state, action)` only.
+/// Evaluates every candidate, so `QModel` needs only `Get(state, action)`.
 template <typename QModel>
 model::Plan RecommendPlanBeam(const QModel& q,
                               const model::TaskInstance& instance,

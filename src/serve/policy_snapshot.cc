@@ -829,27 +829,34 @@ model::ItemId MappedPolicy::ArgmaxAction(
   // (lowest id at the max) is exactly "replace only on strictly greater".
   model::ItemId best = -1;
   double best_value = 0.0;
+  std::size_t stored_allowed = 0;
   for (std::uint64_t i = 0; i < span.count; ++i) {
     if (!allowed.Test(keys[i])) continue;
+    ++stored_allowed;
     if (best < 0 || values[i] > best_value) {
       best = static_cast<model::ItemId>(keys[i]);
       best_value = values[i];
     }
   }
-  // A positive stored max beats every missing (0.0) cell — done.
-  if (best >= 0 && best_value > 0.0) return best;
+  // A positive stored max beats every missing (0.0) cell, and when every
+  // allowed id is stored no missing cell takes part at all.
+  if ((best >= 0 && best_value > 0.0) || stored_allowed == allowed.Count()) {
+    return best;
+  }
 
-  // Slow path: missing cells participate; replay the dense ascending walk.
-  best = -1;
-  best_value = 0.0;
-  allowed.ForEachSetBit([&](std::size_t a) {
-    const double value = Get(state, static_cast<model::ItemId>(a));
-    if (best < 0 || value > best_value) {
-      best = static_cast<model::ItemId>(a);
-      best_value = value;
+  // Some allowed id is missing and no stored value is positive, so the max
+  // is exactly 0.0: the answer is the lowest allowed id that is missing or
+  // stores +-0.0. Merge the allowed bits against the sorted keys and stop
+  // at the first.
+  std::uint64_t k = 0;
+  for (std::size_t a = allowed.FindNext(0); a < allowed.size();
+       a = allowed.FindNext(a + 1)) {
+    while (k < span.count && keys[k] < a) ++k;
+    if (k == span.count || keys[k] != a || values[k] == 0.0) {
+      return static_cast<model::ItemId>(a);
     }
-  });
-  return best;
+  }
+  return -1;  // unreachable: a missing allowed id ends the walk
 }
 
 double MappedPolicy::NonZeroFraction() const {

@@ -187,7 +187,7 @@ util::Result<SparsePolicySnapshotV2> MakeSnapshotV2(
 /// multi-GB policy costs page-table setup, not a deserialize pass, and
 /// resident memory is shared across processes mapping the same file.
 ///
-/// Satisfies the recommender's QModel concept (`Get`), so
+/// Satisfies the recommender's QModel concept (`Get`, `ArgmaxAction`), so
 /// rl::RecommendPlan/RecommendPlanBeam traverse it like any in-memory
 /// table. Move-only; the mapping lives until destruction.
 class MappedPolicy {
@@ -211,11 +211,13 @@ class MappedPolicy {
   /// entries read as 0.0, exactly like the in-memory tables.
   double Get(model::ItemId state, model::ItemId action) const;
 
-  /// Result-identical to QTable/SparseQTable ArgmaxAction(state, bitset):
-  /// fast path scans the row's stored entries (sorted ascending, so the
-  /// first strictly-greater win is the lowest id at the max); when the
-  /// stored maximum is not positive it falls back to the dense-equivalent
-  /// ascending walk over the allowed set.
+  /// Result-identical to QTable/SparseQTable ArgmaxAction(state, bitset).
+  /// One scan of the row's stored entries (sorted ascending, so the first
+  /// strictly-greater win is the lowest id at the max) decides when the
+  /// stored maximum is positive or every allowed id is stored. Otherwise
+  /// the maximum is exactly 0.0, and a merge of the allowed bits against
+  /// the sorted keys stops at the first id that is missing or stores +-0.0
+  /// — O(row entries), never a binary search per allowed id.
   model::ItemId ArgmaxAction(model::ItemId state,
                              const util::DynamicBitset& allowed) const;
 

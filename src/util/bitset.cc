@@ -150,6 +150,17 @@ void DynamicBitset::AssignComplementOf(const DynamicBitset& other) {
   TrimTail();
 }
 
+std::size_t DynamicBitset::FindNext(std::size_t from) const {
+  if (from >= size_) return size_;
+  std::size_t w = from / kWordBits;
+  Word word = words_[w] & (~Word{0} << (from % kWordBits));
+  while (word == 0) {
+    if (++w == words_.size()) return size_;
+    word = words_[w];
+  }
+  return w * kWordBits + static_cast<std::size_t>(std::countr_zero(word));
+}
+
 std::size_t DynamicBitset::IntersectCount(const DynamicBitset& other) const {
   assert(size_ == other.size_);
   if (words_.size() >= kSimdMinWords) {

@@ -60,6 +60,10 @@ class DynamicBitset {
   /// the seed operation of candidate scans ("every item not yet chosen").
   void AssignComplementOf(const DynamicBitset& other);
 
+  /// Index of the first set bit at or after `from`, or `size()` when there
+  /// is none — for ascending walks that stop at the first hit.
+  std::size_t FindNext(std::size_t from) const;
+
   /// Number of bits set in both `this` and `other` (popcount of the AND) —
   /// the topic-coverage "dot product" over Boolean vectors.
   std::size_t IntersectCount(const DynamicBitset& other) const;
@@ -76,6 +80,9 @@ class DynamicBitset {
   /// QTable's masked argmax — without per-bit extraction.
   const std::uint64_t* word_data() const { return words_.data(); }
   std::size_t word_count() const { return words_.size(); }
+  /// Writable words for kernels that only clear bits (a set bit past
+  /// `size()` would break Count()).
+  std::uint64_t* mutable_word_data() { return words_.data(); }
 
   /// Renders as a string of '0'/'1' characters, index 0 first.
   std::string ToString() const;

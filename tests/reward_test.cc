@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "datagen/course_data.h"
+#include "datagen/synthetic.h"
 #include "datagen/trip_data.h"
 #include "mdp/episode_state.h"
 #include "mdp/reward.h"
+#include "util/bitset.h"
+#include "util/rng.h"
 
 namespace rlplanner::mdp {
 namespace {
@@ -306,6 +312,106 @@ TEST_F(ToyRewardTest, ThetaShortCircuitsPrereqCheck) {
   state.Add(Id("m4"));  // linear system etc.
   // m5: adds no new ideal topic (r1=0) and its r2 is satisfied (m2 there).
   EXPECT_EQ(reward.Theta(state, Id("m5")), 0);
+}
+
+// ------------------------------------------------------ reward classes --
+
+// Datasets covering prerequisites (Univ-2), the trip theme rule (NYC,
+// Paris) and a sparse synthetic catalog.
+std::vector<datagen::Dataset> ClassTestDatasets() {
+  datagen::SyntheticSpec spec;
+  spec.num_items = 300;
+  spec.vocab_size = 200;
+  spec.prereq_probability = 0.4;
+  std::vector<datagen::Dataset> datasets;
+  datasets.push_back(datagen::MakeUniv2Ds());
+  datasets.push_back(datagen::MakeNycTrip());
+  datasets.push_back(datagen::MakeParisTrip());
+  datasets.push_back(datagen::GenerateSynthetic(spec));
+  return datasets;
+}
+
+TEST(RewardClassTest, ThetaOneSubsetMatchesPerItemThetaUnderEveryOption) {
+  for (const datagen::Dataset& dataset : ClassTestDatasets()) {
+    SCOPED_TRACE(dataset.name);
+    const model::TaskInstance instance = dataset.Instance();
+    const std::size_t n = dataset.catalog.size();
+    RewardWeights weights;
+    weights.epsilon = 2.0;  // two new topics: exercises counts past one
+    // The reference: per-item Theta with every cache off.
+    const RewardFunction legacy(instance, weights, {false, false, false});
+    for (int bits = 0; bits < 8; ++bits) {
+      const RewardFunctionOptions options{(bits & 1) != 0, (bits & 2) != 0,
+                                          (bits & 4) != 0};
+      const RewardFunction reward(instance, weights, options);
+      util::Rng rng(static_cast<std::uint64_t>(bits) + 1);
+      EpisodeState state(instance);
+      util::DynamicBitset out;
+      while (state.Length() < std::min<std::size_t>(n, 12)) {
+        util::DynamicBitset candidates(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!state.Contains(static_cast<model::ItemId>(i)) &&
+              rng.NextDouble() < 0.7) {
+            candidates.Set(i);
+          }
+        }
+        reward.ThetaOneSubset(state, candidates, &out);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto item = static_cast<model::ItemId>(i);
+          EXPECT_EQ(out.Test(i),
+                    candidates.Test(i) && legacy.Theta(state, item) == 1)
+              << "options " << bits << ", step " << state.Length()
+              << ", item " << i;
+        }
+        model::ItemId next;
+        do {
+          next = static_cast<model::ItemId>(rng.NextBounded(n));
+        } while (state.Contains(next));
+        state.Add(next);
+      }
+    }
+  }
+}
+
+TEST(RewardClassTest, ClassesPartitionTheCatalogAndCarryItsReward) {
+  for (const datagen::Dataset& dataset : ClassTestDatasets()) {
+    SCOPED_TRACE(dataset.name);
+    const model::TaskInstance instance = dataset.Instance();
+    const std::size_t n = dataset.catalog.size();
+    RewardWeights weights;
+    // Three weights for catalogs of two or six categories: both an
+    // out-of-range bucket and unused weights occur.
+    weights.category_weights = {0.5, 0.3, 0.2};
+    const RewardFunction reward(instance, weights);
+    const RewardFunction legacy(instance, weights, {false, false, false});
+    ASSERT_LE(reward.num_reward_classes(), 2u * (3 + 1));
+    util::DynamicBitset covered(n);
+    for (std::size_t c = 0; c < reward.num_reward_classes(); ++c) {
+      const util::DynamicBitset& items = reward.RewardClassItems(c);
+      EXPECT_TRUE(items.Any());
+      EXPECT_FALSE(items.Intersects(covered));
+      covered |= items;
+    }
+    EXPECT_EQ(covered.Count(), n);
+
+    EpisodeState state(instance);
+    state.Add(dataset.default_start);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto item = static_cast<model::ItemId>(i);
+      const std::size_t c = reward.RewardClassOf(item);
+      EXPECT_TRUE(reward.RewardClassItems(c).Test(i));
+      const auto first_id =
+          static_cast<model::ItemId>(reward.RewardClassItems(c).FindNext(0));
+      const model::Item& first = dataset.catalog.item(first_id);
+      const model::Item& it = dataset.catalog.item(item);
+      EXPECT_EQ(it.type, first.type);
+      EXPECT_EQ(reward.TypeWeight(item), reward.TypeWeight(first.id));
+      EXPECT_EQ(reward.Reward(state, item),
+                reward.Theta(state, item) == 1 ? reward.ClassReward(state, c)
+                                               : 0.0);
+      EXPECT_EQ(reward.Reward(state, item), legacy.Reward(state, item));
+    }
+  }
 }
 
 TEST(EpisodeStateTest, CategoryCountsTracked) {

@@ -19,6 +19,7 @@
 #include "datagen/course_data.h"
 #include "mdp/q_table.h"
 #include "mdp/sparse_q_table.h"
+#include "random_tables.h"
 #include "serve/plan_service.h"
 #include "serve/policy_registry.h"
 #include "serve/policy_snapshot.h"
@@ -174,6 +175,74 @@ TEST(SnapshotV2Test, V1AndV2SnapshotsOfOnePolicyAgreeOnEveryArgmax) {
                 mapped.value().ArgmaxAction(state, allowed));
     }
   }
+}
+
+namespace {
+
+// Maps `table` through a v2 file at `name` under the test temp dir.
+MappedPolicy MapTable(const mdp::SparseQTable& table, const std::string& name) {
+  SparsePolicySnapshotV2 snapshot;
+  snapshot.table = table;
+  const std::string path = testing::TempDir() + "/" + name;
+  EXPECT_TRUE(snapshot.SaveToFile(path).ok());
+  auto mapped = MappedPolicy::Map(path);
+  EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+  return std::move(mapped).value();
+}
+
+}  // namespace
+
+TEST(SnapshotV2Test, MappedArgmaxMatchesDenseOnNegativeDominatedRows) {
+  // The trained fixtures above hold non-negative values, so their argmaxes
+  // rarely reach the zero-max walk; these rows are mostly negative, and
+  // even seeds store every cell (bar the explicit zeros v2 drops).
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    auto [dense, sparse] = mdp::RandomPair(64, seed, seed % 2 == 0 ? 1.0 : 0.6,
+                                           /*max_value=*/0.05);
+    const MappedPolicy mapped =
+        MapTable(sparse, "negative_" + std::to_string(seed) + ".snap");
+    util::Rng rng(seed * 7);
+    for (int trial = 0; trial < 200; ++trial) {
+      util::DynamicBitset allowed(64);
+      const double density = rng.NextDouble();
+      for (std::size_t a = 0; a < 64; ++a) {
+        if (rng.NextDouble() < density) allowed.Set(a);
+      }
+      const auto state = static_cast<model::ItemId>(rng.NextDouble() * 64);
+      EXPECT_EQ(mapped.ArgmaxAction(state, allowed),
+                dense.ArgmaxAction(state, allowed))
+          << "seed " << seed << " trial " << trial << " state " << state;
+    }
+  }
+}
+
+TEST(SnapshotV2Test, MappedArgmaxZeroMaxEdgeCases) {
+  mdp::QTable dense(10);
+  mdp::SparseQTable sparse(10);
+  auto set = [&](model::ItemId s, model::ItemId a, double value) {
+    dense.Set(s, a, value);
+    sparse.Set(s, a, value);
+  };
+  // Row 0 stores every id, all negative; row 1 stores one negative id.
+  for (model::ItemId a = 0; a < 10; ++a) set(0, a, -0.25 * (a + 1));
+  set(0, 6, -0.1);
+  set(1, 3, -0.5);
+  const MappedPolicy mapped = MapTable(sparse, "edge_cases.snap");
+  auto expect = [&](model::ItemId state, std::vector<std::size_t> ids,
+                    model::ItemId want) {
+    util::DynamicBitset allowed(10);
+    for (std::size_t id : ids) allowed.Set(id);
+    EXPECT_EQ(dense.ArgmaxAction(state, allowed), want) << "state " << state;
+    EXPECT_EQ(mapped.ArgmaxAction(state, allowed), want) << "state " << state;
+  };
+  expect(0, {2, 6, 9}, 6);                          // every allowed id stored
+  expect(0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 6);
+  expect(0, {}, -1);                                // empty allowed set
+  expect(1, {3, 4}, 4);  // first allowed stored negative, then a missing id
+  expect(1, {3}, 3);
+  expect(1, {0, 3}, 0);
+  expect(2, {}, -1);     // empty row
+  expect(2, {7, 8}, 7);
 }
 
 TEST(SnapshotV2Test, TruncatedBytesAreRejected) {

@@ -17,6 +17,7 @@
 #include "datagen/synthetic.h"
 #include "mdp/q_table.h"
 #include "mdp/sparse_q_table.h"
+#include "random_tables.h"
 #include "rl/parallel_sarsa.h"
 #include "rl/sarsa.h"
 #include "rl/sarsa_config.h"
@@ -25,28 +26,6 @@
 
 namespace rlplanner::mdp {
 namespace {
-
-// A dense/sparse pair filled with the same pseudo-random entries: a mix of
-// positive, negative, explicit-zero and absent cells, the full value shape
-// ArgmaxAction and the merge have to agree on.
-std::pair<QTable, SparseQTable> RandomPair(std::size_t n, std::uint64_t seed,
-                                           double fill = 0.3) {
-  QTable dense(n);
-  SparseQTable sparse(n);
-  util::Rng rng(seed);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t a = 0; a < n; ++a) {
-      if (rng.NextDouble() >= fill) continue;
-      double value = rng.NextDouble(-2.0, 2.0);
-      if (rng.NextDouble() < 0.1) value = 0.0;  // explicit stored zero
-      dense.Set(static_cast<model::ItemId>(s), static_cast<model::ItemId>(a),
-                value);
-      sparse.Set(static_cast<model::ItemId>(s), static_cast<model::ItemId>(a),
-                 value);
-    }
-  }
-  return {std::move(dense), std::move(sparse)};
-}
 
 bool SameCells(const QTable& dense, const SparseQTable& sparse) {
   if (dense.num_items() != sparse.num_items()) return false;
@@ -158,6 +137,69 @@ TEST(SparseQTableTest, BitsetArgmaxTieBreaksToLowestId) {
   EXPECT_EQ(q.ArgmaxAction(1, allowed), 3);
   allowed.Set(3, false);
   EXPECT_EQ(q.ArgmaxAction(1, allowed), 6);
+}
+
+TEST(SparseQTableTest, BitsetArgmaxMatchesDenseOnNegativeDominatedRows) {
+  // Rows of mostly negative values send nearly every argmax down the
+  // zero-max path; even seeds store every cell, so the "every allowed id
+  // stored" exit is crossed as well.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    auto [dense, sparse] =
+        RandomPair(64, seed, seed % 2 == 0 ? 1.0 : 0.6, /*max_value=*/0.05);
+    util::Rng rng(seed * 7);
+    for (int trial = 0; trial < 200; ++trial) {
+      util::DynamicBitset allowed(64);
+      const double density = rng.NextDouble();
+      for (std::size_t a = 0; a < 64; ++a) {
+        if (rng.NextDouble() < density) allowed.Set(a);
+      }
+      const auto state = static_cast<model::ItemId>(rng.NextDouble() * 64);
+      EXPECT_EQ(sparse.ArgmaxAction(state, allowed),
+                dense.ArgmaxAction(state, allowed))
+          << "seed " << seed << " trial " << trial << " state " << state;
+    }
+  }
+}
+
+util::DynamicBitset Allowed(std::size_t n, std::vector<std::size_t> ids) {
+  util::DynamicBitset bits(n);
+  for (std::size_t id : ids) bits.Set(id);
+  return bits;
+}
+
+TEST(SparseQTableTest, BitsetArgmaxZeroMaxEdgeCases) {
+  QTable dense(10);
+  SparseQTable sparse(10);
+  auto set = [&](model::ItemId s, model::ItemId a, double value) {
+    dense.Set(s, a, value);
+    sparse.Set(s, a, value);
+  };
+  auto expect = [&](model::ItemId state, std::vector<std::size_t> ids,
+                    model::ItemId want) {
+    const util::DynamicBitset allowed = Allowed(10, ids);
+    EXPECT_EQ(dense.ArgmaxAction(state, allowed), want) << "state " << state;
+    EXPECT_EQ(sparse.ArgmaxAction(state, allowed), want) << "state " << state;
+  };
+  // Row 0 stores every id, all negative: the stored scan alone decides.
+  for (model::ItemId a = 0; a < 10; ++a) set(0, a, -0.25 * (a + 1));
+  set(0, 6, -0.1);
+  expect(0, {2, 6, 9}, 6);
+  expect(0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 6);
+  expect(0, {}, -1);
+  // Row 1: the first allowed id stores a negative, the next is missing.
+  set(1, 3, -0.5);
+  expect(1, {3, 4}, 4);
+  expect(1, {3}, 3);
+  expect(1, {}, -1);
+  // Row 2: stored -0.0 and +0.0 tie with missing cells at the 0.0 max, so
+  // the lowest allowed id reading either zero wins.
+  set(2, 2, -1.0);
+  set(2, 3, -0.0);
+  set(2, 5, 0.0);
+  expect(2, {2, 3, 5, 6}, 3);
+  expect(2, {2, 5, 6}, 5);
+  expect(2, {3, 5}, 3);
+  expect(2, {2, 6}, 6);
 }
 
 TEST(SparseQTableTest, AccumulateDeltaMatchesDenseMerge) {

@@ -159,6 +159,16 @@ TEST(BitsetTest, ForEachSetBitVisitsAscendingAcrossWords) {
   std::vector<std::size_t> seen;
   bits.ForEachSetBit([&](std::size_t i) { seen.push_back(i); });
   EXPECT_EQ(seen, expected);
+  // FindNext walks the same bits and reports size() past the last one.
+  seen.clear();
+  for (std::size_t i = bits.FindNext(0); i < bits.size();
+       i = bits.FindNext(i + 1)) {
+    seen.push_back(i);
+  }
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(bits.FindNext(66), 127u);
+  EXPECT_EQ(bits.FindNext(200), 200u);
+  EXPECT_EQ(DynamicBitset(0).FindNext(0), 0u);
 }
 
 TEST(BitsetTest, ForEachSetWordSkipsZeroWords) {
