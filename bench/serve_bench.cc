@@ -17,11 +17,10 @@
 //  4. Hot swap under wire load: policies swapped while HTTP clients hammer
 //     the socket; every request must complete with a 200 attributed to an
 //     installed version — zero drops across the swap, measured end to end.
-//  5. Snapshot-load latency: installing a policy from disk via the three
-//     load paths — dense v1 deserialize, sparse v2 deserialize, and sparse
-//     v2 mmap (zero-copy) — timed against a 10k-item snapshot large enough
-//     (~100 MB full, ~15 MB smoke) that the deserialize-vs-mmap gap is the
-//     headline number.
+//  5. Snapshot-load latency: installing a policy from disk via the two
+//     load paths — v2 deserialize and v2 mmap (zero-copy) — timed against
+//     a 10k-item snapshot large enough (~100 MB full, ~15 MB smoke) that
+//     the deserialize-vs-mmap gap is the headline number.
 //  6. mmap hot swap under wire load: HTTP clients drive POST /v1/plan
 //     against the 10k-item catalog while the ~100 MB v2 snapshot is
 //     mmap-installed mid-run; zero drops, and the per-install latency is
@@ -611,7 +610,7 @@ BigSnapshotFixture BuildBigSnapshot(bool smoke) {
 }
 
 struct SnapshotLoadResult {
-  const char* format;  // "dense-v1" | "sparse-v2"
+  const char* format;  // "sparse-v2"
   const char* mode;    // "deserialize" | "mmap"
   std::size_t items = 0;
   std::uint64_t snapshot_bytes = 0;
@@ -939,36 +938,14 @@ int main(int argc, char** argv) {
   }
 
 
-  // Phase 5: snapshot-load latency across the three install paths. The v1
-  // file is the paper-scale dense policy; the v2 file is the 10k-item
-  // padded sparse fixture (~101 MB full, ~15 MB smoke).
+  // Phase 5: snapshot-load latency across the two install paths, on the
+  // 10k-item padded v2 fixture (~101 MB full, ~15 MB smoke).
   const BigSnapshotFixture big = BuildBigSnapshot(smoke);
   const rlplanner::model::TaskInstance big_instance = big.dataset.Instance();
   const std::uint64_t big_fingerprint =
       rlplanner::serve::CatalogFingerprint(big.dataset.catalog);
 
-  rlplanner::serve::PolicySnapshot v1_snapshot;
-  v1_snapshot.catalog_fingerprint = fingerprint;
-  v1_snapshot.provenance = config.sarsa;
-  v1_snapshot.seed = config.seed;
-  v1_snapshot.table = policies[0];
-  const std::string v1_path = "dense_v1.snap";
-  if (!v1_snapshot.SaveToFile(v1_path).ok()) {
-    std::fprintf(stderr, "v1 snapshot save failed\n");
-    return 1;
-  }
-  auto v1_info = rlplanner::serve::InspectSnapshotFile(v1_path);
-  if (!v1_info.ok()) return 1;
-
   std::vector<SnapshotLoadResult> snapshot_load;
-  {
-    rlplanner::serve::PolicyRegistry load_registry(fingerprint,
-                                                   dataset.catalog.size());
-    snapshot_load.push_back(TimeInstall(
-        load_registry, "dense-v1", "deserialize", v1_path,
-        dataset.catalog.size(), v1_info.value().file_bytes,
-        rlplanner::serve::SnapshotLoadMode::kDeserialize));
-  }
   {
     rlplanner::serve::PolicyRegistry load_registry(
         big_fingerprint, big.dataset.catalog.size());

@@ -7,8 +7,9 @@
 //  2. NYC -> Paris: the POI sets are disjoint, so each Paris POI is matched
 //     to its most theme-similar NYC POI and Q-values are pulled through
 //     that mapping.
-// The example also saves and reloads a policy from disk (CSV), which is how
-// a deployment would ship pre-trained policies.
+// Shipping a trained policy to another process goes through a v2 policy
+// snapshot (`rlplanner_cli save-snapshot` / `load-snapshot`, or
+// serve::MakeSnapshotV2 in code).
 
 #include <cstdio>
 
@@ -70,22 +71,5 @@ int main() {
   const datagen::Dataset paris = datagen::MakeParisTrip();
   ShowTransfer(nyc, paris, core::DefaultTripConfig());
 
-  // Persistence: train once, save the policy, reload it elsewhere.
-  const model::TaskInstance instance = ds_ct.Instance();
-  core::PlannerConfig config = core::DefaultUniv1Config();
-  config.sarsa.start_item = ds_ct.default_start;
-  core::RlPlanner trained(instance, config);
-  if (trained.Train().ok() &&
-      trained.SavePolicy("/tmp/rlplanner_policy.csv").ok()) {
-    core::RlPlanner reloaded(instance, config);
-    if (reloaded.LoadPolicy("/tmp/rlplanner_policy.csv").ok()) {
-      auto plan = reloaded.Recommend(ds_ct.default_start);
-      std::printf("== reloaded policy from CSV ==\n  score %.2f (%s)\n",
-                  plan.ok() ? reloaded.Score(plan.value()) : -1.0,
-                  plan.ok()
-                      ? reloaded.Validate(plan.value()).ToString().c_str()
-                      : "recommendation failed");
-    }
-  }
   return 0;
 }

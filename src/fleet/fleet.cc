@@ -295,10 +295,12 @@ void FleetOrchestrator::TryPublish(SpecState& state, RetrainResult result) {
   obs::ScopedSpan span(config_.metrics, "fleet_publish", config_.trace);
   span.AddArg("slot", state.spec.slot);
 
-  // Publish pipeline: the candidate travels as a serialized snapshot, runs
-  // through the corruption seam, and must deserialize (checksum verified)
-  // before the gate ever sees it — a candidate corrupted mid-publish is
-  // rejected here and the registry is never touched.
+  // Publish pipeline: the candidate travels as v2 snapshot bytes, runs
+  // through the corruption seam, and must deserialize (both checksums and
+  // the zero padding verified, so every byte is covered) before the gate
+  // ever sees it — a candidate corrupted mid-publish is rejected here and
+  // the registry is never touched. The bytes are this process's own, so
+  // the dense alias's num_items^2 allocation is safe.
   serve::PolicySnapshot snapshot;
   snapshot.catalog_fingerprint = registry_->catalog_fingerprint();
   snapshot.provenance = state.spec.sarsa;

@@ -67,10 +67,11 @@ struct FleetHooks {
   /// the job before any training happens (the orchestrator records the
   /// failure and retries with exponential backoff).
   std::function<util::Status(const PolicySpec&)> on_retrain_start;
-  /// Observes — and may mutate — the serialized candidate snapshot between
-  /// serialization and publication. Corrupting the bytes here exercises the
-  /// publish pipeline's integrity check: the candidate is rejected by
-  /// checksum validation and the registry is never touched.
+  /// Observes — and may mutate — the serialized candidate snapshot (v2
+  /// bytes, the one policy file format) between serialization and
+  /// publication. Corrupting any byte here exercises the publish pipeline's
+  /// integrity check: the candidate is rejected by checksum or
+  /// zero-padding validation and the registry is never touched.
   std::function<void(const PolicySpec&, std::string* bytes)>
       on_candidate_serialized;
   /// Returning true holds the canary in place past its promote deadline
@@ -154,11 +155,11 @@ struct PolicyStatus {
 /// accumulated end-user feedback into every retrain (the paper's Section VI
 /// loop), and publishes through a canary pipeline on serve::PolicyRegistry:
 ///
-///   candidate snapshot -> integrity check (serialize/deserialize round
-///   trip with checksum) -> automated gate (zero hard-constraint violations
-///   on a held-out probe set, reward within a band of the incumbent) ->
-///   canary install at a configured traffic fraction -> hold -> promote,
-///   or one-call rollback.
+///   candidate snapshot -> integrity check (v2 serialize/deserialize round
+///   trip: checksums and zero padding) -> automated gate (zero
+///   hard-constraint violations on a held-out probe set, reward within a
+///   band of the incumbent) -> canary install at a configured traffic
+///   fraction -> hold -> promote, or one-call rollback.
 ///
 /// Serving is never blocked: the registry's canary router is lock-free, so
 /// requests keep resolving policies while the orchestrator republishes

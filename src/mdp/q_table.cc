@@ -1,14 +1,8 @@
 #include "mdp/q_table.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 
-#include "util/csv.h"
 #include "util/simd.h"
-#include "util/string_util.h"
 
 namespace rlplanner::mdp {
 
@@ -76,108 +70,6 @@ double QTable::NonZeroFraction() const {
   const std::size_t non_zero =
       util::simd::Active().count_nonzero_f64(values_.data(), values_.size());
   return static_cast<double>(non_zero) / static_cast<double>(values_.size());
-}
-
-std::string QTable::ToCsv() const {
-  util::CsvDocument doc;
-  doc.header = {"state", "action", "q"};
-  for (std::size_t s = 0; s < num_items_; ++s) {
-    for (std::size_t a = 0; a < num_items_; ++a) {
-      const double v = values_[s * num_items_ + a];
-      if (v == 0.0) continue;
-      doc.rows.push_back({std::to_string(s), std::to_string(a),
-                          util::FormatDouble(v, 12)});
-    }
-  }
-  return util::WriteCsv(doc);
-}
-
-namespace {
-
-// Strict whole-token integer parse; false on empty fields, non-numeric
-// characters, or trailing garbage ("12x").
-bool ParseLongStrict(const std::string& field, long* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtol(field.c_str(), &end, 10);
-  return errno == 0 && end == field.c_str() + field.size();
-}
-
-bool ParseDoubleStrict(const std::string& field, double* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtod(field.c_str(), &end);
-  return errno == 0 && end == field.c_str() + field.size();
-}
-
-util::Status RowError(std::size_t row, const std::string& what) {
-  return util::Status::InvalidArgument("Q-table CSV row " +
-                                       std::to_string(row + 1) + ": " + what);
-}
-
-}  // namespace
-
-util::Result<QTable> QTable::FromCsv(std::size_t num_items,
-                                     const std::string& csv_text) {
-  auto parsed = util::ParseCsv(csv_text);
-  if (!parsed.ok()) return parsed.status();
-  const util::CsvDocument& doc = parsed.value();
-  const int state_col = doc.ColumnIndex("state");
-  const int action_col = doc.ColumnIndex("action");
-  const int q_col = doc.ColumnIndex("q");
-  if (state_col < 0 || action_col < 0 || q_col < 0) {
-    return util::Status::InvalidArgument(
-        "Q-table CSV must have state,action,q columns");
-  }
-  QTable table(num_items);
-  std::vector<bool> seen(num_items * num_items, false);
-  for (std::size_t i = 0; i < doc.rows.size(); ++i) {
-    const auto& row = doc.rows[i];
-    long state = 0;
-    long action = 0;
-    double q = 0.0;
-    if (!ParseLongStrict(row[state_col], &state)) {
-      return RowError(i, "malformed state '" + row[state_col] + "'");
-    }
-    if (!ParseLongStrict(row[action_col], &action)) {
-      return RowError(i, "malformed action '" + row[action_col] + "'");
-    }
-    if (!ParseDoubleStrict(row[q_col], &q)) {
-      return RowError(i, "malformed q value '" + row[q_col] + "'");
-    }
-    if (state < 0 || static_cast<std::size_t>(state) >= num_items ||
-        action < 0 || static_cast<std::size_t>(action) >= num_items) {
-      return RowError(i, "entry (" + std::to_string(state) + ", " +
-                             std::to_string(action) +
-                             ") out of range for dimension " +
-                             std::to_string(num_items));
-    }
-    const std::size_t flat =
-        static_cast<std::size_t>(state) * num_items +
-        static_cast<std::size_t>(action);
-    if (seen[flat]) {
-      return RowError(i, "duplicate entry (" + std::to_string(state) + ", " +
-                             std::to_string(action) + ")");
-    }
-    seen[flat] = true;
-    table.Set(static_cast<model::ItemId>(state),
-              static_cast<model::ItemId>(action), q);
-  }
-  return table;
-}
-
-util::Result<QTable> QTable::FromValues(std::size_t num_items,
-                                        std::vector<double> values) {
-  if (values.size() != num_items * num_items) {
-    return util::Status::InvalidArgument(
-        "Q-table payload has " + std::to_string(values.size()) +
-        " entries, expected " + std::to_string(num_items * num_items));
-  }
-  QTable table(num_items);
-  table.values_ = std::move(values);
-  return table;
 }
 
 bool operator==(const QTable& a, const QTable& b) {

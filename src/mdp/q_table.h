@@ -3,13 +3,11 @@
 
 #include <cassert>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "model/prereq.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace rlplanner::mdp {
 
@@ -100,23 +98,23 @@ class QTable {
   /// learner visited).
   double NonZeroFraction() const;
 
-  /// Serializes as CSV ("state,action,q", non-zero entries only).
-  std::string ToCsv() const;
+  /// Invokes `fn(state, action, value)` for every non-zero cell in
+  /// ascending (state, action) order — the traversal SparseQTable offers
+  /// under the same name, which the snapshot writer is generic over.
+  template <typename Fn>
+  void ForEachNonZeroEntrySorted(Fn&& fn) const {
+    for (std::size_t s = 0; s < num_items_; ++s) {
+      const double* row = values_.data() + s * num_items_;
+      for (std::size_t a = 0; a < num_items_; ++a) {
+        if (row[a] == 0.0) continue;
+        fn(static_cast<model::ItemId>(s), static_cast<model::ItemId>(a),
+           row[a]);
+      }
+    }
+  }
 
-  /// Restores a table from `ToCsv` output; `num_items` fixes the dimension.
-  /// Malformed rows (non-numeric fields, trailing garbage), out-of-range
-  /// state/action ids, and duplicate (state, action) entries all produce
-  /// InvalidArgument naming the offending data row.
-  static util::Result<QTable> FromCsv(std::size_t num_items,
-                                      const std::string& csv_text);
-
-  /// The raw row-major |I| x |I| payload (binary snapshot serialization).
+  /// The raw row-major |I| x |I| payload.
   const std::vector<double>& values() const { return values_; }
-
-  /// Rebuilds a table from a raw row-major payload; InvalidArgument when
-  /// `values.size() != num_items^2`.
-  static util::Result<QTable> FromValues(std::size_t num_items,
-                                         std::vector<double> values);
 
  private:
   std::size_t num_items_;

@@ -3,14 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mdp/q_table.h"
 #include "model/prereq.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace rlplanner::mdp {
 
@@ -122,9 +120,10 @@ class SparseQTable {
   std::size_t MemoryBytes() const;
 
   /// Invokes `fn(state, action, value)` for every stored *non-zero* entry
-  /// in ascending (state, action) order — the canonical traversal the v2
-  /// snapshot writer, CSV serialization and equality all share. Sorting is
-  /// per row on a scratch copy; the hash rows themselves stay unordered.
+  /// in ascending (state, action) order — the canonical traversal the
+  /// snapshot writer and equality share (QTable offers the same one).
+  /// Sorting is per row on a scratch copy; the hash rows themselves stay
+  /// unordered.
   template <typename Fn>
   void ForEachNonZeroEntrySorted(Fn&& fn) const {
     std::vector<std::pair<std::uint32_t, double>> scratch;
@@ -137,22 +136,11 @@ class SparseQTable {
     }
   }
 
-  /// Serializes as CSV ("state,action,q", non-zero entries only, ascending
-  /// (state, action)) — byte-identical to QTable::ToCsv() of the equivalent
-  /// dense table, so RlPlanner::SavePolicy round-trips across
-  /// representations.
-  std::string ToCsv() const;
-
-  /// Restores a table from `ToCsv` output with QTable::FromCsv's strict
-  /// parsing and error reporting.
-  static util::Result<SparseQTable> FromCsv(std::size_t num_items,
-                                            const std::string& csv_text);
-
   /// Builds the sparse equivalent of `dense` (non-zero cells only).
   static SparseQTable FromDense(const QTable& dense);
 
   /// Materializes the equivalent dense table. O(|I|^2) memory — paper-scale
-  /// bridging (tests, v1 snapshot interop) only.
+  /// bridging (tests) only.
   QTable ToDense() const;
 
  private:

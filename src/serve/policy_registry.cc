@@ -1,7 +1,6 @@
 #include "serve/policy_registry.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -154,8 +153,9 @@ util::Result<std::uint64_t> PolicyRegistry::InstallMapped(
   return Publish(name, std::move(policy));
 }
 
+template <typename Table>
 util::Result<std::uint64_t> PolicyRegistry::InstallSnapshot(
-    const std::string& name, const PolicySnapshot& snapshot) {
+    const std::string& name, const PolicySnapshotOf<Table>& snapshot) {
   if (snapshot.catalog_fingerprint != catalog_fingerprint_) {
     return FingerprintMismatch(snapshot.catalog_fingerprint,
                                catalog_fingerprint_);
@@ -163,39 +163,19 @@ util::Result<std::uint64_t> PolicyRegistry::InstallSnapshot(
   return Install(name, snapshot.table, snapshot.provenance, snapshot.seed);
 }
 
-util::Result<std::uint64_t> PolicyRegistry::InstallSnapshotV2(
-    const std::string& name, const SparsePolicySnapshotV2& snapshot) {
-  if (snapshot.catalog_fingerprint != catalog_fingerprint_) {
-    return FingerprintMismatch(snapshot.catalog_fingerprint,
-                               catalog_fingerprint_);
-  }
-  return Install(name, snapshot.table, snapshot.provenance, snapshot.seed);
-}
+template util::Result<std::uint64_t> PolicyRegistry::InstallSnapshot(
+    const std::string&, const PolicySnapshot&);
+template util::Result<std::uint64_t> PolicyRegistry::InstallSnapshot(
+    const std::string&, const SparsePolicySnapshotV2&);
 
 util::Result<std::uint64_t> PolicyRegistry::InstallSnapshotFile(
     const std::string& name, const std::string& path, SnapshotLoadMode mode) {
-  char magic[8] = {};
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in || !in.read(magic, sizeof(magic))) {
-      return util::Status::InvalidArgument(
-          "cannot read snapshot magic from " + path);
-    }
-  }
-  const bool is_v2 = std::string(magic, sizeof(magic)) == "RLPSNAP2";
-  if (is_v2 && mode == SnapshotLoadMode::kMmap) {
+  if (mode == SnapshotLoadMode::kMmap) {
     auto mapped = MappedPolicy::Map(path);
     if (!mapped.ok()) return mapped.status();
     return InstallMapped(name, std::move(mapped).value());
   }
-  if (is_v2) {
-    auto snapshot = SparsePolicySnapshotV2::LoadFromFile(path);
-    if (!snapshot.ok()) return snapshot.status();
-    return InstallSnapshotV2(name, snapshot.value());
-  }
-  // v1 (or anything else — LoadFromFile produces the descriptive error):
-  // always a full deserialize, regardless of the requested mode.
-  auto snapshot = PolicySnapshot::LoadFromFile(path);
+  auto snapshot = SparsePolicySnapshotV2::LoadFromFile(path);
   if (!snapshot.ok()) return snapshot.status();
   return InstallSnapshot(name, snapshot.value());
 }

@@ -23,9 +23,10 @@ namespace rlplanner::serve {
 /// number of threads may read it concurrently without synchronization.
 ///
 /// Exactly one of the three representations is engaged:
-///   dense  — in-memory mdp::QTable (v1 snapshots, direct installs)
-///   sparse — in-memory mdp::SparseQTable (v2 snapshots, sparse installs)
-///   mapped — zero-copy MappedPolicy view over an mmapped v2 file
+///   dense  — in-memory mdp::QTable (direct installs, fleet publishes)
+///   sparse — in-memory mdp::SparseQTable (deserialized snapshot files,
+///            sparse installs)
+///   mapped — zero-copy MappedPolicy view over an mmapped snapshot file
 /// Request execution dispatches through VisitQ, so the recommender
 /// templates run the identical traversal on all three.
 struct ServablePolicy {
@@ -64,13 +65,13 @@ struct ServablePolicy {
 
 /// How PolicyRegistry::InstallSnapshotFile materializes a snapshot.
 enum class SnapshotLoadMode {
-  /// Parse the whole file into an in-memory table (v1 and v2), verifying
-  /// every checksum. O(file size) CPU + a private copy of the table.
+  /// Parse the whole file into an in-memory SparseQTable, verifying both
+  /// checksums and the zero padding. O(file size) CPU + a private copy of
+  /// the table.
   kDeserialize = 0,
-  /// mmap a v2 file and serve straight off the page cache (header/section
-  /// validation only — see MappedPolicy::Map). O(1) work regardless of
-  /// policy size; v1 files silently fall back to kDeserialize (their layout
-  /// cannot be served in place).
+  /// mmap the file and serve straight off the page cache (header/section
+  /// validation only — see MappedPolicy::Map). O(1) work in the values
+  /// section regardless of policy size.
   kMmap = 1,
 };
 
@@ -140,20 +141,19 @@ class PolicyRegistry {
   util::Result<std::uint64_t> InstallMapped(const std::string& name,
                                             MappedPolicy policy);
 
-  /// Publishes a deserialized snapshot; additionally validates the
-  /// snapshot's catalog fingerprint against the registry's.
-  util::Result<std::uint64_t> InstallSnapshot(const std::string& name,
-                                              const PolicySnapshot& snapshot);
+  /// Publishes a deserialized snapshot's table (dense or sparse, per the
+  /// alias); additionally validates the snapshot's catalog fingerprint
+  /// against the registry's. Instantiated for both aliases.
+  template <typename Table>
+  util::Result<std::uint64_t> InstallSnapshot(
+      const std::string& name, const PolicySnapshotOf<Table>& snapshot);
 
-  /// v2 counterpart of InstallSnapshot: publishes the snapshot's sparse
-  /// table after the same fingerprint validation.
-  util::Result<std::uint64_t> InstallSnapshotV2(
-      const std::string& name, const SparsePolicySnapshotV2& snapshot);
-
-  /// Loads the snapshot at `path` (format detected by magic) and publishes
-  /// it under `name`. kMmap serves a v2 file in place through MappedPolicy;
-  /// v1 files always deserialize (their dense row-major layout is not
-  /// servable in place), so kMmap on a v1 file falls back to kDeserialize.
+  /// Loads the snapshot at `path` and publishes it under `name`: kMmap
+  /// serves the file in place through MappedPolicy, kDeserialize parses it
+  /// into a SparseQTable (so the allocation is bounded by the file size,
+  /// whatever dimension the file claims). Either way the dimension and
+  /// fingerprint are checked against the registry's, and a file that is
+  /// not a snapshot fails with InvalidArgument.
   util::Result<std::uint64_t> InstallSnapshotFile(const std::string& name,
                                                   const std::string& path,
                                                   SnapshotLoadMode mode);

@@ -16,47 +16,6 @@
 namespace rlplanner::serve {
 namespace {
 
-constexpr char kMagic[8] = {'R', 'L', 'P', 'S', 'N', 'A', 'P', '1'};
-constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
-
-// --- fixed-width little-endian writer -------------------------------------
-
-void AppendBytes(std::string& out, const void* data, std::size_t size) {
-  out.append(static_cast<const char*>(data), size);
-}
-
-template <typename T>
-void AppendScalar(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AppendBytes(out, &value, sizeof(T));
-}
-
-// --- bounds-checked reader ------------------------------------------------
-
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  util::Status Read(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ + sizeof(T) > bytes_.size()) {
-      return util::Status::InvalidArgument(
-          "snapshot truncated at byte " + std::to_string(pos_));
-    }
-    std::memcpy(out, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return util::Status::Ok();
-  }
-
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
-};
-
 // Feeds one scalar into a running FNV-1a hash.
 template <typename T>
 std::uint64_t HashScalar(std::uint64_t hash, T value) {
@@ -115,156 +74,19 @@ std::uint64_t CatalogFingerprint(const model::Catalog& catalog) {
   return h;
 }
 
-std::string PolicySnapshot::Serialize() const {
-  const std::size_t n = table.num_items();
-  std::string out;
-  out.reserve(sizeof(kMagic) + 96 + n * n * sizeof(double) + kChecksumBytes);
-  AppendBytes(out, kMagic, sizeof(kMagic));
-  AppendScalar(out, kFormatVersion);
-  AppendScalar(out, catalog_fingerprint);
-  AppendScalar(out, static_cast<std::uint64_t>(n));
-  AppendScalar(out, seed);
-  AppendScalar(out, static_cast<std::int32_t>(provenance.num_episodes));
-  AppendScalar(out, provenance.alpha);
-  AppendScalar(out, provenance.gamma);
-  AppendScalar(out, static_cast<std::int32_t>(provenance.exploration));
-  AppendScalar(out, static_cast<std::int32_t>(provenance.update_rule));
-  AppendScalar(out, provenance.explore_epsilon);
-  AppendScalar(out, static_cast<std::int32_t>(provenance.start_item));
-  AppendScalar(out, static_cast<std::uint8_t>(provenance.mask_type_overflow));
-  AppendScalar(out, static_cast<std::int32_t>(provenance.policy_rounds));
-  AppendScalar(out, provenance.restart_decay);
-  AppendBytes(out, table.values().data(), n * n * sizeof(double));
-  AppendScalar(out, Fnv1a64(out.data(), out.size()));
-  return out;
-}
-
-util::Result<PolicySnapshot> PolicySnapshot::Deserialize(
-    const std::string& bytes) {
-  if (bytes.size() < sizeof(kMagic) + kChecksumBytes) {
-    return util::Status::InvalidArgument(
-        "snapshot too short to hold magic and checksum (" +
-        std::to_string(bytes.size()) + " bytes)");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return util::Status::InvalidArgument(
-        "bad snapshot magic (not a policy snapshot file)");
-  }
-  std::uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + bytes.size() - kChecksumBytes,
-              kChecksumBytes);
-  const std::uint64_t computed =
-      Fnv1a64(bytes.data(), bytes.size() - kChecksumBytes);
-  if (stored_checksum != computed) {
-    std::ostringstream msg;
-    msg << "snapshot checksum mismatch (stored " << std::hex << stored_checksum
-        << ", computed " << computed << "): file is corrupted";
-    return util::Status::InvalidArgument(msg.str());
-  }
-
-  Reader reader(bytes);
-  char magic[sizeof(kMagic)];
-  RLP_RETURN_IF_ERROR(reader.Read(&magic));
-  std::uint32_t format_version = 0;
-  RLP_RETURN_IF_ERROR(reader.Read(&format_version));
-  if (format_version != kFormatVersion) {
-    return util::Status::InvalidArgument(
-        "unsupported snapshot format version " +
-        std::to_string(format_version) + " (expected " +
-        std::to_string(kFormatVersion) + ")");
-  }
-
-  PolicySnapshot snapshot;
-  std::uint64_t num_items = 0;
-  RLP_RETURN_IF_ERROR(reader.Read(&snapshot.catalog_fingerprint));
-  RLP_RETURN_IF_ERROR(reader.Read(&num_items));
-  RLP_RETURN_IF_ERROR(reader.Read(&snapshot.seed));
-  std::int32_t num_episodes = 0, exploration = 0, update_rule = 0;
-  std::int32_t start_item = 0, policy_rounds = 0;
-  std::uint8_t mask_type_overflow = 0;
-  RLP_RETURN_IF_ERROR(reader.Read(&num_episodes));
-  RLP_RETURN_IF_ERROR(reader.Read(&snapshot.provenance.alpha));
-  RLP_RETURN_IF_ERROR(reader.Read(&snapshot.provenance.gamma));
-  RLP_RETURN_IF_ERROR(reader.Read(&exploration));
-  RLP_RETURN_IF_ERROR(reader.Read(&update_rule));
-  RLP_RETURN_IF_ERROR(reader.Read(&snapshot.provenance.explore_epsilon));
-  RLP_RETURN_IF_ERROR(reader.Read(&start_item));
-  RLP_RETURN_IF_ERROR(reader.Read(&mask_type_overflow));
-  RLP_RETURN_IF_ERROR(reader.Read(&policy_rounds));
-  RLP_RETURN_IF_ERROR(reader.Read(&snapshot.provenance.restart_decay));
-  snapshot.provenance.num_episodes = num_episodes;
-  snapshot.provenance.exploration =
-      static_cast<rl::ExplorationMode>(exploration);
-  snapshot.provenance.update_rule = static_cast<rl::UpdateRule>(update_rule);
-  snapshot.provenance.start_item = start_item;
-  snapshot.provenance.mask_type_overflow = mask_type_overflow != 0;
-  snapshot.provenance.policy_rounds = policy_rounds;
-
-  const std::size_t n = static_cast<std::size_t>(num_items);
-  const std::size_t payload_bytes = n * n * sizeof(double);
-  if (reader.remaining() != payload_bytes + kChecksumBytes) {
-    return util::Status::InvalidArgument(
-        "snapshot payload size mismatch: " +
-        std::to_string(reader.remaining() - kChecksumBytes) +
-        " bytes for a " + std::to_string(n) + "x" + std::to_string(n) +
-        " table (expected " + std::to_string(payload_bytes) + ")");
-  }
-  std::vector<double> values(n * n);
-  std::memcpy(values.data(), bytes.data() + reader.pos(), payload_bytes);
-  auto table = mdp::QTable::FromValues(n, std::move(values));
-  if (!table.ok()) return table.status();
-  snapshot.table = std::move(table).value();
-  return snapshot;
-}
-
-util::Status PolicySnapshot::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return util::Status::Internal("cannot open for write: " + path);
-  const std::string bytes = Serialize();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) return util::Status::Internal("write failed: " + path);
-  return util::Status::Ok();
-}
-
-util::Result<PolicySnapshot> PolicySnapshot::LoadFromFile(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
-}
-
-util::Result<PolicySnapshot> MakeSnapshot(const core::RlPlanner& planner) {
-  if (!planner.trained()) {
-    return util::Status::FailedPrecondition(
-        "MakeSnapshot() requires a trained planner");
-  }
-  if (planner.uses_sparse()) {
-    return util::Status::FailedPrecondition(
-        "MakeSnapshot() writes the dense v1 format; this planner trained a "
-        "sparse policy — use MakeSnapshotV2()");
-  }
-  PolicySnapshot snapshot;
-  snapshot.catalog_fingerprint =
-      CatalogFingerprint(*planner.instance().catalog);
-  snapshot.provenance = planner.config().sarsa;
-  snapshot.seed = planner.config().seed;
-  snapshot.table = planner.q_table();
-  return snapshot;
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot format v2
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr char kMagicV2[8] = {'R', 'L', 'P', 'S', 'N', 'A', 'P', '2'};
+constexpr char kMagic[8] = {'R', 'L', 'P', 'S', 'N', 'A', 'P', '2'};
 // Header field offsets within the header page (see the header-file diagram).
-constexpr std::size_t kV2HeaderChecksumOffset = 192;
-constexpr std::size_t kV2PayloadChecksumOffset = 184;
 constexpr std::size_t kV2SectionTableOffset = 112;
+constexpr std::size_t kV2PayloadChecksumOffset = 184;
+constexpr std::size_t kV2HeaderChecksumOffset = 192;
+// End of the header fields; the rest of the header page is zero padding.
+constexpr std::size_t kV2HeaderFieldsEnd = 200;
 constexpr std::size_t kV2SectionCount = 3;
 
 struct V2Section {
@@ -339,17 +161,17 @@ rl::SarsaConfig ReadProvenance(const char* data, std::size_t pos) {
 // The header checksum verdict is reported, not enforced — Map() requires
 // it, InspectSnapshotFile() reports it.
 util::Result<V2Header> ParseV2Header(const char* data, std::size_t size) {
+  if (size < sizeof(kMagic) || std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+    return util::Status::InvalidArgument(
+        "bad snapshot magic (not a v2 policy snapshot)");
+  }
   if (size < kSnapshotV2PageBytes) {
     return util::Status::InvalidArgument(
         "v2 snapshot smaller than one header page (" + std::to_string(size) +
         " bytes)");
   }
-  if (std::memcmp(data, kMagicV2, sizeof(kMagicV2)) != 0) {
-    return util::Status::InvalidArgument(
-        "bad snapshot magic (not a v2 policy snapshot)");
-  }
   const auto format_version = ReadAt<std::uint32_t>(data, 8);
-  if (format_version != SparsePolicySnapshotV2::kFormatVersion) {
+  if (format_version != PolicySnapshot::kFormatVersion) {
     return util::Status::InvalidArgument(
         "unsupported v2 snapshot format version " +
         std::to_string(format_version));
@@ -485,6 +307,52 @@ std::uint64_t ComputePayloadChecksum(const char* data, const V2Header& h) {
   return hash;
 }
 
+// Everything a full parse verifies beyond the header structure: both
+// checksums, and a zero in every byte neither covers — the header padding
+// and the page-alignment gap after each section. Serialize zero-fills
+// those bytes, so no byte of a fully parsed file can change unnoticed.
+// Shared by Deserialize() and InspectSnapshotFile().
+util::Status VerifyIntegrity(const char* data, std::size_t size,
+                             const V2Header& h) {
+  if (!h.header_checksum_ok) {
+    return util::Status::InvalidArgument(
+        "v2 snapshot header checksum mismatch: header is corrupted");
+  }
+  if (ComputePayloadChecksum(data, h) != h.payload_checksum) {
+    return util::Status::InvalidArgument(
+        "v2 snapshot payload checksum mismatch: file is corrupted");
+  }
+  // ParseV2Header guarantees the sections lie past the header page, in
+  // file order and disjoint, so every gap below is a valid range.
+  std::size_t gap_begin = kV2HeaderFieldsEnd;
+  for (std::size_t i = 0; i <= kV2SectionCount; ++i) {
+    const std::size_t gap_end =
+        i < kV2SectionCount ? static_cast<std::size_t>(h.sections[i].offset)
+                            : size;
+    const char* hit = std::find_if(data + gap_begin, data + gap_end,
+                                   [](char c) { return c != 0; });
+    if (hit != data + gap_end) {
+      return util::Status::InvalidArgument(
+          "v2 snapshot padding byte " + std::to_string(hit - data) +
+          " is non-zero: file is corrupted");
+    }
+    if (i < kV2SectionCount) {
+      gap_begin = static_cast<std::size_t>(h.sections[i].offset +
+                                           h.sections[i].length);
+    }
+  }
+  return util::Status::Ok();
+}
+
+// The whole file at `path`; NotFound when it cannot be opened.
+util::Result<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return util::Status::NotFound("cannot open: " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 // Validates every row span against entry_count (overflow-safe) and
 // requires non-empty spans to be disjoint and ascending — Serialize's
 // canonical packing, and what bounds ValidateRowKeys below to one pass over
@@ -550,7 +418,8 @@ util::Status ValidateRowKeys(const SnapshotV2RowSpan* rows,
 
 }  // namespace
 
-std::string SparsePolicySnapshotV2::Serialize() const {
+template <typename Table>
+std::string PolicySnapshotOf<Table>::Serialize() const {
   const std::size_t n = table.num_items();
 
   // Pack the table once in canonical order: row spans over ascending
@@ -558,8 +427,10 @@ std::string SparsePolicySnapshotV2::Serialize() const {
   std::vector<SnapshotV2RowSpan> rows(n);
   std::vector<std::uint32_t> keys;
   std::vector<double> values;
-  keys.reserve(table.entry_count());
-  values.reserve(table.entry_count());
+  if constexpr (requires { table.entry_count(); }) {  // sparse tables only
+    keys.reserve(table.entry_count());
+    values.reserve(table.entry_count());
+  }
   model::ItemId last_state = -1;
   table.ForEachNonZeroEntrySorted(
       [&](model::ItemId s, model::ItemId a, double v) {
@@ -582,7 +453,7 @@ std::string SparsePolicySnapshotV2::Serialize() const {
   const std::size_t total = AlignToPage(values_offset + values_len);
 
   std::string out(total, '\0');
-  std::memcpy(out.data(), kMagicV2, sizeof(kMagicV2));
+  std::memcpy(out.data(), kMagic, sizeof(kMagic));
   PutAt(out, 8, kFormatVersion);
   PutAt(out, 12, static_cast<std::uint32_t>(kSnapshotV2PageBytes));
   PutAt(out, 16, catalog_fingerprint);
@@ -620,19 +491,13 @@ std::string SparsePolicySnapshotV2::Serialize() const {
   return out;
 }
 
-util::Result<SparsePolicySnapshotV2> SparsePolicySnapshotV2::Deserialize(
+template <typename Table>
+util::Result<PolicySnapshotOf<Table>> PolicySnapshotOf<Table>::Deserialize(
     const std::string& bytes) {
   auto parsed = ParseV2Header(bytes.data(), bytes.size());
   if (!parsed.ok()) return parsed.status();
   const V2Header& h = parsed.value();
-  if (!h.header_checksum_ok) {
-    return util::Status::InvalidArgument(
-        "v2 snapshot header checksum mismatch: header is corrupted");
-  }
-  if (ComputePayloadChecksum(bytes.data(), h) != h.payload_checksum) {
-    return util::Status::InvalidArgument(
-        "v2 snapshot payload checksum mismatch: file is corrupted");
-  }
+  RLP_RETURN_IF_ERROR(VerifyIntegrity(bytes.data(), bytes.size(), h));
 
   const auto* rows = reinterpret_cast<const SnapshotV2RowSpan*>(
       bytes.data() + h.sections[0].offset);
@@ -644,12 +509,11 @@ util::Result<SparsePolicySnapshotV2> SparsePolicySnapshotV2::Deserialize(
       ValidateRowSpans(rows, h.meta.num_items, h.meta.entry_count));
   RLP_RETURN_IF_ERROR(ValidateRowKeys(rows, keys, h.meta.num_items));
 
-  SparsePolicySnapshotV2 snapshot;
+  PolicySnapshotOf snapshot;
   snapshot.catalog_fingerprint = h.meta.catalog_fingerprint;
   snapshot.seed = h.meta.seed;
   snapshot.provenance = h.meta.provenance;
-  snapshot.table =
-      mdp::SparseQTable(static_cast<std::size_t>(h.meta.num_items));
+  snapshot.table = Table(static_cast<std::size_t>(h.meta.num_items));
   for (std::uint64_t s = 0; s < h.meta.num_items; ++s) {
     const SnapshotV2RowSpan& span = rows[s];
     for (std::uint64_t i = 0; i < span.count; ++i) {
@@ -661,7 +525,8 @@ util::Result<SparsePolicySnapshotV2> SparsePolicySnapshotV2::Deserialize(
   return snapshot;
 }
 
-util::Status SparsePolicySnapshotV2::SaveToFile(
+template <typename Table>
+util::Status PolicySnapshotOf<Table>::SaveToFile(
     const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return util::Status::Internal("cannot open for write: " + path);
@@ -671,14 +536,16 @@ util::Status SparsePolicySnapshotV2::SaveToFile(
   return util::Status::Ok();
 }
 
-util::Result<SparsePolicySnapshotV2> SparsePolicySnapshotV2::LoadFromFile(
+template <typename Table>
+util::Result<PolicySnapshotOf<Table>> PolicySnapshotOf<Table>::LoadFromFile(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
+  auto bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  return Deserialize(bytes.value());
 }
+
+template struct PolicySnapshotOf<mdp::QTable>;
+template struct PolicySnapshotOf<mdp::SparseQTable>;
 
 util::Result<SparsePolicySnapshotV2> MakeSnapshotV2(
     const core::RlPlanner& planner) {
@@ -872,75 +739,21 @@ double MappedPolicy::NonZeroFraction() const {
 
 // --- snapshot-info ---------------------------------------------------------
 
-namespace {
-
-// v1 inspection: parse the fixed header fields by offset, verify the
-// trailing checksum, and count non-zero payload cells. Reports
-// checksum_ok = false (rather than erroring) when only the checksum is bad.
-util::Result<SnapshotFileInfo> InspectV1(const std::string& bytes) {
-  // Fixed v1 offsets: magic 0, version 8, fingerprint 12, num_items 20,
-  // seed 28, provenance 36..89, payload 89, trailing checksum.
-  constexpr std::size_t kPayloadOffset = 89;
-  if (bytes.size() < kPayloadOffset + sizeof(std::uint64_t)) {
-    return util::Status::InvalidArgument(
-        "v1 snapshot truncated: " + std::to_string(bytes.size()) + " bytes");
-  }
-  SnapshotFileInfo info;
-  info.format_version = ReadAt<std::uint32_t>(bytes.data(), 8);
-  if (info.format_version != PolicySnapshot::kFormatVersion) {
-    return util::Status::InvalidArgument(
-        "unsupported snapshot format version " +
-        std::to_string(info.format_version));
-  }
-  info.format = "dense-v1";
-  info.catalog_fingerprint = ReadAt<std::uint64_t>(bytes.data(), 12);
-  info.num_items = ReadAt<std::uint64_t>(bytes.data(), 20);
-  info.seed = ReadAt<std::uint64_t>(bytes.data(), 28);
-  info.file_bytes = bytes.size();
-
-  const std::uint64_t n = info.num_items;
-  const std::uint64_t payload_bytes = n * n * sizeof(double);
-  if (bytes.size() - kPayloadOffset - sizeof(std::uint64_t) != payload_bytes) {
-    return util::Status::InvalidArgument(
-        "v1 snapshot payload size mismatch for a " + std::to_string(n) + "x" +
-        std::to_string(n) + " table");
-  }
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(std::uint64_t),
-              sizeof(std::uint64_t));
-  info.checksum_ok =
-      stored == Fnv1a64(bytes.data(), bytes.size() - sizeof(std::uint64_t));
-
-  std::uint64_t non_zero = 0;
-  for (std::uint64_t i = 0; i < n * n; ++i) {
-    if (ReadAt<double>(bytes.data(), kPayloadOffset + i * sizeof(double)) !=
-        0.0) {
-      ++non_zero;
-    }
-  }
-  info.entry_count = non_zero;
-  info.nonzero_fraction =
-      n == 0 ? 0.0
-             : static_cast<double>(non_zero) /
-                   (static_cast<double>(n) * static_cast<double>(n));
-  return info;
-}
-
-util::Result<SnapshotFileInfo> InspectV2(const std::string& bytes) {
+util::Result<SnapshotFileInfo> InspectSnapshotFile(const std::string& path) {
+  auto read = ReadFileBytes(path);
+  if (!read.ok()) return read.status();
+  const std::string& bytes = read.value();
   auto parsed = ParseV2Header(bytes.data(), bytes.size());
   if (!parsed.ok()) return parsed.status();
   const V2Header& h = parsed.value();
   SnapshotFileInfo info;
-  info.format_version = SparsePolicySnapshotV2::kFormatVersion;
-  info.format = "sparse-v2";
+  info.format_version = PolicySnapshot::kFormatVersion;
   info.num_items = h.meta.num_items;
   info.entry_count = h.meta.entry_count;
   info.catalog_fingerprint = h.meta.catalog_fingerprint;
   info.seed = h.meta.seed;
   info.file_bytes = bytes.size();
-  info.checksum_ok =
-      h.header_checksum_ok &&
-      ComputePayloadChecksum(bytes.data(), h) == h.payload_checksum;
+  info.checksum_ok = VerifyIntegrity(bytes.data(), bytes.size(), h).ok();
   const auto* values = reinterpret_cast<const double*>(
       bytes.data() + h.sections[2].offset);
   std::uint64_t non_zero = 0;
@@ -954,29 +767,6 @@ util::Result<SnapshotFileInfo> InspectV2(const std::string& bytes) {
                 (static_cast<double>(h.meta.num_items) *
                  static_cast<double>(h.meta.num_items));
   return info;
-}
-
-}  // namespace
-
-util::Result<SnapshotFileInfo> InspectSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  if (bytes.size() < sizeof(kMagic)) {
-    return util::Status::InvalidArgument(
-        "file too short to hold a snapshot magic (" +
-        std::to_string(bytes.size()) + " bytes)");
-  }
-  if (std::memcmp(bytes.data(), kMagicV2, sizeof(kMagicV2)) == 0) {
-    return InspectV2(bytes);
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0) {
-    return InspectV1(bytes);
-  }
-  return util::Status::InvalidArgument(
-      "bad snapshot magic (neither v1 nor v2)");
 }
 
 }  // namespace rlplanner::serve

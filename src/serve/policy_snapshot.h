@@ -26,53 +26,9 @@ std::uint64_t Fnv1a64(const void* bytes, std::size_t size,
 /// rows/columns, so a policy trained on one is servable on the other.
 std::uint64_t CatalogFingerprint(const model::Catalog& catalog);
 
-/// A trained policy as a loadable artifact (the "train once, serve many"
-/// half of the stack): the binary Q-table payload plus the provenance needed
-/// to validate and reproduce it. The CSV path (`QTable::ToCsv`) remains the
-/// portable, human-readable fallback; this format adds integrity (checksum),
-/// compatibility (catalog fingerprint) and provenance (SarsaConfig + seed).
-///
-/// Wire layout (fixed-width little-endian fields, in order):
-///   magic "RLPSNAP1" (8 bytes)
-///   u32  format_version (= kFormatVersion)
-///   u64  catalog_fingerprint
-///   u64  num_items
-///   u64  seed
-///   i32  num_episodes      f64 alpha            f64 gamma
-///   i32  exploration       i32 update_rule      f64 explore_epsilon
-///   i32  start_item        u8  mask_type_overflow
-///   i32  policy_rounds     f64 restart_decay
-///   f64 x num_items^2 row-major Q payload
-///   u64  FNV-1a checksum of every preceding byte
-struct PolicySnapshot {
-  static constexpr std::uint32_t kFormatVersion = 1;
-
-  std::uint64_t catalog_fingerprint = 0;
-  /// Training provenance: the SarsaConfig the table was learned with.
-  rl::SarsaConfig provenance;
-  /// The planner seed used for training.
-  std::uint64_t seed = 0;
-  mdp::QTable table{0};
-
-  /// Serializes to the binary wire format above.
-  std::string Serialize() const;
-
-  /// Parses `bytes`; rejects bad magic, unknown format versions, truncated
-  /// or oversized payloads, and checksum mismatches with a descriptive
-  /// InvalidArgument.
-  static util::Result<PolicySnapshot> Deserialize(const std::string& bytes);
-
-  util::Status SaveToFile(const std::string& path) const;
-  static util::Result<PolicySnapshot> LoadFromFile(const std::string& path);
-};
-
-/// Snapshots a trained planner (FailedPrecondition when untrained). Dense
-/// policies only — a sparse-trained planner snapshots through
-/// MakeSnapshotV2, which never materializes the O(|I|^2) payload.
-util::Result<PolicySnapshot> MakeSnapshot(const core::RlPlanner& planner);
-
 // ---------------------------------------------------------------------------
-// Snapshot format v2: page-aligned sparse layout, mmap-servable zero-copy.
+// Snapshot format v2, the one policy file format: page-aligned sparse
+// layout, mmap-servable zero-copy.
 // ---------------------------------------------------------------------------
 
 /// Page size every v2 section offset is aligned to. 4096 matches the page
@@ -106,10 +62,14 @@ struct SnapshotV2Meta {
   rl::SarsaConfig provenance;
 };
 
-/// A trained *sparse* policy as a v2 artifact. Unlike v1 (a sequential blob
-/// that must be deserialized), v2 is designed to be served straight off an
-/// mmap: fixed 4096-byte header page, then page-aligned sections listed in
-/// a section table, all fixed-width little-endian.
+/// A trained policy as a loadable artifact (the "train once, serve many"
+/// half of the stack): the Q-table plus the provenance needed to validate
+/// and reproduce it — integrity (checksums), compatibility (catalog
+/// fingerprint) and provenance (SarsaConfig + seed). Every policy file is
+/// this one format, whatever table trained it; it is designed to be served
+/// straight off an mmap (MappedPolicy): fixed 4096-byte header page, then
+/// page-aligned sections listed in a section table, all fixed-width
+/// little-endian.
 ///
 /// On-disk layout (byte offsets within the header page):
 ///     0  magic "RLPSNAP2" (8 bytes)
@@ -136,44 +96,65 @@ struct SnapshotV2Meta {
 ///   184  u64  payload_checksum (FNV-1a over the three sections' bytes,
 ///        in section-table order)
 ///   192  u64  header_checksum  (FNV-1a over header bytes [0, 192))
-///   200  zero padding to 4096
+///   200  zero padding to 4096; each section is likewise zero-padded to
+///        the next page boundary
 ///
 /// The header checksum makes header corruption detectable in O(1) at map
-/// time; the payload checksum covers the data pages and is verified by the
-/// full-deserialize path (LoadFromFile) and `rlplanner_cli snapshot-info` —
-/// deliberately NOT by MappedPolicy::Map, which instead validates the row
-/// index AND the packed-keys section (spans in bounds and disjoint, keys
-/// < num_items and strictly ascending per row) without ever touching the
-/// far larger values section, so the hot swap stays cheap (documented
+/// time; the payload checksum covers the data pages. The full parse
+/// (Deserialize, LoadFromFile) and `rlplanner_cli snapshot-info` verify
+/// both and also require every padding byte to be zero, so no byte of a
+/// fully parsed file can change unnoticed. MappedPolicy::Map deliberately
+/// checks neither the payload checksum nor the padding: it validates the
+/// row index AND the packed-keys section (spans in bounds and disjoint,
+/// keys < num_items and strictly ascending per row) without ever touching
+/// the far larger values section, so the hot swap stays cheap (documented
 /// trade-off: a flipped payload bit surfaces as a map-time rejection or a
 /// wrong Q read, never as out-of-bounds access, because every index a read
 /// dereferences is validated up front).
-struct SparsePolicySnapshotV2 {
+///
+/// `Table` is mdp::QTable or mdp::SparseQTable (the two aliases below);
+/// both write non-zero cells in ascending (state, action) order, so one
+/// policy serializes to the same bytes whichever table holds it.
+template <typename Table>
+struct PolicySnapshotOf {
   static constexpr std::uint32_t kFormatVersion = 2;
 
   std::uint64_t catalog_fingerprint = 0;
+  /// Training provenance: the SarsaConfig the table was learned with.
   rl::SarsaConfig provenance;
+  /// The planner seed used for training.
   std::uint64_t seed = 0;
-  mdp::SparseQTable table{0};
+  Table table{0};
 
-  /// Serializes to the page-aligned layout above (non-zero entries only,
-  /// ascending (state, action)).
+  /// Serializes to the page-aligned layout above.
   std::string Serialize() const;
 
-  /// Full parse of `bytes` with *both* checksums verified; rejects bad
-  /// magic/version, truncated files, malformed section tables, and
-  /// out-of-bounds row spans with a descriptive InvalidArgument.
-  static util::Result<SparsePolicySnapshotV2> Deserialize(
-      const std::string& bytes);
+  /// Full parse of `bytes`: both checksums and the zero padding verified;
+  /// bad magic/version, truncated files, malformed section tables, and
+  /// out-of-bounds row spans or keys are rejected with a descriptive
+  /// InvalidArgument.
+  static util::Result<PolicySnapshotOf> Deserialize(const std::string& bytes);
 
   util::Status SaveToFile(const std::string& path) const;
-  static util::Result<SparsePolicySnapshotV2> LoadFromFile(
-      const std::string& path);
+  static util::Result<PolicySnapshotOf> LoadFromFile(const std::string& path);
 };
 
-/// Snapshots a sparse-trained planner into the v2 format; a dense-trained
-/// planner is converted through its non-zero entries (cheap at dense-viable
-/// scales), so every trained planner can produce a v2 artifact.
+/// Dense alias. Deserialize allocates num_items^2 cells whatever the file
+/// size, so it parses only bytes this process serialized itself (the
+/// fleet's publish seam, in-process benches). Files from outside load
+/// through SparsePolicySnapshotV2 or MappedPolicy, whose allocations are
+/// bounded by the file size.
+using PolicySnapshot = PolicySnapshotOf<mdp::QTable>;
+/// Sparse alias: the parse for files from outside.
+using SparsePolicySnapshotV2 = PolicySnapshotOf<mdp::SparseQTable>;
+
+extern template struct PolicySnapshotOf<mdp::QTable>;
+extern template struct PolicySnapshotOf<mdp::SparseQTable>;
+
+/// Snapshots a trained planner (FailedPrecondition when untrained). A
+/// dense-trained planner is converted through its non-zero entries (cheap
+/// at dense-viable scales), so every trained planner yields the same file
+/// for the same policy.
 util::Result<SparsePolicySnapshotV2> MakeSnapshotV2(
     const core::RlPlanner& planner);
 
@@ -242,23 +223,23 @@ class MappedPolicy {
 };
 
 /// What `rlplanner_cli snapshot-info` prints: everything knowable about a
-/// snapshot file of either format without a catalog at hand.
+/// snapshot file without a catalog at hand.
 struct SnapshotFileInfo {
   std::uint32_t format_version = 0;
-  std::string format;  // "dense-v1" or "sparse-v2"
   std::uint64_t num_items = 0;
-  std::uint64_t entry_count = 0;      // non-zero cells (v1) / stored (v2)
+  std::uint64_t entry_count = 0;      // stored entries
   double nonzero_fraction = 0.0;      // non-zero cells over |I|^2
-  bool checksum_ok = false;           // all checksums the format defines
+  bool checksum_ok = false;           // both checksums and zero padding
   std::uint64_t catalog_fingerprint = 0;
   std::uint64_t seed = 0;
   std::uint64_t file_bytes = 0;
 };
 
-/// Detects the format by magic and fully validates the file (both v2
-/// checksums / the v1 trailing checksum). Corrupt-but-parseable headers
-/// yield `checksum_ok = false` rather than an error when the dimensions are
-/// still readable; structurally unreadable files yield InvalidArgument.
+/// Fully validates the file: both checksums and the zero padding.
+/// Corrupt-but-parseable headers yield `checksum_ok = false` rather than an
+/// error when the dimensions are still readable; structurally unreadable
+/// files (including anything that is not a v2 snapshot) yield
+/// InvalidArgument.
 util::Result<SnapshotFileInfo> InspectSnapshotFile(const std::string& path);
 
 }  // namespace rlplanner::serve

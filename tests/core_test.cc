@@ -1,9 +1,7 @@
 // Tests for the public facade: PlannerConfig validation, plan scoring, and
-// the RlPlanner train/recommend/score/persistence lifecycle.
+// the RlPlanner train/recommend/score/adopt lifecycle.
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "core/config.h"
 #include "geo/latlng.h"
@@ -173,36 +171,6 @@ TEST(PlannerTest, AdoptPolicyChecksDimension) {
   EXPECT_FALSE(planner.AdoptPolicy(mdp::QTable(3)).ok());
   EXPECT_TRUE(planner.AdoptPolicy(mdp::QTable(6)).ok());
   EXPECT_TRUE(planner.trained());
-}
-
-TEST(PlannerTest, PolicyPersistenceRoundTrip) {
-  datagen::Dataset dataset = datagen::MakeTableIIToy();
-  const model::TaskInstance instance = dataset.Instance();
-  PlannerConfig config;
-  config.sarsa.num_episodes = 60;
-  config.sarsa.start_item = 0;
-  config.reward.epsilon = 1.0;
-  RlPlanner planner(instance, config);
-  ASSERT_TRUE(planner.Train().ok());
-  const std::string path = "/tmp/rlplanner_core_test_policy.csv";
-  ASSERT_TRUE(planner.SavePolicy(path).ok());
-
-  RlPlanner restored(instance, config);
-  ASSERT_TRUE(restored.LoadPolicy(path).ok());
-  auto original = planner.Recommend(0);
-  auto reloaded = restored.Recommend(0);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(original.value(), reloaded.value());
-  std::remove(path.c_str());
-}
-
-TEST(PlannerTest, SaveWithoutPolicyFails) {
-  datagen::Dataset dataset = datagen::MakeTableIIToy();
-  const model::TaskInstance instance = dataset.Instance();
-  RlPlanner planner(instance, PlannerConfig{});
-  EXPECT_FALSE(planner.SavePolicy("/tmp/never_written.csv").ok());
-  EXPECT_FALSE(planner.LoadPolicy("/tmp/definitely_missing_policy.csv").ok());
 }
 
 }  // namespace

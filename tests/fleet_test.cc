@@ -299,35 +299,41 @@ TEST(FleetHooksTest, FailedRetrainRetriesWithExponentialBackoff) {
 }
 
 TEST(FleetHooksTest, CorruptedCandidateIsNeverPublished) {
-  FleetFixture fix;
-  FleetConfig fc = fix.BaseConfig();
-  fc.backoff_base_ticks = 1;
-  std::atomic<int> publishes_seen{0};
-  fc.hooks.on_candidate_serialized = [&](const PolicySpec&,
-                                         std::string* bytes) {
-    // Corrupt the first candidate only: flip one payload byte mid-blob.
-    if (publishes_seen.fetch_add(1) == 0) {
-      (*bytes)[bytes->size() / 2] ^= 0x5a;
-    }
-  };
-  FleetOrchestrator fleet(fix.instance, fix.config.reward, fix.registry,
-                          fix.pool, fc);
-  ASSERT_TRUE(fleet.AddSpec(fix.Spec("a", 17)).ok());
+  // A flipped byte mid-blob lands in a checksummed section; offset 200 is
+  // header padding, which no checksum covers and the zero-padding rule
+  // must catch instead.
+  for (const bool padding : {false, true}) {
+    SCOPED_TRACE(padding ? "header padding byte" : "mid-blob byte");
+    FleetFixture fix;
+    FleetConfig fc = fix.BaseConfig();
+    fc.backoff_base_ticks = 1;
+    std::atomic<int> publishes_seen{0};
+    fc.hooks.on_candidate_serialized = [&](const PolicySpec&,
+                                           std::string* bytes) {
+      // Corrupt the first candidate only.
+      if (publishes_seen.fetch_add(1) == 0) {
+        (*bytes)[padding ? 200 : bytes->size() / 2] ^= 0x5a;
+      }
+    };
+    FleetOrchestrator fleet(fix.instance, fix.config.reward, fix.registry,
+                            fix.pool, fc);
+    ASSERT_TRUE(fleet.AddSpec(fix.Spec("a", 17)).ok());
 
-  fleet.Tick();  // tick 0: candidate corrupted -> rejected pre-registry
-  EXPECT_EQ(fix.registry.install_count(), 0u);
-  EXPECT_EQ(fix.registry.Current("a"), nullptr);
-  {
-    const std::vector<PolicyStatus> statuses = fleet.Statuses();
-    ASSERT_EQ(statuses.size(), 1u);
-    EXPECT_EQ(statuses[0].candidate_rejections, 1u);
-    EXPECT_EQ(statuses[0].phase, PolicyPhase::kBackoff);
-    EXPECT_NE(statuses[0].last_error.find("integrity"), std::string::npos);
+    fleet.Tick();  // tick 0: candidate corrupted -> rejected pre-registry
+    EXPECT_EQ(fix.registry.install_count(), 0u);
+    EXPECT_EQ(fix.registry.Current("a"), nullptr);
+    {
+      const std::vector<PolicyStatus> statuses = fleet.Statuses();
+      ASSERT_EQ(statuses.size(), 1u);
+      EXPECT_EQ(statuses[0].candidate_rejections, 1u);
+      EXPECT_EQ(statuses[0].phase, PolicyPhase::kBackoff);
+      EXPECT_NE(statuses[0].last_error.find("integrity"), std::string::npos);
+    }
+    fleet.Tick();  // tick 1: backoff elapsed -> clean retry publishes
+    EXPECT_EQ(fix.registry.install_count(), 1u);
+    ASSERT_NE(fix.registry.Current("a"), nullptr);
+    EXPECT_EQ(fix.registry.Current("a")->version, 1u);
   }
-  fleet.Tick();  // tick 1: backoff elapsed -> clean retry publishes
-  EXPECT_EQ(fix.registry.install_count(), 1u);
-  ASSERT_NE(fix.registry.Current("a"), nullptr);
-  EXPECT_EQ(fix.registry.Current("a")->version, 1u);
 }
 
 TEST(FleetHooksTest, StalledCanaryHoldsWithoutExposingPartialState) {

@@ -128,70 +128,6 @@ TEST(QTableTest, AddNoiseBoundedAndNonNegative) {
   }
 }
 
-TEST(QTableTest, CsvRoundTrip) {
-  QTable q(3);
-  q.Set(0, 1, 1.25);
-  q.Set(2, 0, -0.5);
-  auto restored = QTable::FromCsv(3, q.ToCsv());
-  ASSERT_TRUE(restored.ok());
-  for (int s = 0; s < 3; ++s) {
-    for (int a = 0; a < 3; ++a) {
-      EXPECT_NEAR(restored.value().Get(s, a), q.Get(s, a), 1e-9);
-    }
-  }
-}
-
-TEST(QTableTest, CsvRejectsOutOfRangeEntries) {
-  QTable q(5);
-  q.Set(4, 4, 1.0);
-  auto restored = QTable::FromCsv(3, q.ToCsv());
-  EXPECT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(QTableTest, CsvRejectsMissingColumns) {
-  auto restored = QTable::FromCsv(3, "a,b\n1,2\n");
-  EXPECT_FALSE(restored.ok());
-}
-
-TEST(QTableTest, CsvRejectsMalformedFieldsWithRowContext) {
-  // A non-numeric id.
-  auto bad_id = QTable::FromCsv(3, "state,action,q\nx,1,0.5\n");
-  ASSERT_FALSE(bad_id.ok());
-  EXPECT_EQ(bad_id.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(bad_id.status().message().find("row 1"), std::string::npos)
-      << bad_id.status().ToString();
-
-  // A trailing-garbage value field ("0.5abc" must not silently parse as 0.5).
-  auto bad_value = QTable::FromCsv(3, "state,action,q\n0,1,0.5abc\n");
-  ASSERT_FALSE(bad_value.ok());
-  EXPECT_EQ(bad_value.status().code(), util::StatusCode::kInvalidArgument);
-
-  // Extra columns on a row.
-  auto extra = QTable::FromCsv(3, "state,action,q\n0,1,0.5,9\n");
-  EXPECT_FALSE(extra.ok());
-
-  // An empty field.
-  auto empty_field = QTable::FromCsv(3, "state,action,q\n0,,0.5\n");
-  EXPECT_FALSE(empty_field.ok());
-
-  // A negative id.
-  auto negative = QTable::FromCsv(3, "state,action,q\n-1,0,0.5\n");
-  ASSERT_FALSE(negative.ok());
-  EXPECT_EQ(negative.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(QTableTest, CsvRejectsDuplicateEntries) {
-  auto dup = QTable::FromCsv(3, "state,action,q\n1,2,0.5\n1,2,0.75\n");
-  ASSERT_FALSE(dup.ok());
-  EXPECT_EQ(dup.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos)
-      << dup.status().ToString();
-  // Row context names the *second* occurrence (row 2).
-  EXPECT_NE(dup.status().message().find("row 2"), std::string::npos)
-      << dup.status().ToString();
-}
-
 // Pins the documented tie-break contract: ArgmaxAction is deterministic and
 // always prefers the lowest allowed id, including on all-zero and
 // all-negative rows (unlike SarsaLearner::SelectAction, which randomizes

@@ -57,14 +57,24 @@ std::unique_ptr<core::RlPlanner> MakeTrainedPlanner(
   return planner;
 }
 
+// The dense-alias snapshot of a dense-trained planner.
+PolicySnapshot DenseSnapshot(const core::RlPlanner& planner) {
+  PolicySnapshot snapshot;
+  snapshot.catalog_fingerprint =
+      CatalogFingerprint(*planner.instance().catalog);
+  snapshot.provenance = planner.config().sarsa;
+  snapshot.seed = planner.config().seed;
+  snapshot.table = planner.q_table();
+  return snapshot;
+}
+
 TEST(PolicySnapshotTest, RoundTripIsBitExact) {
   const Dataset dataset = datagen::MakeTableIIToy();
   const model::TaskInstance instance = dataset.Instance();
   const auto planner = MakeTrainedPlanner(dataset, instance);
 
-  auto snapshot = MakeSnapshot(*planner);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  const std::string bytes = snapshot.value().Serialize();
+  const std::string bytes = DenseSnapshot(*planner).Serialize();
+  EXPECT_EQ(bytes.compare(0, 8, "RLPSNAP2"), 0);  // the one file format
   auto restored = PolicySnapshot::Deserialize(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
@@ -93,11 +103,10 @@ TEST(PolicySnapshotTest, FileRoundTrip) {
   const Dataset dataset = datagen::MakeTableIIToy();
   const model::TaskInstance instance = dataset.Instance();
   const auto planner = MakeTrainedPlanner(dataset, instance);
-  auto snapshot = MakeSnapshot(*planner);
-  ASSERT_TRUE(snapshot.ok());
+  const PolicySnapshot snapshot = DenseSnapshot(*planner);
 
   const std::string path = testing::TempDir() + "/toy_policy.snap";
-  ASSERT_TRUE(snapshot.value().SaveToFile(path).ok());
+  ASSERT_TRUE(snapshot.SaveToFile(path).ok());
   auto loaded = PolicySnapshot::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded.value().table == planner->q_table());
@@ -107,9 +116,7 @@ TEST(PolicySnapshotTest, RejectsCorruptedPayload) {
   const Dataset dataset = datagen::MakeTableIIToy();
   const model::TaskInstance instance = dataset.Instance();
   const auto planner = MakeTrainedPlanner(dataset, instance);
-  auto snapshot = MakeSnapshot(*planner);
-  ASSERT_TRUE(snapshot.ok());
-  const std::string bytes = snapshot.value().Serialize();
+  const std::string bytes = DenseSnapshot(*planner).Serialize();
 
   // Flip one payload byte: the checksum must catch it.
   std::string corrupted = bytes;
@@ -137,7 +144,7 @@ TEST(PolicySnapshotTest, MakeSnapshotRequiresTrainedPlanner) {
   const Dataset dataset = datagen::MakeTableIIToy();
   const model::TaskInstance instance = dataset.Instance();
   core::RlPlanner planner(instance, ToyConfig(dataset));
-  auto snapshot = MakeSnapshot(planner);
+  auto snapshot = MakeSnapshotV2(planner);
   ASSERT_FALSE(snapshot.ok());
   EXPECT_EQ(snapshot.status().code(), util::StatusCode::kFailedPrecondition);
 }
@@ -155,16 +162,15 @@ TEST(PolicyRegistryTest, InstallValidatesFingerprintAndDimension) {
   const Dataset toy = datagen::MakeTableIIToy();
   const model::TaskInstance instance = toy.Instance();
   const auto planner = MakeTrainedPlanner(toy, instance);
-  auto snapshot = MakeSnapshot(*planner);
-  ASSERT_TRUE(snapshot.ok());
+  const PolicySnapshot snapshot = DenseSnapshot(*planner);
 
   PolicyRegistry registry(CatalogFingerprint(toy.catalog), toy.catalog.size());
-  auto installed = registry.InstallSnapshot("default", snapshot.value());
+  auto installed = registry.InstallSnapshot("default", snapshot);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
   EXPECT_EQ(installed.value(), 1u);
 
   // A snapshot with a drifted fingerprint is refused.
-  PolicySnapshot drifted = snapshot.value();
+  PolicySnapshot drifted = snapshot;
   drifted.catalog_fingerprint ^= 1;
   auto refused = registry.InstallSnapshot("default", drifted);
   ASSERT_FALSE(refused.ok());

@@ -1,8 +1,9 @@
-// Tests for snapshot format v2 and the zero-copy serving path: round-trip
-// exactness, the strict-validation matrix (truncation, corrupted section
-// tables, checksum mismatches, fingerprint drift), v1→v2 policy
-// equivalence, mmap-vs-deserialize install parity, and snapshot-file
-// inspection for both formats.
+// Tests for snapshot format v2 — the one policy file format — and the
+// zero-copy serving path: round-trip exactness, dense/sparse byte identity,
+// the strict-validation matrix (truncation, corrupted section tables,
+// checksum mismatches, non-zero padding, every single-bit flip, fingerprint
+// drift), rejection of non-v2 files at every entry point,
+// mmap-vs-deserialize install parity, and snapshot-file inspection.
 
 #include <gtest/gtest.h>
 
@@ -140,25 +141,36 @@ TEST(SnapshotV2Test, MappedPolicyServesIdenticalValues) {
   EXPECT_EQ(mapped.value().NonZeroFraction(), table.NonZeroFraction());
 }
 
-TEST(SnapshotV2Test, V1AndV2SnapshotsOfOnePolicyAgreeOnEveryArgmax) {
-  // Train dense, snapshot both ways; the v2 (sparse) artifact must induce
-  // the same greedy action as the v1 (dense) artifact on every state.
+// The dense-alias snapshot of a dense-trained planner.
+PolicySnapshot DenseSnapshot(const core::RlPlanner& planner) {
+  PolicySnapshot snapshot;
+  snapshot.catalog_fingerprint =
+      CatalogFingerprint(*planner.instance().catalog);
+  snapshot.provenance = planner.config().sarsa;
+  snapshot.seed = planner.config().seed;
+  snapshot.table = planner.q_table();
+  return snapshot;
+}
+
+TEST(SnapshotV2Test, DenseAliasAndMappedPolicyAgreeOnEveryArgmax) {
+  // Train dense and snapshot through the dense alias; the mapped file must
+  // induce the same greedy action as the dense table it parses back into.
   const Dataset dataset = datagen::MakeTableIIToy();
   const model::TaskInstance instance = dataset.Instance();
   core::PlannerConfig config = SparseConfig(dataset);
   config.sarsa.q_representation = rl::QRepresentation::kDense;
   const auto planner = TrainPlanner(instance, config);
 
-  auto v1 = MakeSnapshot(*planner);
-  ASSERT_TRUE(v1.ok());
-  auto v2 = MakeSnapshotV2(*planner);
-  ASSERT_TRUE(v2.ok());
-  const std::string path = testing::TempDir() + "/toy_v1_to_v2.snap";
-  ASSERT_TRUE(v2.value().SaveToFile(path).ok());
+  const PolicySnapshot snapshot = DenseSnapshot(*planner);
+  const std::string path = testing::TempDir() + "/toy_dense_alias.snap";
+  ASSERT_TRUE(snapshot.SaveToFile(path).ok());
+  auto dense = PolicySnapshot::LoadFromFile(path);
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  EXPECT_TRUE(dense.value().table == planner->q_table());
   auto mapped = MappedPolicy::Map(path);
-  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-  const std::size_t n = v1.value().table.num_items();
+  const std::size_t n = dense.value().table.num_items();
   util::Rng rng(13);
   for (int trial = 0; trial < 50; ++trial) {
     util::DynamicBitset allowed(n);
@@ -171,10 +183,29 @@ TEST(SnapshotV2Test, V1AndV2SnapshotsOfOnePolicyAgreeOnEveryArgmax) {
     }
     for (std::size_t s = 0; s < n; ++s) {
       const auto state = static_cast<model::ItemId>(s);
-      EXPECT_EQ(v1.value().table.ArgmaxAction(state, allowed),
+      EXPECT_EQ(dense.value().table.ArgmaxAction(state, allowed),
                 mapped.value().ArgmaxAction(state, allowed));
     }
   }
+}
+
+TEST(SnapshotV2Test, DenseAndSparseAliasesWriteIdenticalBytes) {
+  // One policy, one file: the dense alias and the sparse alias (through
+  // MakeSnapshotV2's conversion) serialize the same bytes.
+  const Dataset dataset = datagen::MakeUniv1DsCt();
+  const model::TaskInstance instance = dataset.Instance();
+  core::PlannerConfig config = SparseConfig(dataset);
+  config.sarsa.q_representation = rl::QRepresentation::kDense;
+  const auto planner = TrainPlanner(instance, config);
+  auto sparse = MakeSnapshotV2(*planner);
+  ASSERT_TRUE(sparse.ok());
+  const std::string bytes = DenseSnapshot(*planner).Serialize();
+  EXPECT_EQ(bytes, sparse.value().Serialize());
+
+  auto restored = SparsePolicySnapshotV2::Deserialize(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored.value().table ==
+              mdp::SparseQTable::FromDense(planner->q_table()));
 }
 
 namespace {
@@ -439,7 +470,7 @@ TEST(SnapshotV2Test, RegistryRefusesDriftedFingerprints) {
   // A registry pinned to a *different* catalog fingerprint.
   PolicyRegistry drifted(CatalogFingerprint(dataset.catalog) ^ 1,
                          dataset.catalog.size());
-  auto refused = drifted.InstallSnapshotV2("default", snapshot.value());
+  auto refused = drifted.InstallSnapshot("default", snapshot.value());
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
   EXPECT_NE(refused.status().message().find("fingerprint"),
@@ -546,64 +577,134 @@ TEST(SnapshotV2Test, HotSwapToMappedKeepsOldPolicyAliveForHolders) {
   }
 }
 
-TEST(SnapshotV2Test, InspectReportsBothFormats) {
+TEST(SnapshotV2Test, DenseAndSparseTrainedPlannersInspectAsV2) {
   const Dataset dataset = datagen::MakeTableIIToy();
   const model::TaskInstance instance = dataset.Instance();
   core::PlannerConfig dense_config = SparseConfig(dataset);
   dense_config.sarsa.q_representation = rl::QRepresentation::kDense;
-  const auto planner = TrainPlanner(instance, dense_config);
+  const auto dense_planner = TrainPlanner(instance, dense_config);
+  const auto sparse_planner = TrainPlanner(instance, SparseConfig(dataset));
 
-  const std::string v1_path = testing::TempDir() + "/inspect_v1.snap";
-  const std::string v2_path = testing::TempDir() + "/inspect_v2.snap";
-  auto v1 = MakeSnapshot(*planner);
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(v1.value().SaveToFile(v1_path).ok());
-  auto v2 = MakeSnapshotV2(*planner);
-  ASSERT_TRUE(v2.ok());
-  ASSERT_TRUE(v2.value().SaveToFile(v2_path).ok());
+  const std::string dense_path = testing::TempDir() + "/inspect_dense.snap";
+  const std::string sparse_path = testing::TempDir() + "/inspect_sparse.snap";
+  ASSERT_TRUE(DenseSnapshot(*dense_planner).SaveToFile(dense_path).ok());
+  auto sparse = MakeSnapshotV2(*sparse_planner);
+  ASSERT_TRUE(sparse.ok());
+  ASSERT_TRUE(sparse.value().SaveToFile(sparse_path).ok());
 
-  auto info1 = InspectSnapshotFile(v1_path);
-  ASSERT_TRUE(info1.ok()) << info1.status().ToString();
-  EXPECT_EQ(info1.value().format_version, 1u);
-  EXPECT_EQ(info1.value().format, "dense-v1");
-  EXPECT_EQ(info1.value().num_items, dataset.catalog.size());
-  EXPECT_TRUE(info1.value().checksum_ok);
-  EXPECT_EQ(info1.value().catalog_fingerprint,
-            CatalogFingerprint(dataset.catalog));
-
-  auto info2 = InspectSnapshotFile(v2_path);
-  ASSERT_TRUE(info2.ok()) << info2.status().ToString();
-  EXPECT_EQ(info2.value().format_version, 2u);
-  EXPECT_EQ(info2.value().format, "sparse-v2");
-  EXPECT_EQ(info2.value().num_items, dataset.catalog.size());
-  EXPECT_EQ(info2.value().entry_count, NonZeroCount(v2.value().table));
-  EXPECT_TRUE(info2.value().checksum_ok);
-  // Same policy → the two formats agree on the non-zero census.
-  EXPECT_EQ(info1.value().entry_count, info2.value().entry_count);
+  auto dense_info = InspectSnapshotFile(dense_path);
+  ASSERT_TRUE(dense_info.ok()) << dense_info.status().ToString();
+  auto sparse_info = InspectSnapshotFile(sparse_path);
+  ASSERT_TRUE(sparse_info.ok()) << sparse_info.status().ToString();
+  for (const SnapshotFileInfo& info :
+       {dense_info.value(), sparse_info.value()}) {
+    EXPECT_EQ(info.format_version, 2u);
+    EXPECT_EQ(info.num_items, dataset.catalog.size());
+    EXPECT_TRUE(info.checksum_ok);
+    EXPECT_EQ(info.catalog_fingerprint, CatalogFingerprint(dataset.catalog));
+  }
+  EXPECT_EQ(sparse_info.value().entry_count,
+            NonZeroCount(sparse.value().table));
+  // Dense and sparse training are bit-identical, so the census agrees.
+  EXPECT_EQ(dense_info.value().entry_count, sparse_info.value().entry_count);
 
   auto missing = InspectSnapshotFile(testing::TempDir() + "/nope.snap");
   EXPECT_FALSE(missing.ok());
 }
 
-TEST(SnapshotV2Test, V1FileUnderMmapModeFallsBackToDeserialize) {
-  const Dataset dataset = datagen::MakeTableIIToy();
+TEST(SnapshotV2Test, EverySingleBitFlipIsRejected) {
+  // The checksums cover the header fields and the sections; the padding
+  // rule covers every other byte, so a full parse accepts no flip at all.
+  const Dataset dataset = datagen::MakeUniv1DsCt();
   const model::TaskInstance instance = dataset.Instance();
-  core::PlannerConfig dense_config = SparseConfig(dataset);
-  dense_config.sarsa.q_representation = rl::QRepresentation::kDense;
-  const auto planner = TrainPlanner(instance, dense_config);
-  auto v1 = MakeSnapshot(*planner);
-  ASSERT_TRUE(v1.ok());
-  const std::string path = testing::TempDir() + "/fallback_v1.snap";
-  ASSERT_TRUE(v1.value().SaveToFile(path).ok());
+  const auto planner = TrainPlanner(instance, SparseConfig(dataset));
+  auto snapshot = MakeSnapshotV2(*planner);
+  ASSERT_TRUE(snapshot.ok());
+  const std::string bytes = snapshot.value().Serialize();
+  ASSERT_TRUE(SparsePolicySnapshotV2::Deserialize(bytes).ok());
 
-  PolicyRegistry registry(CatalogFingerprint(dataset.catalog),
-                          dataset.catalog.size());
-  auto installed =
-      registry.InstallSnapshotFile("default", path, SnapshotLoadMode::kMmap);
-  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
-  auto current = registry.Current("default");
-  ASSERT_NE(current, nullptr);
-  EXPECT_TRUE(current->dense.has_value());  // deserialized, not mapped
+  std::vector<std::size_t> accepted;
+  std::string flipped = bytes;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    flipped[i] = static_cast<char>(bytes[i] ^ (1u << (i % 8)));
+    if (SparsePolicySnapshotV2::Deserialize(flipped).ok() ||
+        PolicySnapshot::Deserialize(flipped).ok()) {
+      accepted.push_back(i);
+    }
+    flipped[i] = bytes[i];
+  }
+  EXPECT_TRUE(accepted.empty())
+      << accepted.size() << " of " << bytes.size()
+      << " flips accepted, first at byte " << accepted.front();
+
+  // A padding flip leaves both checksums intact; inspection still reports
+  // the file as damaged. Offset 200 is header padding, the last byte is the
+  // values section's page padding.
+  for (const std::size_t at : {std::size_t{200}, bytes.size() - 1}) {
+    std::string padded = bytes;
+    padded[at] ^= 0x01;
+    const std::string path =
+        testing::TempDir() + "/padding_" + std::to_string(at) + ".snap";
+    WriteFileBytes(path, padded);
+    auto info = InspectSnapshotFile(path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_FALSE(info.value().checksum_ok) << "flip at " << at;
+  }
+}
+
+// The 97-byte v1-layout file whose num_items (2^31) wraps num_items^2 * 8
+// to 0: magic "RLPSNAP1", u32 version, u64 fingerprint, u64 num_items,
+// u64 seed, 53 provenance bytes, no payload, then an FNV-1a checksum of
+// the preceding 89 bytes.
+std::string OverflowingV1File() {
+  std::string bytes = "RLPSNAP1";
+  const std::uint32_t version = 1;
+  const std::uint64_t fingerprint = 0, num_items = 1ull << 31, seed = 0;
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  bytes.append(reinterpret_cast<const char*>(&fingerprint),
+               sizeof(fingerprint));
+  bytes.append(reinterpret_cast<const char*>(&num_items), sizeof(num_items));
+  bytes.append(reinterpret_cast<const char*>(&seed), sizeof(seed));
+  bytes.append(53, '\0');
+  const std::uint64_t checksum = Fnv1a64(bytes.data(), bytes.size());
+  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return bytes;
+}
+
+TEST(SnapshotV2Test, NonV2FilesAreInvalidArgumentAtEveryEntryPoint) {
+  const std::string v1 = OverflowingV1File();
+  ASSERT_EQ(v1.size(), 97u);
+  // Page-sized garbage too, so the rejection is the magic check and not
+  // only the header-page size check.
+  const std::string garbage(2 * kSnapshotV2PageBytes, 'x');
+
+  for (const std::string& bytes : {v1, garbage}) {
+    const std::string path = testing::TempDir() + "/not_v2_" +
+                             std::to_string(bytes.size()) + ".snap";
+    WriteFileBytes(path, bytes);
+    auto expect_invalid = [&](const util::Status& status, const char* what) {
+      EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+          << what << " on " << bytes.size() << " bytes: "
+          << status.ToString();
+    };
+    expect_invalid(InspectSnapshotFile(path).status(), "InspectSnapshotFile");
+    expect_invalid(PolicySnapshot::LoadFromFile(path).status(),
+                   "PolicySnapshot::LoadFromFile");
+    expect_invalid(SparsePolicySnapshotV2::LoadFromFile(path).status(),
+                   "SparsePolicySnapshotV2::LoadFromFile");
+    PolicyRegistry registry(0, 6);
+    expect_invalid(
+        registry
+            .InstallSnapshotFile("default", path,
+                                 SnapshotLoadMode::kDeserialize)
+            .status(),
+        "InstallSnapshotFile(kDeserialize)");
+    expect_invalid(
+        registry.InstallSnapshotFile("default", path, SnapshotLoadMode::kMmap)
+            .status(),
+        "InstallSnapshotFile(kMmap)");
+    EXPECT_EQ(registry.install_count(), 0u);
+  }
 }
 
 }  // namespace

@@ -246,30 +246,6 @@ TEST(SparseQTableTest, MaxAbsAndNonZeroFractionMatchDense) {
   EXPECT_EQ(dense.NonZeroFraction(), sparse.NonZeroFraction());
 }
 
-TEST(SparseQTableTest, CsvByteIdenticalToDenseAndRoundTrips) {
-  // Byte identity of the serialized form on arbitrary values...
-  auto [dense, sparse] = RandomPair(30, 53);
-  EXPECT_EQ(dense.ToCsv(), sparse.ToCsv());
-  // ...and exact round-trip on values FormatDouble(v, 12) preserves (the
-  // CSV path is 12-significant-digit, matching QTable::ToCsv).
-  SparseQTable exact(10);
-  exact.Set(0, 3, 1.5);
-  exact.Set(7, 2, -0.25);
-  exact.Set(9, 9, 42.0);
-  auto restored = SparseQTable::FromCsv(10, exact.ToCsv());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored.value() == exact);
-}
-
-TEST(SparseQTableTest, FromCsvRejectsMalformedAndDuplicates) {
-  EXPECT_FALSE(SparseQTable::FromCsv(4, "state,action,q\n9,0,1.0\n").ok());
-  EXPECT_FALSE(SparseQTable::FromCsv(4, "state,action,q\n1,x,1.0\n").ok());
-  auto dup =
-      SparseQTable::FromCsv(4, "state,action,q\n1,2,1.0\n1,2,2.0\n");
-  ASSERT_FALSE(dup.ok());
-  EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos);
-}
-
 TEST(SparseQTableTest, FromDenseToDenseRoundTrip) {
   auto [dense, sparse] = RandomPair(25, 61);
   EXPECT_TRUE(SparseQTable::FromDense(dense) == sparse);

@@ -8,24 +8,24 @@
 //   plan    --dataset <name|file.csv>     train RL-Planner and recommend
 //           [--start CODE] [--episodes N] [--alpha A] [--gamma G]
 //           [--epsilon E] [--similarity avg|min] [--beam] [--seed S]
-//           [--save-policy CSV] [--metrics-out JSON] [--trace-out JSON]
+//           [--metrics-out JSON] [--trace-out JSON]
 //   train   --dataset <name|file.csv>     train only, with per-round
 //           [training flags as for plan]  progress from the metrics
 //           [--workers K] [--mode serial|det|hogwild]
-//           [--save-policy CSV] [--metrics-out JSON] [--trace-out JSON]
+//           [--metrics-out JSON] [--trace-out JSON]
 //   metrics --dataset <name|file.csv>     train and dump the registry
 //           [--format prom|json]          snapshot to stdout
 //           [training flags as for train]
 //   inspect --dataset <name|file.csv>     strongest learned transitions
 //           [--episodes N] [--out DOT]
-//   save-snapshot --dataset D --out FILE  train and write a binary policy
-//           [training flags as for plan]  snapshot (Q-table + fingerprint +
-//                                         provenance + checksum)
-//   snapshot-info FILE                    inspect a snapshot file of either
-//                                         format (v1 dense / v2 sparse):
-//                                         version, dimensions, non-zero
-//                                         fraction, checksum status — no
-//                                         dataset needed
+//   save-snapshot --dataset D --out FILE  train and write the policy as a
+//           [training flags as for plan]  v2 snapshot (Q-table + fingerprint
+//                                         + provenance + checksums), the one
+//                                         policy file format
+//   snapshot-info FILE                    inspect a snapshot file: version,
+//                                         dimensions, non-zero fraction,
+//                                         checksum status — no dataset
+//                                         needed
 //   load-snapshot --dataset D --in FILE   load a snapshot, verify it against
 //           [--start CODE]                the catalog, and recommend
 //   serve   --dataset D                   run the concurrent PlanService over
@@ -133,7 +133,7 @@ int Usage(const std::string& error) {
       "  --start CODE  --episodes N  --alpha A  --gamma G  --epsilon E\n"
       "  --similarity avg|min  --beam  --seed S  --out FILE  --in FILE\n"
       "  --snapshot FILE  --requests N  --threads T  --queue Q\n"
-      "  --deadline-ms D  --save-policy FILE  --metrics-out FILE\n"
+      "  --deadline-ms D  --metrics-out FILE\n"
       "  --metrics-interval-s N  --trace-out FILE\n"
       "  --workers K  --mode serial|det|hogwild  --format prom|json\n"
       "  --q-repr auto|dense|sparse  --snapshot-mode deserialize|mmap\n"
@@ -398,11 +398,6 @@ int CmdPlan(const Dataset& dataset, const CommandLine& cmd) {
   std::printf("check: %s\n",
               planner.Validate(plan.value()).ToString().c_str());
   std::printf("score: %.2f\n", planner.Score(plan.value()));
-  if (auto v = cmd.GetFlag("save-policy")) {
-    const auto status = planner.SavePolicy(*v);
-    std::printf("policy: %s\n", status.ok() ? v->c_str()
-                                            : status.ToString().c_str());
-  }
   if (auto v = cmd.GetFlag("metrics-out")) {
     if (!WriteTextFile(*v, MetricsOutJson(registry, planner))) return 1;
     std::printf("metrics: %s\n", v->c_str());
@@ -442,11 +437,6 @@ int CmdTrain(const Dataset& dataset, const CommandLine& cmd) {
         round.round, static_cast<unsigned long long>(round.episodes),
         round.episodes_per_sec, round.epsilon,
         round.safe ? "safe" : "VIOLATION");
-  }
-  if (auto v = cmd.GetFlag("save-policy")) {
-    const auto status = planner.SavePolicy(*v);
-    std::printf("policy: %s\n", status.ok() ? v->c_str()
-                                            : status.ToString().c_str());
   }
   if (auto v = cmd.GetFlag("metrics-out")) {
     if (!WriteTextFile(*v, MetricsOutJson(registry, planner))) return 1;
@@ -512,7 +502,7 @@ int CmdInspect(const Dataset& dataset, const CommandLine& cmd) {
   return 0;
 }
 
-// Trains a policy and writes it as a checksummed binary snapshot.
+// Trains a policy and writes it as a checksummed v2 snapshot.
 int CmdSaveSnapshot(const Dataset& dataset, const CommandLine& cmd) {
   const rlplanner::model::TaskInstance instance = dataset.Instance();
   const rlplanner::core::PlannerConfig config = BuildConfig(dataset, cmd);
@@ -522,28 +512,7 @@ int CmdSaveSnapshot(const Dataset& dataset, const CommandLine& cmd) {
     return 1;
   }
   const std::string out = *cmd.GetFlag("out");
-  // Sparse-trained planners (and --v2) write the mmap-servable v2 format;
-  // dense planners default to v1 for compatibility with older loaders.
-  if (planner.uses_sparse() || cmd.HasFlag("v2")) {
-    auto snapshot = rlplanner::serve::MakeSnapshotV2(planner);
-    if (!snapshot.ok()) {
-      std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-      return 1;
-    }
-    if (const auto status = snapshot.value().SaveToFile(out); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s (sparse-v2, %zu items, fingerprint %016llx, "
-                "%d episodes, seed %llu)\n",
-                out.c_str(), snapshot.value().table.num_items(),
-                static_cast<unsigned long long>(
-                    snapshot.value().catalog_fingerprint),
-                snapshot.value().provenance.num_episodes,
-                static_cast<unsigned long long>(snapshot.value().seed));
-    return 0;
-  }
-  auto snapshot = rlplanner::serve::MakeSnapshot(planner);
+  auto snapshot = rlplanner::serve::MakeSnapshotV2(planner);
   if (!snapshot.ok()) {
     std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
     return 1;
@@ -552,7 +521,7 @@ int CmdSaveSnapshot(const Dataset& dataset, const CommandLine& cmd) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("wrote %s (dense-v1, %zu items, fingerprint %016llx, "
+  std::printf("wrote %s (sparse-v2, %zu items, fingerprint %016llx, "
               "%d episodes, seed %llu)\n",
               out.c_str(), snapshot.value().table.num_items(),
               static_cast<unsigned long long>(
@@ -563,11 +532,13 @@ int CmdSaveSnapshot(const Dataset& dataset, const CommandLine& cmd) {
 }
 
 // Loads a snapshot, validates it against the dataset catalog, and rolls out
-// the greedy plan — the offline check that a snapshot is servable.
+// the greedy plan — the offline check that a snapshot is servable. The file
+// parses into a SparseQTable, so its allocation is bounded by the file size
+// whatever dimension the file claims.
 int CmdLoadSnapshot(const Dataset& dataset, const CommandLine& cmd) {
   const rlplanner::model::TaskInstance instance = dataset.Instance();
-  auto snapshot =
-      rlplanner::serve::PolicySnapshot::LoadFromFile(*cmd.GetFlag("in"));
+  auto snapshot = rlplanner::serve::SparsePolicySnapshotV2::LoadFromFile(
+      *cmd.GetFlag("in"));
   if (!snapshot.ok()) {
     std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
     return 1;
@@ -613,9 +584,9 @@ int CmdLoadSnapshot(const Dataset& dataset, const CommandLine& cmd) {
   return 0;
 }
 
-// Inspects a snapshot file of either format without needing the dataset:
-// the header carries everything but the catalog itself, and the full-file
-// checksum pass reports integrity without deserializing into a planner.
+// Inspects a snapshot file without needing the dataset: the header carries
+// everything but the catalog itself, and the full-file checksum pass
+// reports integrity without deserializing into a planner.
 int CmdSnapshotInfo(const std::string& path) {
   auto info = rlplanner::serve::InspectSnapshotFile(path);
   if (!info.ok()) {
@@ -624,8 +595,7 @@ int CmdSnapshotInfo(const std::string& path) {
   }
   const auto& i = info.value();
   std::printf("file:        %s\n", path.c_str());
-  std::printf("format:      %s (version %u)\n", i.format.c_str(),
-              i.format_version);
+  std::printf("format:      sparse-v2 (version %u)\n", i.format_version);
   std::printf("items:       %llu\n",
               static_cast<unsigned long long>(i.num_items));
   std::printf("entries:     %llu\n",
