@@ -1,9 +1,10 @@
 // Training-throughput benchmark for the intra-run parallel SARSA learner
-// (rl/parallel_sarsa.h). For each dataset it times a full training run in
-// serial mode, in deterministic sharded mode at K in {1, 2, 4, 8}, and in
-// Hogwild mode at the largest K, reporting episodes/sec and
-// time-to-constraint-satisfaction (wall-clock until the first policy-
-// iteration round whose greedy rollout satisfies every hard constraint).
+// (rl/parallel_sarsa.h). For each dataset it times a full training run at
+// K in {1, 2, 4, 8} episode workers — K = 1 is the serial learner (the
+// `serial` row), K > 1 the deterministic sharded learner — reporting
+// episodes/sec and time-to-constraint-satisfaction (wall-clock until the
+// first policy-iteration round whose greedy rollout satisfies every hard
+// constraint).
 //
 // An argument-less run emits BENCH_train.json (same conventions as
 // BENCH_micro.json); `--smoke` shrinks the episode budget to a few seconds
@@ -16,9 +17,9 @@
 //
 // Speedups are bounded by the physical core count: `hardware_threads` is
 // recorded in the output so a 1-core CI container reporting ~1x for every
-// K is distinguishable from a real regression. Deterministic-mode tables
-// depend only on (seed, K), so throughput may be measured on any machine
-// without changing what is learned.
+// K is distinguishable from a real regression. Learned tables depend only
+// on (seed, K), so throughput may be measured on any machine without
+// changing what is learned.
 
 #include <chrono>
 #include <cstdio>
@@ -43,7 +44,6 @@
 namespace {
 
 using rlplanner::datagen::Dataset;
-using rlplanner::rl::ParallelMode;
 using rlplanner::rl::SarsaConfig;
 
 double Now() {
@@ -54,7 +54,7 @@ double Now() {
 
 struct RunResult {
   std::string name;       // e.g. "univ1_dsct/deterministic/K4"
-  const char* mode;       // "serial" | "deterministic" | "hogwild"
+  const char* mode;       // "serial" (K = 1) | "deterministic" (K > 1)
   int workers = 1;
   std::size_t catalog_items = 0;
   int episodes = 0;
@@ -63,16 +63,15 @@ struct RunResult {
   double time_to_safe_seconds = -1.0;  // -1: no safe round observed
   std::uint64_t steps = 0;             // TD updates applied
   double td_error_abs_p95 = 0.0;       // |TD error| 95th percentile
-  double merge_wait_p95_us = 0.0;      // det-mode barrier wait (0 otherwise)
+  double merge_wait_p95_us = 0.0;      // sharded barrier wait (0 at K = 1)
   const char* q_repr = "dense";        // Q representation trained on
   bool ok = false;
 };
 
 // One dataset's benchmark setup: the instance, its reward weights, and the
-// SARSA configuration shared by every mode. `sparse` scenarios train on the
-// SparseQTable representation (catalogs where the dense |I|² table would
-// not fit) and skip the Hogwild mode, whose lock-free CAS loop is defined
-// only for the dense contiguous table.
+// SARSA configuration shared by every worker count. `sparse` scenarios
+// train on the SparseQTable representation (catalogs where the dense |I|²
+// table would not fit).
 struct Scenario {
   std::string name;
   Dataset dataset;
@@ -131,34 +130,27 @@ Scenario MakeSyntheticSparse(const char* name, int num_items) {
   return s;
 }
 
-RunResult RunOne(const Scenario& scenario, ParallelMode mode, int workers,
-                 int episodes, rlplanner::obs::TraceCollector* trace) {
+RunResult RunOne(const Scenario& scenario, int workers, int episodes,
+                 rlplanner::obs::TraceCollector* trace) {
   const rlplanner::model::TaskInstance instance = scenario.dataset.Instance();
   const rlplanner::mdp::RewardFunction reward(instance, scenario.weights);
 
   SarsaConfig config = scenario.sarsa;
   config.num_episodes = episodes;
   config.start_item = scenario.dataset.default_start;
-  config.parallel_mode = mode;
   config.num_workers = workers;
 
   RunResult result;
-  result.mode = mode == ParallelMode::kSerial
-                    ? "serial"
-                    : (mode == ParallelMode::kHogwild ? "hogwild"
-                                                      : "deterministic");
+  result.mode = workers == 1 ? "serial" : "deterministic";
   result.name = scenario.name + "/" + result.mode;
-  if (mode != ParallelMode::kSerial) {
-    result.name += "/K" + std::to_string(workers);
-  }
-  result.workers = mode == ParallelMode::kSerial ? 1 : workers;
+  if (workers > 1) result.name += "/K" + std::to_string(workers);
+  result.workers = workers;
   result.catalog_items = scenario.dataset.catalog.size();
   result.episodes = episodes;
   result.q_repr = scenario.sparse ? "sparse" : "dense";
 
-  // kSerial runs the plain SarsaLearner via the parallel learner's
-  // delegation (identical table and draws; the wrapper only adds the
-  // round observer that records time-to-safe). Every run records into its
+  // K = 1 runs the plain SarsaLearner via the parallel learner's
+  // delegation (identical table and draws). Every run records into its
   // own registry, which also exercises the metrics hot path under bench
   // load — the reported throughput is the instrumented throughput. The
   // dense and sparse learners share one templated implementation, so the
@@ -216,10 +208,10 @@ int RunAll(bool smoke, const std::string& trace_out) {
   const std::vector<int> worker_counts = {1, 2, 4, 8};
 
   // One collector spans every run, so a single Perfetto timeline shows all
-  // scenarios and modes back to back (round/shard/merge spans per worker).
-  // Every learner owns a fresh K-thread pool, so many short-lived threads
-  // register; small per-thread rings let them all fit the budget. Drops
-  // are reported, not fatal.
+  // scenarios and worker counts back to back (round/shard/merge spans per
+  // worker). Every learner owns a fresh K-thread pool, so many short-lived
+  // threads register; small per-thread rings let them all fit the budget.
+  // Drops are reported, not fatal.
   std::unique_ptr<rlplanner::obs::TraceCollector> trace;
   if (!trace_out.empty()) {
     rlplanner::obs::TraceCollectorConfig trace_config;
@@ -232,7 +224,7 @@ int RunAll(bool smoke, const std::string& trace_out) {
   scenarios.push_back(MakeUniv1());
   scenarios.push_back(MakeUniv2());
   scenarios.push_back(MakeSynthetic1k());
-  // The 10k sparse catalog runs in every mode — it is the smoke lane's
+  // The 10k sparse catalog runs at every K — it is the smoke lane's
   // big-catalog coverage; 100k only in full runs.
   scenarios.push_back(MakeSyntheticSparse("synthetic_10k", 10000));
   if (!smoke) {
@@ -250,15 +242,8 @@ int RunAll(bool smoke, const std::string& trace_out) {
     if (scenario.name == "synthetic_10k") episodes = smoke ? 10 : 60;
     if (scenario.name == "synthetic_100k") episodes = 8;
 
-    results.push_back(
-        RunOne(scenario, ParallelMode::kSerial, 1, episodes, trace.get()));
     for (int k : worker_counts) {
-      results.push_back(RunOne(scenario, ParallelMode::kDeterministic, k,
-                               episodes, trace.get()));
-    }
-    if (!scenario.sparse) {
-      results.push_back(RunOne(scenario, ParallelMode::kHogwild,
-                               worker_counts.back(), episodes, trace.get()));
+      results.push_back(RunOne(scenario, k, episodes, trace.get()));
     }
     for (const RunResult& r : results) all_ok = all_ok && r.ok;
   }
@@ -278,16 +263,16 @@ int RunAll(bool smoke, const std::string& trace_out) {
     PrintEntry(f, results[i], i + 1 == results.size());
   }
   std::fprintf(f, "  ],\n");
-  // K=8-vs-K=1 deterministic speedup per dataset (serial excluded), the
-  // headline scaling number. On a single hardware thread this is ~1/K *
-  // K = 1x at best; see hardware_threads above.
+  // K=8-vs-K=1 (serial) speedup per dataset, the headline scaling number.
+  // On a single hardware thread this is ~1/K * K = 1x at best; see
+  // hardware_threads above.
   std::fprintf(f, "  \"speedup_k8_vs_k1\": {");
   bool first = true;
   for (const Scenario& scenario : scenarios) {
     double k1 = 0.0;
     double k8 = 0.0;
     for (const RunResult& r : results) {
-      if (r.name == scenario.name + "/deterministic/K1") k1 = r.seconds;
+      if (r.name == scenario.name + "/serial") k1 = r.seconds;
       if (r.name == scenario.name + "/deterministic/K8") k8 = r.seconds;
     }
     std::fprintf(f, "%s\"%s\": %.2f", first ? "" : ", ",

@@ -9,7 +9,6 @@
 #include "obs/training_metrics.h"
 #include "rl/parallel_sarsa.h"
 #include "rl/recommender.h"
-#include "rl/sarsa.h"
 
 namespace rlplanner::core {
 
@@ -27,16 +26,6 @@ util::Status RlPlanner::Train() {
   const std::size_t n = instance_->catalog->size();
   const rl::QRepresentation repr =
       rl::ResolveQRepresentation(config_.sarsa.q_representation, n);
-  if (repr == rl::QRepresentation::kSparse &&
-      config_.sarsa.parallel_mode == rl::ParallelMode::kHogwild) {
-    // Catches kAuto resolving to sparse on a big catalog; the explicit
-    // kSparse + kHogwild pairing is already rejected by Validate().
-    return util::Status::InvalidArgument(
-        "catalog of " + std::to_string(n) +
-        " items auto-selects the sparse Q representation, which is "
-        "incompatible with kHogwild; set q_representation = kDense or use "
-        "kDeterministic");
-  }
   if (repr == rl::QRepresentation::kSparse && n > rl::kSparseAutoThreshold &&
       config_.sarsa.policy_rounds > 1) {
     // The policy-iteration restart path calls AddNoise, which is only
@@ -64,28 +53,16 @@ util::Status RlPlanner::Train() {
                     static_cast<std::uint64_t>(config_.sarsa.num_episodes));
   train_span.AddArg("q_repr",
                     repr == rl::QRepresentation::kSparse ? "sparse" : "dense");
-  // One lambda per representation keeps the four-way (parallel x repr)
-  // dispatch in one place; the learners themselves are shared templates.
+  // One lambda per representation; the learner itself runs the serial
+  // loop at one worker and shards the rounds beyond that.
   auto train_as = [&](auto& storage) {
     using Model = typename std::decay_t<decltype(storage)>::value_type;
-    if (config_.sarsa.parallel_mode != rl::ParallelMode::kSerial &&
-        config_.sarsa.num_workers > 1) {
-      rl::ParallelSarsaLearnerT<Model> learner(*instance_, reward_,
-                                               config_.sarsa, config_.seed);
-      learner.set_metrics(training_metrics_.get());
-      learner.set_trace(config_.trace);
-      storage = learner.Learn();
-      episode_returns_ = learner.episode_returns();
-    } else {
-      // Serial config (or a single worker, which the parallel learner would
-      // delegate straight back here anyway).
-      rl::SarsaLearnerT<Model> learner(*instance_, reward_, config_.sarsa,
-                                       config_.seed);
-      learner.set_metrics(training_metrics_.get());
-      learner.set_trace(config_.trace);
-      storage = learner.Learn();
-      episode_returns_ = learner.episode_returns();
-    }
+    rl::ParallelSarsaLearnerT<Model> learner(*instance_, reward_,
+                                             config_.sarsa, config_.seed);
+    learner.set_metrics(training_metrics_.get());
+    learner.set_trace(config_.trace);
+    storage = learner.Learn();
+    episode_returns_ = learner.episode_returns();
   };
   if (repr == rl::QRepresentation::kSparse) {
     q_.reset();

@@ -33,8 +33,8 @@ namespace rlplanner::mdp {
 /// Satisfies EpisodeRunner's QModel concept (Get/Set/SarsaUpdate) plus the
 /// learner surface (ArgmaxAction/AccumulateDelta/Scale/AddNoise/
 /// MaxAbsValue), so SarsaLearnerT/ParallelSarsaLearnerT train on it
-/// unchanged. Not thread-safe for concurrent writers (Hogwild stays
-/// dense-only; config validation rejects the combination).
+/// unchanged. Not thread-safe for concurrent writers (the sharded learner
+/// gives every worker its own copy).
 class SparseQTable {
  public:
   /// All-zero (fully empty) table over `num_items` items.

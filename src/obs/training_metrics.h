@@ -38,7 +38,7 @@ struct TrainingRoundSample {
 ///   train_episodes_per_sec          gauge, throughput of last round
 ///   train_td_error_abs_micro        histogram of |TD error| * 1e6
 ///   train_merge_barrier_wait_us     histogram of per-worker wait at the
-///                                   deterministic-mode merge barrier
+///                                   sharded learner's merge barrier
 ///   q_table_bytes                   gauge, resident bytes of the learned
 ///                                   Q representation (dense payload or
 ///                                   sparse rows + index)
@@ -71,7 +71,7 @@ class TrainingMetrics {
   /// Coordinator-only: one call per finished policy round.
   void RecordRound(const TrainingRoundSample& sample);
 
-  /// Coordinator-only: per-worker wait time at a deterministic-mode merge
+  /// Coordinator-only: per-worker wait time at the sharded learner's merge
   /// barrier (fast workers idle until the slowest arrives).
   void RecordMergeBarrierWait(std::uint64_t micros) {
     if (merge_barrier_wait_us_ == nullptr) return;

@@ -16,15 +16,37 @@
 
 namespace rlplanner::rl {
 
-/// The episode generator of Algorithm 1, factored out of SarsaLearner so
-/// one implementation serves every training mode. `QModel` is the value
-/// table the TD updates land in — mdp::QTable for the serial and
-/// deterministic-sharded learners, AtomicQTable (rl/parallel_sarsa.h) for
-/// Hogwild — and must provide Get/Set/SarsaUpdate with QTable's signatures.
+/// The episode horizon H (courses: #primary + #secondary; trips:
+/// unbounded-by-count, terminated by the time budget — the catalog size is
+/// then only a safety cap).
+inline int EpisodeHorizon(const model::TaskInstance& instance) {
+  if (instance.catalog->domain() == model::Domain::kTrip) {
+    return static_cast<int>(instance.catalog->size());
+  }
+  return instance.hard.TotalItems();
+}
+
+/// An episode's starting item (Algorithm 1 line 3): the configured fixed
+/// item, or a random primary drawn from `rng` (any item when the catalog
+/// has no primaries).
+inline model::ItemId PickStartItem(const model::TaskInstance& instance,
+                                   const SarsaConfig& config,
+                                   util::Rng& rng) {
+  if (config.start_item >= 0) return config.start_item;
+  const auto primaries =
+      instance.catalog->ItemsOfType(model::ItemType::kPrimary);
+  if (!primaries.empty()) return primaries[rng.NextIndex(primaries.size())];
+  return static_cast<model::ItemId>(rng.NextIndex(instance.catalog->size()));
+}
+
+/// The episode generator of Algorithm 1, shared by the serial and sharded
+/// learners. `QModel` is the value table the TD updates land in —
+/// mdp::QTable or mdp::SparseQTable — and must provide Get/Set/SarsaUpdate
+/// with QTable's signatures.
 ///
 /// The runner holds *references* to its config and RNG: the serial learner
 /// shares its own RNG so the refactor preserves the historical draw
-/// sequence bit-exactly, while each parallel worker passes a private RNG
+/// sequence bit-exactly, while each sharded worker passes a private RNG
 /// reseeded per (seed, round, worker). Not thread-safe across calls on the
 /// same instance — give each worker its own runner (and its own ActionMask,
 /// whose scratch buffers are also per-thread).
@@ -41,41 +63,16 @@ class EpisodeRunner {
         rng_(&rng),
         allowed_bits_(instance.catalog->size()) {}
 
-  /// The horizon H used for episodes (courses: #primary + #secondary;
-  /// trips: unbounded-by-count, terminated by the time budget — this then
-  /// returns the catalog size as a safety cap).
-  int Horizon() const {
-    if (instance_->catalog->domain() == model::Domain::kTrip) {
-      // Trip episodes end when the time budget is exhausted; the item count
-      // is only capped by the catalog size.
-      return static_cast<int>(instance_->catalog->size());
-    }
-    return instance_->hard.TotalItems();
-  }
-
-  /// The episode's starting item (Algorithm 1 line 3): the configured
-  /// fixed item, or a random primary drawn from this runner's RNG.
-  model::ItemId PickStart() {
-    if (config_->start_item >= 0) return config_->start_item;
-    const auto primaries =
-        instance_->catalog->ItemsOfType(model::ItemType::kPrimary);
-    if (!primaries.empty()) {
-      return primaries[rng_->NextIndex(primaries.size())];
-    }
-    return static_cast<model::ItemId>(
-        rng_->NextIndex(instance_->catalog->size()));
-  }
-
   /// Generates one episode against `q`, applying the configured TD update
   /// at every step, and appends the episode's total Eq. 2 return to
   /// `episode_returns()`.
   void RunEpisode(QModel& q, const ActionMask& mask, double explore_epsilon) {
-    const int horizon = Horizon();
+    const int horizon = EpisodeHorizon(*instance_);
     mdp::EpisodeState state(*instance_);
     double episode_return = 0.0;
 
     // Seed the episode with the starting item (Algorithm 1 line 3).
-    const model::ItemId start = PickStart();
+    const model::ItemId start = PickStartItem(*instance_, *config_, *rng_);
     state.Add(start);
 
     // Choose the first action from the start state.
@@ -109,9 +106,6 @@ class EpisodeRunner {
         q.SarsaUpdate(current, action, reward, action, next_action,
                       config_->alpha, config_->gamma);
       } else {
-        // Plain read-modify-write; under Hogwild this races benignly
-        // (last-writer-wins), which is within that mode's statistical
-        // contract — only the default SARSA rule gets the CAS treatment.
         const double continuation =
             ContinuationValue(q, state, next_action, explore_epsilon);
         const double old_value = q.Get(current, action);

@@ -1,7 +1,6 @@
 #ifndef RLPLANNER_RL_PARALLEL_SARSA_H_
 #define RLPLANNER_RL_PARALLEL_SARSA_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -22,101 +21,27 @@ class TraceCollector;
 
 namespace rlplanner::rl {
 
-/// A |I| x |I| action-value table of std::atomic<double> for the Hogwild
-/// training mode: every worker reads and CASes the *shared* table directly,
-/// with relaxed ordering throughout (the classic Hogwild! recipe — sparse,
-/// unsynchronized updates whose collisions are rare enough to leave the
-/// learned policy intact). Satisfies EpisodeRunner's QModel interface.
-class AtomicQTable {
- public:
-  explicit AtomicQTable(std::size_t num_items)
-      : num_items_(num_items),
-        values_(std::make_unique<std::atomic<double>[]>(num_items *
-                                                        num_items)) {
-    for (std::size_t i = 0; i < num_items * num_items; ++i) {
-      values_[i].store(0.0, std::memory_order_relaxed);
-    }
-  }
-
-  std::size_t num_items() const { return num_items_; }
-
-  double Get(model::ItemId state, model::ItemId action) const {
-    return values_[Flat(state, action)].load(std::memory_order_relaxed);
-  }
-
-  void Set(model::ItemId state, model::ItemId action, double value) {
-    values_[Flat(state, action)].store(value, std::memory_order_relaxed);
-  }
-
-  /// Eq. 9 as an atomic read-modify-write: the continuation value is read
-  /// once, then the cell is updated by a compare-exchange loop so no
-  /// concurrent TD step is silently dropped (each retry recomputes the
-  /// blend from the freshly observed cell value).
-  void SarsaUpdate(model::ItemId state, model::ItemId action, double reward,
-                   model::ItemId next_state, model::ItemId next_action,
-                   double alpha, double gamma) {
-    const double next_q = (next_state >= 0 && next_action >= 0)
-                              ? Get(next_state, next_action)
-                              : 0.0;
-    std::atomic<double>& cell = values_[Flat(state, action)];
-    double current = cell.load(std::memory_order_relaxed);
-    double updated;
-    do {
-      updated = current + alpha * (reward + gamma * next_q - current);
-    } while (!cell.compare_exchange_weak(current, updated,
-                                         std::memory_order_relaxed));
-  }
-
-  /// Plain-table copy-out (for safety rollouts and the final result).
-  mdp::QTable ToQTable() const;
-
-  /// Overwrites every cell from a plain table (after the coordinator's
-  /// decay/jitter restart). Must not race with worker updates — only called
-  /// at round barriers.
-  void LoadFrom(const mdp::QTable& table);
-
- private:
-  std::size_t Flat(model::ItemId state, model::ItemId action) const {
-    return static_cast<std::size_t>(state) * num_items_ +
-           static_cast<std::size_t>(action);
-  }
-
-  std::size_t num_items_;
-  // unique_ptr array rather than std::vector: atomics are not movable, and
-  // the table size is fixed at construction anyway.
-  std::unique_ptr<std::atomic<double>[]> values_;
-};
-
 /// Intra-run parallel SARSA: one training run's episode budget spread over
-/// K episode workers (SarsaConfig::num_workers), in one of two modes.
+/// K episode workers (SarsaConfig::num_workers).
 ///
-/// kDeterministic — at each policy-iteration round the coordinator
-/// snapshots the Q-table; every worker rolls out its episode shard against
-/// a private copy of the snapshot with a private RNG seeded from
-/// (seed, round, worker); at the round barrier the coordinator folds the
-/// workers' TD deltas back in *fixed worker order*
-/// (Q += local_w - snapshot, w ascending), runs the greedy safety rollout,
-/// and applies the same decay/jitter restart as the serial learner. Every
-/// stochastic choice derives from (seed, round, worker) and every
-/// floating-point reduction has a fixed order, so the learned table is
-/// bit-identical across runs and across physical thread counts — only
-/// (seed, K) matter. K = 1 delegates wholesale to SarsaLearner and is
-/// bit-identical to it.
-///
-/// kHogwild — workers share one AtomicQTable and CAS their updates in with
-/// no snapshots or merge. Scheduling decides the update interleaving, so
-/// two runs differ bitwise; validated statistically (greedy rollout
-/// satisfies the hard constraints, scores within tolerance of serial).
-///
-/// kSerial (or num_workers <= 1) — delegates to SarsaLearnerT unchanged.
+/// K = 1 delegates wholesale to SarsaLearnerT and is bit-identical to it.
+/// K > 1 shards each policy-iteration round: the coordinator snapshots the
+/// Q-table; every worker rolls out its episode shard against a private copy
+/// of the snapshot with a private RNG seeded from (seed, round, worker); at
+/// the round barrier the coordinator folds the workers' TD deltas back in
+/// *fixed worker order* (Q += local_w - snapshot, w ascending). The round
+/// loop around that body — safety rollout, decay/jitter restart from the
+/// coordinator RNG, last-safe fallback — is RunPolicyIteration, the serial
+/// learner's own loop. Every stochastic choice derives from
+/// (seed, round, worker) and every floating-point reduction has a fixed
+/// order, so the learned table is bit-identical across runs and across
+/// physical thread counts — only (seed, K) matter.
 ///
 /// Templated over the Q representation like SarsaLearnerT: dense
-/// `mdp::QTable` or `mdp::SparseQTable`. The deterministic merge contract is
+/// `mdp::QTable` or `mdp::SparseQTable`. The merge contract is
 /// representation-independent — both tables fold worker deltas over a fixed
 /// iteration order with identical FP operation order, so dense and sparse
 /// runs of the same (seed, K) learn bit-identical tables (pinned by test).
-/// kHogwild is dense-only (the CAS table is an atomic dense array); config
-/// validation rejects the sparse combination before Learn() runs.
 template <typename QModel>
 class ParallelSarsaLearnerT {
  public:
@@ -134,17 +59,16 @@ class ParallelSarsaLearnerT {
   /// learned Q-table.
   QModel Learn();
 
-  /// Total Eq. 2 return of each episode. Deterministic mode: concatenated
-  /// in (round, worker) order. Hogwild: (round, worker) order as well, but
-  /// the values themselves depend on scheduling.
+  /// Total Eq. 2 return of each episode, concatenated in (round, worker)
+  /// order.
   const std::vector<double>& episode_returns() const {
     return episode_returns_;
   }
 
-  /// Wall-clock seconds from the start of Learn() until the first round
-  /// whose greedy rollout satisfied every hard constraint; -1 when no safe
-  /// round was observed (or policy_rounds <= 1, which never rolls out).
-  /// The bench reports this as time-to-constraint-satisfaction.
+  /// Wall-clock seconds from the start of the policy iteration until the
+  /// first round whose greedy rollout satisfied every hard constraint; -1
+  /// when no safe round was observed (or policy_rounds <= 1, which never
+  /// rolls out). The bench reports this as time-to-constraint-satisfaction.
   double time_to_safe_seconds() const { return time_to_safe_seconds_; }
 
   /// The effective worker count K (>= 1).
@@ -158,7 +82,7 @@ class ParallelSarsaLearnerT {
   /// Attaches the metrics facade (null detaches). Worker threads record
   /// per-step/per-episode counts through the sharded cells; the coordinator
   /// records round samples and the per-worker merge-barrier wait. Recording
-  /// uses Q reads only, so deterministic-mode output stays bit-exact.
+  /// uses Q reads only, so the learned table stays bit-exact.
   void set_metrics(obs::TrainingMetrics* metrics) { metrics_ = metrics; }
 
   /// Attaches a trace collector (null detaches): the coordinator emits
@@ -166,13 +90,11 @@ class ParallelSarsaLearnerT {
   /// worker emits a `train_shard` span on its own thread's timeline, making
   /// the sharded-merge timeline (and any straggler) visible per worker.
   /// Spans only read the clock — no RNG draws, no Q-table touches — so
-  /// deterministic-mode output stays bit-exact with tracing on.
+  /// the learned table stays bit-exact with tracing on.
   void set_trace(obs::TraceCollector* trace) { trace_ = trace; }
 
  private:
-  QModel LearnSerialDelegate();
-  QModel LearnDeterministic();
-  QModel LearnHogwild();
+  QModel LearnSharded();
 
   // Runs `fn(w)` for w in [0, K) on the external pool, a private pool, or
   // inline, in that order of availability.

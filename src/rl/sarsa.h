@@ -18,6 +18,36 @@ class TraceCollector;
 
 namespace rlplanner::rl {
 
+/// One policy-iteration round's episode work: runs `episodes` more
+/// episodes of round `round` against `q` at exploration rate `explore`.
+template <typename QModel>
+using RoundBody =
+    std::function<void(QModel& q, int round, int episodes, double explore)>;
+
+/// The policy-iteration loop of Section III-C around Algorithm 1, shared by
+/// the serial and sharded learners. It splits `config.num_episodes` into
+/// `config.policy_rounds` rounds and lets `run_round` run each round's
+/// episodes on `q`. After each round it rolls the greedy policy out; an
+/// unsafe rollout decays the table, jitters it from `rng` and widens
+/// exploration for the next round, and when the final table is unsafe the
+/// last safe one is returned instead. The rollout start item is drawn from
+/// `rng` before round 0 (unless `config.start_item` fixes it).
+///
+/// Emits a `train_round` and a `train_safety_rollout` span per round and
+/// records one TrainingRoundSample per round (`metrics` and `trace` may be
+/// null; neither draws randomness). `*time_to_safe_seconds` receives the
+/// wall-clock seconds until the first safe round, -1 when none was seen
+/// (a single-round run never rolls out). Instantiated in sarsa.cc for
+/// mdp::QTable and mdp::SparseQTable.
+template <typename QModel>
+QModel RunPolicyIteration(const model::TaskInstance& instance,
+                          const mdp::RewardFunction& reward,
+                          const SarsaConfig& config, QModel q,
+                          util::Rng& rng, const RoundBody<QModel>& run_round,
+                          obs::TrainingMetrics* metrics,
+                          obs::TraceCollector* trace,
+                          double* time_to_safe_seconds);
+
 /// The SARSA policy learner of Section III-C / Algorithm 1. Each episode
 /// generates a trajectory of at most H items (H from the credit requirement
 /// for courses, from the time budget for trips), computing Eq. 2 rewards and
@@ -30,21 +60,13 @@ namespace rlplanner::rl {
 /// bit-identical tables (pinned by test at paper scale). Explicitly
 /// instantiated in sarsa.cc for exactly those two models.
 ///
-/// The episode machinery lives in EpisodeRunner (shared with the parallel
-/// learner); this class owns the single RNG stream and the policy-iteration
-/// loop around it. Not copyable: the embedded runner points back into the
-/// learner's own config and RNG.
+/// The episode machinery lives in EpisodeRunner and the policy-iteration
+/// loop in RunPolicyIteration (both shared with the sharded learner); this
+/// class owns the single RNG stream both draw from. Not copyable: the
+/// embedded runner points back into the learner's own config and RNG.
 template <typename QModel>
 class SarsaLearnerT {
  public:
-  /// Observes each policy-iteration round right after its safety rollout:
-  /// `round` is the 0-based round index, `safe` whether the greedy rollout
-  /// satisfied every hard constraint. Only fires when `policy_rounds > 1`.
-  /// Purely observational — installing one consumes no RNG draws, so the
-  /// learned table is unchanged (ParallelSarsaLearner uses this to record
-  /// time-to-constraint-satisfaction when delegating K=1 runs here).
-  using RoundObserver = std::function<void(int round, bool safe)>;
-
   /// `instance` and `reward` must outlive the learner.
   SarsaLearnerT(const model::TaskInstance& instance,
                 const mdp::RewardFunction& reward, const SarsaConfig& config,
@@ -73,14 +95,14 @@ class SarsaLearnerT {
     return runner_.episode_returns();
   }
 
-  /// The horizon H used for episodes (courses: #primary + #secondary;
-  /// trips: unbounded-by-count, terminated by the time budget — this then
-  /// returns the catalog size as a safety cap).
-  int Horizon() const { return runner_.Horizon(); }
+  /// The horizon H used for episodes (see EpisodeHorizon).
+  int Horizon() const { return EpisodeHorizon(*instance_); }
 
-  void set_round_observer(RoundObserver observer) {
-    round_observer_ = std::move(observer);
-  }
+  /// Wall-clock seconds from the start of the last run's policy iteration
+  /// until its first round whose greedy rollout satisfied every hard
+  /// constraint; -1 when no safe round was observed (or policy_rounds <= 1,
+  /// which never rolls out).
+  double time_to_safe_seconds() const { return time_to_safe_seconds_; }
 
   /// Attaches the metrics facade (null detaches): per-step TD errors and
   /// episode counts flow from the embedded runner, per-round samples
@@ -92,7 +114,8 @@ class SarsaLearnerT {
   }
 
   /// Attaches a trace collector (null detaches): each policy-iteration
-  /// round emits a `train_round` timeline span. Spans only read the clock —
+  /// round emits a `train_round` timeline span and, when policy_rounds > 1,
+  /// a `train_safety_rollout` span. Spans only read the clock —
   /// no RNG draws, no Q-table touches — so the learned table is bit-exact
   /// with tracing on.
   void set_trace(obs::TraceCollector* trace) { trace_ = trace; }
@@ -103,9 +126,9 @@ class SarsaLearnerT {
   SarsaConfig config_;
   util::Rng rng_;
   EpisodeRunner<QModel> runner_;
-  RoundObserver round_observer_;
   obs::TrainingMetrics* metrics_ = nullptr;
   obs::TraceCollector* trace_ = nullptr;
+  double time_to_safe_seconds_ = -1.0;
 };
 
 extern template class SarsaLearnerT<mdp::QTable>;

@@ -29,22 +29,6 @@ enum class UpdateRule {
   kExpectedSarsa = 2,
 };
 
-/// How a single training run uses threads (see rl/parallel_sarsa.h).
-enum class ParallelMode {
-  /// The single-threaded SarsaLearner, unchanged.
-  kSerial = 0,
-  /// Sharded episode workers against a per-round snapshot of the Q-table,
-  /// merged at round barriers in fixed worker order. Bit-deterministic for
-  /// a given (seed, num_workers) regardless of physical thread count or
-  /// scheduling; num_workers == 1 is bit-identical to kSerial.
-  kDeterministic = 1,
-  /// Lock-free Hogwild: all workers update one shared table of
-  /// std::atomic<double> via CAS. Fastest, but update interleaving is
-  /// scheduler-dependent, so results are validated statistically, not
-  /// bit-exactly.
-  kHogwild = 2,
-};
-
 /// In-memory layout of the learned Q(s, e) table.
 enum class QRepresentation {
   /// Pick by catalog size: dense up to kSparseAutoThreshold items, sparse
@@ -54,15 +38,13 @@ enum class QRepresentation {
   kDense = 1,
   /// Open-addressing mdp::SparseQTable — memory proportional to visited
   /// (state, action) pairs; the only option at 10k-100k items. Trains
-  /// bit-identical to dense under kSerial and kDeterministic (pinned by
-  /// test); kHogwild requires dense (the CAS table is an atomic dense
-  /// array) and is rejected by config validation.
+  /// bit-identical to dense for every worker count (pinned by test).
   kSparse = 2,
 };
 
 /// Catalog size above which QRepresentation::kAuto selects sparse. At 2048
 /// items the dense table is 2048^2 * 8 B = 32 MiB per table — the
-/// deterministic parallel learner holds K + 2 copies, so this is roughly
+/// sharded learner holds K + 2 copies, so this is roughly
 /// where dense stops being free and the visited set is reliably a small
 /// fraction of |I|^2.
 inline constexpr std::size_t kSparseAutoThreshold = 2048;
@@ -105,14 +87,13 @@ struct SarsaConfig {
   int policy_rounds = 5;
   /// Q decay applied when a round's rollout is constraint-violating.
   double restart_decay = 0.25;
-  /// Intra-run threading of the episode loop (ParallelSarsaLearner).
-  ParallelMode parallel_mode = ParallelMode::kSerial;
-  /// Episode workers K for the parallel modes. Under kDeterministic this is
-  /// a *logical* shard count: the learned table depends on (seed, K) only,
-  /// never on how many physical threads execute the shards.
+  /// Episode workers K (ParallelSarsaLearner): 1 runs the serial learner,
+  /// K > 1 shards each round over K workers. K is a *logical* shard count:
+  /// the learned table depends on (seed, K) only, never on how many
+  /// physical threads execute the shards.
   int num_workers = 1;
   /// Q-table layout; kAuto resolves by catalog size (see
-  /// ResolveQRepresentation). kSparse + kHogwild is invalid.
+  /// ResolveQRepresentation).
   QRepresentation q_representation = QRepresentation::kAuto;
 };
 

@@ -580,7 +580,6 @@ TEST_F(TrainingDeterminismTest, ScalarAndVectorTrainingAreBitIdentical) {
   serial_config.start_item = dataset.default_start;
 
   rl::SarsaConfig parallel_config = serial_config;
-  parallel_config.parallel_mode = rl::ParallelMode::kDeterministic;
   parallel_config.num_workers = 3;
 
   ForceLevelForTesting(Level::kScalar);

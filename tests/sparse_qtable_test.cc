@@ -311,7 +311,6 @@ void ExpectParallelTrainingIdentical(datagen::Dataset dataset,
   rl::SarsaConfig config;
   config.num_episodes = 160;
   config.start_item = dataset.default_start;
-  config.parallel_mode = rl::ParallelMode::kDeterministic;
   config.num_workers = workers;
 
   rl::ParallelSarsaLearner dense_learner(instance, reward, config, seed);
@@ -407,19 +406,6 @@ TEST(QRepresentationTest, BigCatalogSparseWithPolicyRoundsIsRejected) {
   config.sarsa.num_episodes = 2;
   core::RlPlanner ok_planner(instance, config);
   EXPECT_TRUE(ok_planner.Train().ok());
-}
-
-TEST(QRepresentationTest, SparseWithHogwildIsRejected) {
-  const datagen::Dataset dataset = datagen::MakeTableIIToy();
-  const model::TaskInstance instance = dataset.Instance();
-  core::PlannerConfig config = core::DefaultUniv1Config();
-  config.sarsa.start_item = dataset.default_start;
-  config.sarsa.parallel_mode = rl::ParallelMode::kHogwild;
-  config.sarsa.q_representation = rl::QRepresentation::kSparse;
-  core::RlPlanner planner(instance, config);
-  const auto status = planner.Train();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("Hogwild"), std::string::npos);
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 //           [--metrics-out JSON] [--trace-out JSON]
 //   train   --dataset <name|file.csv>     train only, with per-round
 //           [training flags as for plan]  progress from the metrics
-//           [--workers K] [--mode serial|det|hogwild]
+//           [--workers K]                 (K > 1 shards each round over K
+//                                         deterministic episode workers)
 //           [--metrics-out JSON] [--trace-out JSON]
 //   metrics --dataset <name|file.csv>     train and dump the registry
 //           [--format prom|json]          snapshot to stdout
@@ -73,10 +74,10 @@
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing — see
 // docs/observability.md.
 //
-// Unknown commands and missing required flags print a usage message on
-// stderr and exit 2. Datasets can be the built-in names (toy, univ1-dsct,
-// univ1-cyber, univ1-cs, univ2-ds, nyc, paris) or a CSV file produced by
-// `export` / `datagen::SaveDatasetCsv`.
+// Unknown commands, unknown flags and missing required flags print a usage
+// message on stderr and exit 2. Datasets can be the built-in names (toy,
+// univ1-dsct, univ1-cyber, univ1-cs, univ2-ds, nyc, paris) or a CSV file
+// produced by `export` / `datagen::SaveDatasetCsv`.
 
 #include <chrono>
 #include <condition_variable>
@@ -135,7 +136,7 @@ int Usage(const std::string& error) {
       "  --snapshot FILE  --requests N  --threads T  --queue Q\n"
       "  --deadline-ms D  --metrics-out FILE\n"
       "  --metrics-interval-s N  --trace-out FILE\n"
-      "  --workers K  --mode serial|det|hogwild  --format prom|json\n"
+      "  --workers K  --format prom|json\n"
       "  --q-repr auto|dense|sparse  --snapshot-mode deserialize|mmap\n"
       "  --listen HOST:PORT  --shards N  --duration-s S\n"
       "  --drain-timeout-ms D  --profile-hz HZ  --slo-ms MS\n"
@@ -199,15 +200,6 @@ rlplanner::core::PlannerConfig BuildConfig(const Dataset& dataset,
   if (cmd.HasFlag("beam")) config.use_beam_search = true;
   if (auto v = cmd.GetFlag("workers")) {
     config.sarsa.num_workers = std::atoi(v->c_str());
-  }
-  if (auto v = cmd.GetFlag("mode")) {
-    if (*v == "det") {
-      config.sarsa.parallel_mode = rlplanner::rl::ParallelMode::kDeterministic;
-    } else if (*v == "hogwild") {
-      config.sarsa.parallel_mode = rlplanner::rl::ParallelMode::kHogwild;
-    } else {
-      config.sarsa.parallel_mode = rlplanner::rl::ParallelMode::kSerial;
-    }
   }
   if (auto v = cmd.GetFlag("q-repr")) {
     config.sarsa.q_representation =
@@ -421,15 +413,8 @@ int CmdTrain(const Dataset& dataset, const CommandLine& cmd) {
     std::fprintf(stderr, "training failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  const char* mode =
-      config.sarsa.parallel_mode == rlplanner::rl::ParallelMode::kHogwild
-          ? "hogwild"
-          : config.sarsa.parallel_mode ==
-                    rlplanner::rl::ParallelMode::kDeterministic
-                ? "det"
-                : "serial";
-  std::printf("trained %d episodes in %.3f s (mode %s, %d workers)\n",
-              config.sarsa.num_episodes, planner.train_seconds(), mode,
+  std::printf("trained %d episodes in %.3f s (%d workers)\n",
+              config.sarsa.num_episodes, planner.train_seconds(),
               config.sarsa.num_workers);
   for (const auto& round : planner.training_metrics()->rounds()) {
     std::printf(
@@ -1086,6 +1071,21 @@ int CmdFleet(const Dataset& dataset, const CommandLine& cmd,
 int main(int argc, char** argv) {
   const CommandLine cmd = rlplanner::util::ParseCommandLine(argc, argv);
   if (cmd.command.empty()) return Usage("missing subcommand");
+  // Every flag some subcommand reads: a typo or a removed flag fails here
+  // instead of being silently ignored.
+  if (const auto status = rlplanner::util::AllowFlags(
+          cmd, {"alpha", "beam", "canary-permille", "dataset", "deadline-ms",
+                "drain-timeout-ms", "duration-s", "episodes", "epsilon",
+                "fleet-policies", "fleet-ticks", "force-rollback", "format",
+                "freshness-ticks", "gamma", "hold-ticks", "in", "listen",
+                "metrics-interval-s", "metrics-out", "out", "policies",
+                "profile-hz", "q-repr", "queue", "requests", "reward-band",
+                "seed", "shards", "similarity", "slo-ms", "snapshot",
+                "snapshot-mode", "start", "threads", "ticks", "trace-out",
+                "workers"});
+      !status.ok()) {
+    return Usage(status.message());
+  }
   if (cmd.command == "list") return CmdList();
   if (cmd.command == "snapshot-info") {
     // The only positional-argument command: `snapshot-info FILE`.
