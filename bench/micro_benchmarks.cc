@@ -1,14 +1,12 @@
-// Micro-benchmarks for the hot paths of the library: the reward components
-// (evaluated O(|I|) times per episode step), the interleaving similarity,
-// bitset operations, Q-table queries and full episode generation.
+// Micro-benchmarks for the hot paths of the library: the reward components,
+// the interleaving similarity, bitset operations, Q-table queries and full
+// episode generation.
 //
-// Run with no arguments, the binary times reward-greedy action selection and
-// a full Learn() on a Univ-1-scale synthetic catalog twice — once with the
-// hot-path caches disabled (the pre-optimization code path, kept behind
-// RewardFunctionOptions) and once with the defaults — and writes the results
-// to BENCH_micro.json (ns/op, items/sec, and the legacy/optimized speedup).
-// Run with any google-benchmark argument (e.g. --benchmark_filter=.) it runs
-// the registered gbench suite instead.
+// Run with no arguments, the binary times a full Learn() on a
+// Univ-1-scale synthetic catalog and every dispatched SIMD kernel (scalar
+// vs. the best level the host supports), and writes the results to
+// BENCH_micro.json. Run with any google-benchmark argument (e.g.
+// --benchmark_filter=.) it runs the registered gbench suite instead.
 
 #include <benchmark/benchmark.h>
 
@@ -24,7 +22,6 @@
 #include "mdp/q_table.h"
 #include "mdp/reward.h"
 #include "mdp/similarity.h"
-#include "rl/action_mask.h"
 #include "rl/sarsa.h"
 #include "util/bitset.h"
 #include "util/rng.h"
@@ -145,7 +142,7 @@ void BM_SingleEpisode(benchmark::State& state) {
 BENCHMARK(BM_SingleEpisode)->Arg(31)->Arg(114)->Arg(300);
 
 // ---------------------------------------------------------------------------
-// Before/after harness (BENCH_micro.json)
+// Learn() harness (BENCH_micro.json "benchmarks" section)
 // ---------------------------------------------------------------------------
 
 double Now() {
@@ -155,8 +152,8 @@ double Now() {
 }
 
 struct Timing {
-  double ns_per_op = 0.0;    // one unit of work (see each harness)
-  double items_per_sec = 0.0;  // candidate evaluations (or episodes) per sec
+  double ns_per_op = 0.0;      // one complete training run
+  double items_per_sec = 0.0;  // episodes per second
 };
 
 // Univ-1 CS is the largest course program in the paper (114 items); the
@@ -169,65 +166,12 @@ Dataset MakeUniv1ScaleDataset() {
   return rlplanner::datagen::GenerateSynthetic(spec);
 }
 
-// Times reward-greedy action selection: one "op" is a full candidate scan
-// (mask check + reward for every item, tracking the argmax) from a
-// mid-episode state — exactly what SarsaLearner does once per step.
-Timing TimeActionSelection(const Dataset& dataset,
-                           const rlplanner::mdp::RewardFunctionOptions& opt) {
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  rlplanner::mdp::RewardWeights weights;
-  const rlplanner::mdp::RewardFunction reward(instance, weights, opt);
-  const rlplanner::rl::ActionMask mask(reward, /*horizon=*/10,
-                                       /*mask_type_overflow=*/true);
-  rlplanner::mdp::EpisodeState state(instance);
-  state.Add(dataset.default_start);
-  // Grow a short prefix of admissible items so the scan sees a realistic
-  // mid-episode state (non-empty coverage, similarity, and split counts).
-  for (int added = 0; added < 4;) {
-    bool grew = false;
-    for (std::size_t i = 0; i < dataset.catalog.size() && added < 4; ++i) {
-      const auto id = static_cast<rlplanner::model::ItemId>(i);
-      if (!mask.Allowed(state, id)) continue;
-      state.Add(id);
-      ++added;
-      grew = true;
-    }
-    if (!grew) break;
-  }
-
-  const int kIters = 2000;
-  double sink = 0.0;
-  const double begin = Now();
-  for (int iter = 0; iter < kIters; ++iter) {
-    double best = -1.0;
-    rlplanner::model::ItemId best_id = -1;
-    for (std::size_t i = 0; i < dataset.catalog.size(); ++i) {
-      const auto id = static_cast<rlplanner::model::ItemId>(i);
-      if (!mask.Allowed(state, id)) continue;
-      const double r = reward.Reward(state, id);
-      if (r > best) {
-        best = r;
-        best_id = id;
-      }
-    }
-    sink += best + best_id;
-  }
-  const double seconds = Now() - begin;
-  benchmark::DoNotOptimize(sink);
-  Timing t;
-  t.ns_per_op = seconds * 1e9 / kIters;
-  t.items_per_sec =
-      static_cast<double>(dataset.catalog.size()) * kIters / seconds;
-  return t;
-}
-
 // Times a full Learn(): one "op" is a complete training run; items/sec is
 // episodes per second.
-Timing TimeLearn(const Dataset& dataset,
-                 const rlplanner::mdp::RewardFunctionOptions& opt) {
+Timing TimeLearn(const Dataset& dataset) {
   const rlplanner::model::TaskInstance instance = dataset.Instance();
   rlplanner::mdp::RewardWeights weights;
-  const rlplanner::mdp::RewardFunction reward(instance, weights, opt);
+  const rlplanner::mdp::RewardFunction reward(instance, weights);
   rlplanner::rl::SarsaConfig config;
   config.num_episodes = 50;
   config.start_item = dataset.default_start;
@@ -353,27 +297,16 @@ std::vector<KernelBench> RunKernelBenchmarks() {
   return rows;
 }
 
-void PrintEntry(std::FILE* f, const char* name, const Timing& t, bool last) {
+void PrintEntry(std::FILE* f, const char* name, const Timing& t) {
   std::fprintf(f,
                "    {\"name\": \"%s\", \"ns_per_op\": %.1f, "
-               "\"items_per_sec\": %.1f}%s\n",
-               name, t.ns_per_op, t.items_per_sec, last ? "" : ",");
+               "\"items_per_sec\": %.1f}\n",
+               name, t.ns_per_op, t.items_per_sec);
 }
 
 int WriteMicroJson() {
   const Dataset dataset = MakeUniv1ScaleDataset();
-  const rlplanner::mdp::RewardFunctionOptions legacy{false, false, false};
-  const rlplanner::mdp::RewardFunctionOptions optimized;
-
-  // Warm-up pass so both variants run against hot caches.
-  (void)TimeActionSelection(dataset, optimized);
-
-  const Timing select_legacy = TimeActionSelection(dataset, legacy);
-  const Timing select_opt = TimeActionSelection(dataset, optimized);
-  const Timing learn_legacy = TimeLearn(dataset, legacy);
-  const Timing learn_opt = TimeLearn(dataset, optimized);
-  const double select_speedup = select_legacy.ns_per_op / select_opt.ns_per_op;
-  const double learn_speedup = learn_legacy.ns_per_op / learn_opt.ns_per_op;
+  const Timing learn = TimeLearn(dataset);
   const std::vector<KernelBench> kernels = RunKernelBenchmarks();
 
   std::FILE* f = std::fopen("BENCH_micro.json", "w");
@@ -388,10 +321,7 @@ int WriteMicroJson() {
   std::fprintf(f, "  \"simd\": \"%s\",\n",
                rlplanner::util::simd::ActiveLevelName());
   std::fprintf(f, "  \"benchmarks\": [\n");
-  PrintEntry(f, "action_selection/legacy", select_legacy, false);
-  PrintEntry(f, "action_selection/optimized", select_opt, false);
-  PrintEntry(f, "learn/legacy", learn_legacy, false);
-  PrintEntry(f, "learn/optimized", learn_opt, true);
+  PrintEntry(f, "learn/optimized", learn);
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"kernels\": [\n");
   for (std::size_t i = 0; i < kernels.size(); ++i) {
@@ -402,18 +332,11 @@ int WriteMicroJson() {
                  kb.name.c_str(), kb.scalar_ns, kb.simd_ns, kb.speedup(),
                  i + 1 < kernels.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"speedup\": {\"action_selection\": %.2f, ", select_speedup);
-  std::fprintf(f, "\"learn\": %.2f}\n", learn_speedup);
+  std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
 
-  std::printf("action_selection: %.0f ns/op legacy, %.0f ns/op optimized "
-              "(%.2fx)\n",
-              select_legacy.ns_per_op, select_opt.ns_per_op, select_speedup);
-  std::printf("learn:            %.0f ns/op legacy, %.0f ns/op optimized "
-              "(%.2fx)\n",
-              learn_legacy.ns_per_op, learn_opt.ns_per_op, learn_speedup);
+  std::printf("learn: %.0f ns/op\n", learn.ns_per_op);
   for (const KernelBench& kb : kernels) {
     std::printf("%-36s %10.2f ns scalar %10.2f ns %s (%.2fx)\n",
                 kb.name.c_str(), kb.scalar_ns, kb.simd_ns,

@@ -23,23 +23,16 @@ util::Result<model::Plan> AdaptivePlanner::Recommend(
     return util::Status::OutOfRange("start item out of range");
   }
 
-  // Shift a copy of the learned table by the affinities. The shift scales
-  // with the table's own magnitude so strong feedback can out-rank any
-  // learned tie-break, while neutral feedback (affinity 0.5) is a no-op.
-  mdp::QTable shifted = planner_->q_table();
-  const double scale = strength_ * (shifted.MaxAbsValue() + 1.0);
-  const std::size_t n = shifted.num_items();
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t a = 0; a < n; ++a) {
-      const auto action = static_cast<model::ItemId>(a);
-      const double shift = scale * (feedback_.Affinity(action) - 0.5);
-      if (shift != 0.0) {
-        shifted.Set(static_cast<model::ItemId>(s), action,
-                    shifted.Get(static_cast<model::ItemId>(s), action) +
-                        shift);
-      }
-    }
+  if (planner_->uses_sparse()) {
+    return util::Status::FailedPrecondition(
+        "AdaptivePlanner shifts every cell of a dense Q-table; the planner "
+        "holds a sparse policy");
   }
+
+  // Shift a copy of the learned table by the affinities (FoldFeedback's
+  // shift, applied at recommendation time).
+  const mdp::QTable shifted =
+      FoldFeedback(planner_->q_table(), feedback_, strength_);
 
   rl::RecommendConfig config;
   config.start_item = start_item;
@@ -53,7 +46,7 @@ util::Result<model::Plan> AdaptivePlanner::Recommend(
   // *base* policy with strongly-disliked items hard-excluded, and if even
   // that violates a constraint, fall back to the unpersonalized plan.
   rl::RecommendConfig exclusion_config = config;
-  for (std::size_t a = 0; a < n; ++a) {
+  for (std::size_t a = 0; a < instance.catalog->size(); ++a) {
     const auto item = static_cast<model::ItemId>(a);
     if (feedback_.Affinity(item) < 0.35) {
       exclusion_config.excluded.push_back(item);

@@ -23,7 +23,9 @@ class AdaptivePlanner {
   /// the adaptive wrapper. `strength` scales the affinity shift.
   AdaptivePlanner(const core::RlPlanner& planner, double strength = 0.5);
 
-  /// Recommendation using the feedback-shifted policy.
+  /// Recommendation using the feedback-shifted policy. Fails with
+  /// FailedPrecondition on a sparse planner: the shift touches all |I|^2
+  /// cells by design.
   util::Result<model::Plan> Recommend(model::ItemId start_item) const;
 
   /// The accumulated feedback (mutable: callers add feedback here).

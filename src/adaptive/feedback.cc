@@ -93,9 +93,9 @@ util::Status FeedbackModel::Reset(model::ItemId item) {
 mdp::QTable FoldFeedback(const mdp::QTable& q, const FeedbackModel& feedback,
                          double strength) {
   mdp::QTable shaped = q;
-  // Same shift as AdaptivePlanner::Recommend: scale with the table's own
-  // magnitude so strong feedback can out-rank any learned tie-break, while
-  // neutral feedback (affinity 0.5) is a bit-exact no-op.
+  // Scale with the table's own magnitude so strong feedback can out-rank
+  // any learned tie-break, while neutral feedback (affinity 0.5) is a
+  // bit-exact no-op.
   const double scale = strength * (shaped.MaxAbsValue() + 1.0);
   const std::size_t n = shaped.num_items();
   for (std::size_t s = 0; s < n; ++s) {

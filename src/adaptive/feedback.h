@@ -76,9 +76,9 @@ class FeedbackModel {
 };
 
 /// Shapes a learned Q-table by the accumulated affinities: every action
-/// column is shifted by `strength * (MaxAbsValue(q) + 1) * (affinity - 0.5)`,
-/// exactly the AdaptivePlanner recommendation-time shift, but applied to a
-/// table that is about to be *retrained* rather than rolled out. Neutral
+/// column is shifted by `strength * (MaxAbsValue(q) + 1) * (affinity - 0.5)`.
+/// AdaptivePlanner rolls out the shifted table directly; the fleet instead
+/// *retrains* from it. Neutral
 /// feedback (affinity 0.5 everywhere) returns the table unchanged, so
 /// folding an empty batch is a bit-exact no-op. The shaped table is a warm
 /// start only — SARSA's policy-iteration safety loop still gates the final

@@ -1,25 +1,14 @@
 #include "adaptive/interactive.h"
 
-#include <algorithm>
-
 #include "rl/action_mask.h"
+#include "util/bitset.h"
 
 namespace rlplanner::adaptive {
-
-namespace {
-
-int HorizonFor(const model::TaskInstance& instance) {
-  return instance.catalog->domain() == model::Domain::kTrip
-             ? static_cast<int>(instance.catalog->size())
-             : instance.hard.TotalItems();
-}
-
-}  // namespace
 
 InteractiveSession::InteractiveSession(const core::RlPlanner& planner)
     : planner_(&planner),
       state_(std::make_unique<mdp::EpisodeState>(planner.instance())),
-      horizon_(HorizonFor(planner.instance())) {}
+      horizon_(rl::EpisodeHorizon(planner.instance())) {}
 
 bool InteractiveSession::Done() const {
   if (static_cast<int>(state_->Length()) >= horizon_) return true;
@@ -29,33 +18,21 @@ bool InteractiveSession::Done() const {
 }
 
 std::vector<Suggestion> InteractiveSession::RankCandidates() const {
-  const model::TaskInstance& instance = planner_->instance();
   const mdp::RewardFunction& reward = planner_->reward_function();
   const rl::ActionMask mask(reward, horizon_,
                             planner_->config().sarsa.mask_type_overflow);
+  util::DynamicBitset allowed;
+  mask.AllowedSet(*state_, &allowed);
+  rl::StepRanker ranker(reward);
+  ranker.Score(*state_, allowed);
   const model::ItemId current = state_->CurrentItem();
-
-  std::vector<Suggestion> out;
-  for (std::size_t i = 0; i < instance.catalog->size(); ++i) {
-    const auto item = static_cast<model::ItemId>(i);
-    if (!mask.Allowed(*state_, item)) continue;
-    Suggestion s;
-    s.item = item;
-    s.theta = reward.Theta(*state_, item);
-    s.reward = reward.Reward(*state_, item);
-    s.q_value = (current >= 0 && planner_->trained())
-                    ? planner_->q_table().Get(current, item)
-                    : 0.0;
-    out.push_back(s);
+  if (current < 0 || !planner_->trained()) {
+    return ranker.Ranked([](model::ItemId) { return 0.0; });
   }
-  std::sort(out.begin(), out.end(), [](const Suggestion& a,
-                                       const Suggestion& b) {
-    if (a.theta != b.theta) return a.theta > b.theta;
-    if (std::abs(a.reward - b.reward) > 1e-9) return a.reward > b.reward;
-    if (a.q_value != b.q_value) return a.q_value > b.q_value;
-    return a.item < b.item;
+  return planner_->VisitQ([&](const auto& q) {
+    return ranker.Ranked(
+        [&](model::ItemId item) { return q.Get(current, item); });
   });
-  return out;
 }
 
 std::vector<Suggestion> InteractiveSession::SuggestNext(int k) const {

@@ -6,26 +6,22 @@
 
 #include "core/planner.h"
 #include "mdp/episode_state.h"
+#include "rl/recommender.h"
 
 namespace rlplanner::adaptive {
 
-/// One candidate next item with its decision signals, for display in an
-/// advising UI.
-struct Suggestion {
-  model::ItemId item = -1;
-  /// Eq. 5 admissibility at this position (1 = all constraints satisfied).
-  int theta = 0;
-  /// Immediate Eq. 2 reward.
-  double reward = 0.0;
-  /// Learned action value from the current session state.
-  double q_value = 0.0;
-};
+/// One candidate next item with its decision signals (item, theta, Eq. 2
+/// reward, and Q from the current session state; Q is 0 before the first
+/// item), for display in an advising UI.
+using Suggestion = rl::RankedCandidate;
 
 /// An interactive advising session over a trained policy ("capable to make
 /// interactive recommendations in real-time", Section IV): the student or
 /// traveler alternates between accepting the planner's suggestion and
 /// pinning their own choice, and the planner replans around whatever
-/// prefix exists.
+/// prefix exists. Suggestions are rl::StepRanker::Ranked over the session's
+/// admissible set, read through RlPlanner::VisitQ, so dense and sparse
+/// policies rank alike.
 class InteractiveSession {
  public:
   /// `planner` must be trained and outlive the session.

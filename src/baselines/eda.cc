@@ -1,8 +1,9 @@
 #include "baselines/eda.h"
 
-#include <vector>
-
 #include "mdp/episode_state.h"
+#include "rl/action_mask.h"
+#include "rl/recommender.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace rlplanner::baselines {
@@ -15,27 +16,22 @@ model::Plan EdaGreedy::BuildPlan(std::uint64_t seed) const {
   const mdp::RewardFunction reward(*instance_, *weights_);
   util::Rng rng(seed);
   const std::size_t n = instance_->catalog->size();
-  const int horizon = instance_->catalog->domain() == model::Domain::kTrip
-                          ? static_cast<int>(n)
-                          : instance_->hard.TotalItems();
+  const int horizon = rl::EpisodeHorizon(*instance_);
 
   mdp::EpisodeState state(*instance_);
+  util::DynamicBitset feasible(n);
+  rl::StepRanker ranker(reward);
   while (static_cast<int>(state.Length()) < horizon) {
-    std::vector<model::ItemId> best;
-    double best_value = 0.0;
+    feasible.Clear();
     for (std::size_t i = 0; i < n; ++i) {
-      const auto item = static_cast<model::ItemId>(i);
-      if (!reward.IsFeasible(state, item)) continue;
-      const double value = reward.Reward(state, item);
-      if (best.empty() || value > best_value + 1e-12) {
-        best.assign(1, item);
-        best_value = value;
-      } else if (value >= best_value - 1e-12) {
-        best.push_back(item);
+      if (reward.IsFeasible(state, static_cast<model::ItemId>(i))) {
+        feasible.Set(i);
       }
     }
-    if (best.empty()) break;
-    state.Add(best[rng.NextIndex(best.size())]);
+    ranker.Score(state, feasible);
+    const model::ItemId next = ranker.DrawRewardTie(rng);
+    if (next < 0) break;
+    state.Add(next);
   }
   return state.ToPlan();
 }

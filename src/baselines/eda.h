@@ -15,7 +15,9 @@ namespace rlplanner::baselines {
 ///
 /// EDA is model-free: there is no learning phase, no N/alpha/gamma/s_1, and
 /// no lookahead, which is exactly why it frequently violates the hard
-/// constraints the paper reports it failing.
+/// constraints the paper reports it failing. Each step ranks the feasible
+/// items (IsFeasible, no action mask) with the behaviour policy's own rule,
+/// rl::StepRanker::DrawRewardTie.
 class EdaGreedy {
  public:
   /// `instance` and `weights` must outlive the baseline.

@@ -112,20 +112,14 @@ util::Result<model::Plan> RlPlanner::Recommend(
         << " out of range (catalog size " << instance_->catalog->size() << ")";
     return util::Status::OutOfRange(msg.str());
   }
-  // The traversal templates need only Get(), so both representations run
-  // the identical selection rule.
-  if (sparse_q_.has_value()) {
+  // Both representations run the identical selection rule.
+  return VisitQ([&](const auto& q) {
     if (config_.use_beam_search) {
-      return rl::RecommendPlanBeam(*sparse_q_, *instance_, reward_, recommend,
+      return rl::RecommendPlanBeam(q, *instance_, reward_, recommend,
                                    config_.beam);
     }
-    return rl::RecommendPlan(*sparse_q_, *instance_, reward_, recommend);
-  }
-  if (config_.use_beam_search) {
-    return rl::RecommendPlanBeam(*q_, *instance_, reward_, recommend,
-                                 config_.beam);
-  }
-  return rl::RecommendPlan(*q_, *instance_, reward_, recommend);
+    return rl::RecommendPlan(q, *instance_, reward_, recommend);
+  });
 }
 
 util::Status RlPlanner::AdoptPolicy(mdp::QTable q) {

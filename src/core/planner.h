@@ -76,6 +76,15 @@ class RlPlanner {
   /// True when the active policy uses the sparse representation.
   bool uses_sparse() const { return sparse_q_.has_value(); }
 
+  /// Invokes `fn` with the active Q table, dense or sparse, and returns
+  /// its result; `fn` must be generic over both (they share the `Get` and
+  /// `ArgmaxAction` surface). Requires trained().
+  template <typename Fn>
+  auto VisitQ(Fn&& fn) const {
+    if (sparse_q_.has_value()) return fn(*sparse_q_);
+    return fn(*q_);
+  }
+
   /// The learned dense Q-table. Requires trained() && !uses_sparse().
   const mdp::QTable& q_table() const { return *q_; }
 

@@ -47,22 +47,14 @@ constexpr std::size_t kMaxDistanceMatrixItems = 1024;
 
 RewardFunction::RewardFunction(const model::TaskInstance& instance,
                                const RewardWeights& weights)
-    : RewardFunction(instance, weights, RewardFunctionOptions{}) {}
-
-RewardFunction::RewardFunction(const model::TaskInstance& instance,
-                               const RewardWeights& weights,
-                               const RewardFunctionOptions& options)
     : instance_(&instance),
       weights_(&weights),
-      options_(options),
       num_items_(instance.catalog->size()),
       required_new_topics_(ComputeRequiredNewIdealTopics()) {
   // One pass over the catalog builds every per-item cache.
   const model::TopicVector& ideal = instance_->soft.ideal_topics;
-  if (options_.cache_topic_gain) {
-    ideal_words_per_item_ = ideal.word_count();
-    ideal_topic_words_.resize(num_items_ * ideal_words_per_item_);
-  }
+  ideal_words_per_item_ = ideal.word_count();
+  ideal_topic_words_.resize(num_items_ * ideal_words_per_item_);
   // Reward class key: type x category bucket, the last bucket of each type
   // holding every category without a weight. Classes are numbered in order
   // of first appearance, so only the pairs the catalog uses exist.
@@ -73,12 +65,10 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
   std::uint64_t* words = ideal_topic_words_.data();
   for (const model::Item& item : instance_->catalog->items()) {
     const auto id = static_cast<std::size_t>(item.id);
-    if (options_.cache_topic_gain) {
-      // Written straight into the flat array: no per-item TopicVector.
-      assert(item.topics.size() == ideal.size());
-      for (std::size_t w = 0; w < ideal_words_per_item_; ++w) {
-        *words++ = item.topics.word_data()[w] & ideal.word_data()[w];
-      }
+    // Written straight into the flat array: no per-item TopicVector.
+    assert(item.topics.size() == ideal.size());
+    for (std::size_t w = 0; w < ideal_words_per_item_; ++w) {
+      *words++ = item.topics.word_data()[w] & ideal.word_data()[w];
     }
     const bool in_range =
         item.category >= 0 &&
@@ -102,8 +92,7 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
       r2_may_fail_.Set(id);
     }
   }
-  if (options_.cache_distances &&
-      instance_->catalog->domain() == model::Domain::kTrip &&
+  if (instance_->catalog->domain() == model::Domain::kTrip &&
       num_items_ <= kMaxDistanceMatrixItems) {
     distance_matrix_.resize(num_items_ * num_items_);
     for (std::size_t a = 0; a < num_items_; ++a) {
@@ -133,21 +122,15 @@ std::size_t RewardFunction::ComputeRequiredNewIdealTopics() const {
 
 int RewardFunction::TopicCoverageReward(const EpisodeState& state,
                                         model::ItemId next) const {
-  if (options_.cache_topic_gain) {
-    // ThetaOneSubset's kernel over a one-row selection: the item's row.
-    std::uint64_t select = 1;
-    util::simd::Active().retain_rows_andnot_count_at_least(
-        &select, 1,
-        ideal_topic_words_.data() +
-            static_cast<std::size_t>(next) * ideal_words_per_item_,
-        ideal_words_per_item_, state.covered_topics().word_data(),
-        required_new_topics_);
-    return select != 0 ? 1 : 0;
-  }
-  const model::Item& item = instance_->catalog->item(next);
-  const std::size_t gained = model::NewlyCoveredIdealTopics(
-      state.covered_topics(), item.topics, instance_->soft.ideal_topics);
-  return gained >= required_new_topics_ ? 1 : 0;
+  // ThetaOneSubset's kernel over a one-row selection: the item's row.
+  std::uint64_t select = 1;
+  util::simd::Active().retain_rows_andnot_count_at_least(
+      &select, 1,
+      ideal_topic_words_.data() +
+          static_cast<std::size_t>(next) * ideal_words_per_item_,
+      ideal_words_per_item_, state.covered_topics().word_data(),
+      required_new_topics_);
+  return select != 0 ? 1 : 0;
 }
 
 int RewardFunction::PrerequisiteReward(const EpisodeState& state,
@@ -180,18 +163,10 @@ void RewardFunction::ThetaOneSubset(const EpisodeState& state,
                                     const util::DynamicBitset& candidates,
                                     util::DynamicBitset* out) const {
   *out = candidates;
-  if (options_.cache_topic_gain) {
-    util::simd::Active().retain_rows_andnot_count_at_least(
-        out->mutable_word_data(), out->word_count(),
-        ideal_topic_words_.data(), ideal_words_per_item_,
-        state.covered_topics().word_data(), required_new_topics_);
-  } else {
-    candidates.ForEachSetBit([&](std::size_t i) {
-      if (TopicCoverageReward(state, static_cast<model::ItemId>(i)) == 0) {
-        out->Set(i, false);
-      }
-    });
-  }
+  util::simd::Active().retain_rows_andnot_count_at_least(
+      out->mutable_word_data(), out->word_count(), ideal_topic_words_.data(),
+      ideal_words_per_item_, state.covered_topics().word_data(),
+      required_new_topics_);
   r2_may_fail_.ForEachSetBit([&](std::size_t i) {
     if (out->Test(i) &&
         PrerequisiteReward(state, static_cast<model::ItemId>(i)) == 0) {
@@ -202,13 +177,7 @@ void RewardFunction::ThetaOneSubset(const EpisodeState& state,
 
 double RewardFunction::TypeSimilarity(const EpisodeState& state,
                                       model::ItemType type) const {
-  if (options_.incremental_similarity) {
-    return state.similarity_tracker().ScoreAppend(type, weights_->similarity);
-  }
-  model::TypeSequence extended = state.type_sequence();
-  extended.push_back(type);
-  return AggregateSimilarity(extended, instance_->soft.interleaving,
-                             weights_->similarity);
+  return state.similarity_tracker().ScoreAppend(type, weights_->similarity);
 }
 
 double RewardFunction::InterleavingSimilarity(const EpisodeState& state,

@@ -36,42 +36,18 @@ struct RewardWeights {
   util::Status Validate() const;
 };
 
-/// Hot-path toggles of RewardFunction. All default on; the "legacy" all-off
-/// configuration reproduces the original batch-recompute behavior and is
-/// kept so tests and the micro-benchmarks can compare the two paths (they
-/// are bit-identical by construction).
-struct RewardFunctionOptions {
-  /// Score the interleaving term from EpisodeState's SimilarityTracker
-  /// (O(|IT|) per candidate) instead of copying the type sequence and
-  /// recomputing Eq. 7 from scratch (O(L * |IT|) plus allocations).
-  bool incremental_similarity = true;
-  /// Precompute every item's `topics & T_ideal` words in one contiguous
-  /// items x words array so the Eq. 3 topic gain is a popcount of
-  /// `ideal & ~T_current` over O(vocab/64) words (no allocation) per
-  /// candidate.
-  bool cache_topic_gain = true;
-  /// Trip domain: precompute the pairwise haversine matrix (catalogs up to
-  /// 1024 items) so budget checks do a table lookup per candidate.
-  bool cache_distances = true;
-};
-
 /// The reward function `R(s_i, e_i, s_{i+1})` of Section III-B, bound to one
-/// task instance. All components are exposed individually so tests and the
-/// EDA baseline can exercise them.
+/// task instance. All components are exposed individually so tests can
+/// exercise them; traversals read Eq. 2 per reward class through
+/// rl::StepRanker (ThetaOneSubset + ClassReward), not Reward() per item.
 ///
 /// Construction snapshots per-item caches derived from the instance and the
-/// weights (see RewardFunctionOptions); mutate either only before building
-/// the function, never after.
+/// weights; mutate either only before building the function, never after.
 class RewardFunction {
  public:
   /// Neither argument is copied; both must outlive the function.
   RewardFunction(const model::TaskInstance& instance,
                  const RewardWeights& weights);
-
-  /// As above with explicit hot-path options (tests / benchmarks).
-  RewardFunction(const model::TaskInstance& instance,
-                 const RewardWeights& weights,
-                 const RewardFunctionOptions& options);
 
   /// r1 (Eq. 3): 1 iff adding `next` increases coverage of `T^ideal` by at
   /// least the epsilon threshold.
@@ -89,8 +65,7 @@ class RewardFunction {
   /// the catalog): one pass over the candidate bits against the flat
   /// ideal-topic array, with the prerequisite gap and the trip theme rule
   /// checked only for items that carry them. Bit i of `out` is set iff
-  /// `candidates` has it and `Theta(state, i) == 1`, under every
-  /// RewardFunctionOptions setting.
+  /// `candidates` has it and `Theta(state, i) == 1`.
   void ThetaOneSubset(const EpisodeState& state,
                       const util::DynamicBitset& candidates,
                       util::DynamicBitset* out) const;
@@ -145,7 +120,6 @@ class RewardFunction {
 
   const RewardWeights& weights() const { return *weights_; }
   const model::TaskInstance& instance() const { return *instance_; }
-  const RewardFunctionOptions& options() const { return options_; }
 
  private:
   // One reward class: its type, its category weight, and its members.
@@ -162,11 +136,9 @@ class RewardFunction {
 
   const model::TaskInstance* instance_;
   const RewardWeights* weights_;
-  RewardFunctionOptions options_;
   std::size_t num_items_ = 0;
   std::size_t required_new_topics_ = 0;
-  // Row-major items x words array of each item's `topics & T_ideal`
-  // (cache_topic_gain).
+  // Row-major items x words array of each item's `topics & T_ideal`.
   std::size_t ideal_words_per_item_ = 0;
   std::vector<std::uint64_t> ideal_topic_words_;
   // Reward class of each item, and the classes themselves.
@@ -175,7 +147,7 @@ class RewardFunction {
   // Items whose r2 can be 0: a non-empty prerequisite expression, or a
   // theme under the trip no-consecutive-theme rule. r2 = 1 for the rest.
   util::DynamicBitset r2_may_fail_;
-  // Row-major pairwise haversine matrix (cache_distances, trip domain).
+  // Row-major pairwise haversine matrix (trip domain, up to 1024 items).
   std::vector<double> distance_matrix_;
 };
 

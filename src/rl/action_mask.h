@@ -9,6 +9,16 @@
 
 namespace rlplanner::rl {
 
+/// The episode horizon H (courses: #primary + #secondary; trips:
+/// unbounded-by-count, terminated by the time budget — the catalog size is
+/// then only a safety cap). Every traversal and the learner stop here.
+inline int EpisodeHorizon(const model::TaskInstance& instance) {
+  if (instance.catalog->domain() == model::Domain::kTrip) {
+    return static_cast<int>(instance.catalog->size());
+  }
+  return instance.hard.TotalItems();
+}
+
 /// Decides which actions (items to append) are admissible from an episode
 /// state. Both the SARSA behavior policy and the recommendation traversal
 /// use this; the EDA baseline deliberately runs with masking disabled so it

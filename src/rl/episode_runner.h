@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "mdp/episode_state.h"
@@ -10,21 +11,12 @@
 #include "model/item.h"
 #include "obs/training_metrics.h"
 #include "rl/action_mask.h"
+#include "rl/recommender.h"
 #include "rl/sarsa_config.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 
 namespace rlplanner::rl {
-
-/// The episode horizon H (courses: #primary + #secondary; trips:
-/// unbounded-by-count, terminated by the time budget — the catalog size is
-/// then only a safety cap).
-inline int EpisodeHorizon(const model::TaskInstance& instance) {
-  if (instance.catalog->domain() == model::Domain::kTrip) {
-    return static_cast<int>(instance.catalog->size());
-  }
-  return instance.hard.TotalItems();
-}
 
 /// An episode's starting item (Algorithm 1 line 3): the configured fixed
 /// item, or a random primary drawn from `rng` (any item when the catalog
@@ -50,6 +42,10 @@ inline model::ItemId PickStartItem(const model::TaskInstance& instance,
 /// reseeded per (seed, round, worker). Not thread-safe across calls on the
 /// same instance — give each worker its own runner (and its own ActionMask,
 /// whose scratch buffers are also per-thread).
+///
+/// Each step's admissible set stays a bitset: exploration draws its n-th
+/// set bit, and the greedy policies are StepRanker::DrawRewardTie (reward)
+/// and DrawBandedTie over Q values.
 template <typename QModel>
 class EpisodeRunner {
  public:
@@ -61,7 +57,8 @@ class EpisodeRunner {
         reward_(&reward),
         config_(&config),
         rng_(&rng),
-        allowed_bits_(instance.catalog->size()) {}
+        allowed_(instance.catalog->size()),
+        ranker_(reward) {}
 
   /// Generates one episode against `q`, applying the configured TD update
   /// at every step, and appends the episode's total Eq. 2 return to
@@ -76,7 +73,7 @@ class EpisodeRunner {
     state.Add(start);
 
     // Choose the first action from the start state.
-    ComputeAllowed(state, mask);
+    mask.AllowedSet(state, &allowed_);
     model::ItemId action = SelectAction(state, q, explore_epsilon);
     model::ItemId current = start;
     while (action >= 0 && static_cast<int>(state.Length()) < horizon) {
@@ -90,7 +87,7 @@ class EpisodeRunner {
       // the selection and the continuation target.
       model::ItemId next_action = -1;
       if (static_cast<int>(state.Length()) < horizon) {
-        ComputeAllowed(state, mask);
+        mask.AllowedSet(state, &allowed_);
         next_action = SelectAction(state, q, explore_epsilon);
       }
       if (config_->update_rule == UpdateRule::kSarsa) {
@@ -137,25 +134,11 @@ class EpisodeRunner {
   std::vector<double>& mutable_episode_returns() { return episode_returns_; }
 
  private:
-  // Derives the admissible-action set of `state` into the shared `allowed_`
-  // buffer (one mask scan per step; SelectAction and ContinuationValue both
-  // read the same buffer instead of re-deriving the mask). Goes through the
-  // word-level ActionMask::AllowedSet, then unpacks ascending set bits —
-  // the same ascending-id vector the historical per-id loop produced, so
-  // downstream RNG consumption is unchanged.
-  void ComputeAllowed(const mdp::EpisodeState& state, const ActionMask& mask) {
-    mask.AllowedSet(state, &allowed_bits_);
-    allowed_.clear();
-    allowed_bits_.ForEachSetBit([this](std::size_t i) {
-      allowed_.push_back(static_cast<model::ItemId>(i));
-    });
-  }
-
   // Behavior-policy action selection among the actions in `allowed_`;
-  // -1 = none.
+  // -1 = none. Draws NextBernoulli, then exactly one NextIndex.
   model::ItemId SelectAction(const mdp::EpisodeState& state, const QModel& q,
                              double explore_epsilon) {
-    if (allowed_.empty()) return -1;
+    if (allowed_.None()) return -1;
 
     // Exploration applies to both behavior policies: a pure argmax-R policy
     // only ever visits one trajectory, leaving the Q-table empty everywhere
@@ -163,33 +146,28 @@ class EpisodeRunner {
     // abundant exact-tie random picks; our reward has fewer exact ties, so
     // a small epsilon restores the same coverage).
     if (rng_->NextBernoulli(explore_epsilon)) {
-      return allowed_[rng_->NextIndex(allowed_.size())];
+      return static_cast<model::ItemId>(
+          allowed_.FindNth(rng_->NextIndex(allowed_.Count())));
     }
 
     // Greedy on immediate reward (Algorithm 1) or on Q, random tie-break.
-    best_.clear();
-    double best_value = 0.0;
-    const model::ItemId current = state.CurrentItem();
-    for (model::ItemId item : allowed_) {
-      double value;
-      if (config_->exploration == ExplorationMode::kRewardGreedy) {
-        value = reward_->Reward(state, item);
-      } else {
-        value = current >= 0 ? q.Get(current, item) : 0.0;
-      }
-      if (best_.empty() || value > best_value + 1e-12) {
-        best_.assign(1, item);
-        best_value = value;
-      } else if (value >= best_value - 1e-12) {
-        best_.push_back(item);
-      }
+    if (config_->exploration == ExplorationMode::kRewardGreedy) {
+      ranker_.Score(state, allowed_);
+      return ranker_.DrawRewardTie(*rng_);
     }
-    return best_[rng_->NextIndex(best_.size())];
+    const model::ItemId current = state.CurrentItem();
+    return DrawBandedTie(
+        allowed_,
+        [&](model::ItemId item) {
+          return current >= 0 ? q.Get(current, item) : 0.0;
+        },
+        *rng_, &tied_);
   }
 
   // The continuation value of (state after `action`, `next_action`) under
   // the configured update rule, over the actions in `allowed_` (which must
-  // hold the admissible set of `next_state`).
+  // hold the admissible set of `next_state`, from which `next_action` was
+  // drawn).
   double ContinuationValue(const QModel& q,
                            const mdp::EpisodeState& next_state,
                            model::ItemId next_action,
@@ -197,19 +175,18 @@ class EpisodeRunner {
     if (next_action < 0) return 0.0;  // terminal
     const model::ItemId next_item = next_state.CurrentItem();
     if (next_item < 0) return 0.0;
-    if (allowed_.empty()) return 0.0;
 
-    double max_q = q.Get(next_item, allowed_.front());
+    double max_q = -std::numeric_limits<double>::infinity();
     double sum_q = 0.0;
-    for (model::ItemId item : allowed_) {
-      const double value = q.Get(next_item, item);
+    allowed_.ForEachSetBit([&](std::size_t i) {
+      const double value = q.Get(next_item, static_cast<model::ItemId>(i));
       max_q = std::max(max_q, value);
       sum_q += value;
-    }
+    });
     if (config_->update_rule == UpdateRule::kQLearning) return max_q;
     // Expected SARSA under the epsilon-greedy mixture: with probability
     // epsilon a uniform action, otherwise the greedy one.
-    const double uniform = sum_q / static_cast<double>(allowed_.size());
+    const double uniform = sum_q / static_cast<double>(allowed_.Count());
     return explore_epsilon * uniform + (1.0 - explore_epsilon) * max_q;
   }
 
@@ -219,12 +196,12 @@ class EpisodeRunner {
   util::Rng* rng_;
   obs::TrainingMetrics* metrics_ = nullptr;
   std::vector<double> episode_returns_;
-  // Reusable per-step scratch: the admissible-action bitset and its
-  // unpacked id vector, plus the reward/Q-tied best set (avoids heap
-  // allocations per step).
-  util::DynamicBitset allowed_bits_;
-  std::vector<model::ItemId> allowed_;
-  std::vector<model::ItemId> best_;
+  // Reusable per-step scratch (no heap allocation per step): the
+  // admissible set of the current state, shared by SelectAction and
+  // ContinuationValue; the reward ranker; the Q-tied set.
+  util::DynamicBitset allowed_;
+  StepRanker ranker_;
+  std::vector<model::ItemId> tied_;
 };
 
 }  // namespace rlplanner::rl

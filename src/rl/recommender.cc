@@ -2,7 +2,55 @@
 
 #include "mdp/similarity.h"
 
-namespace rlplanner::rl::recommender_internal {
+namespace rlplanner::rl {
+
+StepRanker::StepRanker(const mdp::RewardFunction& reward)
+    : reward_(&reward),
+      theta_one_(reward.instance().catalog->size()),
+      pick_(reward.instance().catalog->size()),
+      class_reward_(reward.num_reward_classes(), 0.0) {
+  present_.reserve(reward.num_reward_classes());
+}
+
+void StepRanker::Score(const mdp::EpisodeState& state,
+                       const util::DynamicBitset& candidates) {
+  candidates_ = &candidates;
+  reward_->ThetaOneSubset(state, candidates, &theta_one_);
+  present_.clear();
+  for (std::size_t c = 0; c < reward_->num_reward_classes(); ++c) {
+    if (!theta_one_.Intersects(reward_->RewardClassItems(c))) continue;
+    class_reward_[c] = reward_->ClassReward(state, c);
+    if (present_.empty() || class_reward_[c] > class_reward_[best_class_]) {
+      best_class_ = c;
+    }
+    present_.push_back(c);
+  }
+}
+
+bool StepRanker::SelectTopGroup() {
+  const std::vector<double>& r = class_reward_;
+  auto in_group = [&](std::size_t c) { return !Beats(r[best_class_], r[c]); };
+  // For each member g held by the stream and each present class c arriving:
+  // a member must tie g without beating it; any other class must lose to g,
+  // and g, arriving while c is held, must displace c outright.
+  for (std::size_t g : present_) {
+    if (!in_group(g)) continue;
+    for (std::size_t c : present_) {
+      const bool clean = in_group(c)
+                             ? Ties(r[c], r[g]) && !Beats(r[c], r[g])
+                             : !Ties(r[c], r[g]) && Beats(r[g], r[c]);
+      if (!clean) return false;
+    }
+  }
+  pick_.Clear();
+  for (std::size_t c : present_) {
+    if (in_group(c)) pick_ |= reward_->RewardClassItems(c);
+  }
+  pick_ &= theta_one_;
+  return true;
+}
+
+namespace recommender_internal {
 
 util::DynamicBitset ExcludedBits(const model::TaskInstance& instance,
                                  const std::vector<model::ItemId>& excluded) {
@@ -14,45 +62,6 @@ util::DynamicBitset ExcludedBits(const model::TaskInstance& instance,
     }
   }
   return bits;
-}
-
-ClassStep::ClassStep(const mdp::RewardFunction& reward)
-    : theta_one(reward.instance().catalog->size()),
-      pick(reward.instance().catalog->size()),
-      class_reward(reward.num_reward_classes(), 0.0) {
-  present.reserve(reward.num_reward_classes());
-}
-
-bool SelectTopRewardGroup(const mdp::RewardFunction& reward,
-                          const mdp::EpisodeState& state, ClassStep* step) {
-  std::vector<double>& r = step->class_reward;
-  step->present.clear();
-  std::size_t best = 0;
-  for (std::size_t c = 0; c < reward.num_reward_classes(); ++c) {
-    if (!step->theta_one.Intersects(reward.RewardClassItems(c))) continue;
-    r[c] = reward.ClassReward(state, c);
-    if (step->present.empty() || r[c] > r[best]) best = c;
-    step->present.push_back(c);
-  }
-  auto in_group = [&](std::size_t c) { return !RewardBeats(r[best], r[c]); };
-  // For each member g held by the stream and each present class c arriving:
-  // a member must tie g without beating it; any other class must lose to g,
-  // and g, arriving while c is held, must displace c outright.
-  for (std::size_t g : step->present) {
-    if (!in_group(g)) continue;
-    for (std::size_t c : step->present) {
-      const bool clean =
-          in_group(c) ? RewardTies(r[c], r[g]) && !RewardBeats(r[c], r[g])
-                      : !RewardTies(r[c], r[g]) && RewardBeats(r[g], r[c]);
-      if (!clean) return false;
-    }
-  }
-  step->pick.Clear();
-  for (std::size_t c : step->present) {
-    if (in_group(c)) step->pick |= reward.RewardClassItems(c);
-  }
-  step->pick &= step->theta_one;
-  return true;
 }
 
 bool BetterEntry(const BeamEntry& a, const BeamEntry& b) {
@@ -71,4 +80,5 @@ double DomainScore(const model::TaskInstance& instance,
                              instance.soft.interleaving);
 }
 
-}  // namespace rlplanner::rl::recommender_internal
+}  // namespace recommender_internal
+}  // namespace rlplanner::rl

@@ -13,6 +13,7 @@
 #include "model/plan.h"
 #include "rl/action_mask.h"
 #include "util/bitset.h"
+#include "util/rng.h"
 
 namespace rlplanner::rl {
 
@@ -39,6 +40,152 @@ struct BeamConfig {
   int expansion = 6;
 };
 
+/// One admissible candidate of a step with its decision signals — what
+/// beam search expands and interactive sessions display.
+struct RankedCandidate {
+  model::ItemId item = -1;
+  /// Eq. 5 admissibility at this position (1 = all constraints satisfied).
+  int theta = 0;
+  /// Immediate Eq. 2 reward.
+  double reward = 0.0;
+  /// Learned action value from the current state.
+  double q_value = 0.0;
+};
+
+/// Algorithm 1's tie-break stream over `candidates` in ascending id order:
+/// the tied set restarts on a value more than 1e-12 above the held one and
+/// grows on one within 1e-12 below it; then one `rng.NextIndex` picks from
+/// it, even a single item. -1, with no draw, when `candidates` is empty.
+template <typename ValueOf>
+model::ItemId DrawBandedTie(const util::DynamicBitset& candidates,
+                            ValueOf&& value_of, util::Rng& rng,
+                            std::vector<model::ItemId>* scratch) {
+  std::vector<model::ItemId>& tied = *scratch;
+  tied.clear();
+  double held = 0.0;
+  candidates.ForEachSetBit([&](std::size_t i) {
+    const auto item = static_cast<model::ItemId>(i);
+    const double value = value_of(item);
+    if (tied.empty() || value > held + 1e-12) {
+      tied.assign(1, item);
+      held = value;
+    } else if (value >= held - 1e-12) {
+      tied.push_back(item);
+    }
+  });
+  if (tied.empty()) return -1;
+  return tied[rng.NextIndex(tied.size())];
+}
+
+/// The one step-ranking rule of every traversal. Beyond theta, Eq. 2 sees
+/// an item only through its reward class (type and category weight), so
+/// `Score` evaluates a step once — one batched theta pass, one Eq. 2 value
+/// per class with a theta = 1 candidate — and three queries read per-item
+/// rewards from the classes: Best (greedy recommendation), DrawRewardTie
+/// (the reward-greedy behaviour policy and EDA) and Ranked (beam search,
+/// interactive suggestions). One ranker per traversal and thread.
+class StepRanker {
+ public:
+  /// `reward` must outlive the ranker.
+  explicit StepRanker(const mdp::RewardFunction& reward);
+
+  /// Scores the step from `state` over `candidates`, which must stay
+  /// unchanged until the next Score.
+  void Score(const mdp::EpisodeState& state,
+             const util::DynamicBitset& candidates);
+
+  /// The Eq. 2 reward of appending candidate `item`: its class reward when
+  /// theta = 1, else 0.0 — bit-identical to RewardFunction::Reward.
+  double RewardOf(model::ItemId item) const {
+    return theta_one_.Test(static_cast<std::size_t>(item))
+               ? class_reward_[reward_->RewardClassOf(item)]
+               : 0.0;
+  }
+
+  /// The greedy step from `current`, defined as a stream over the
+  /// candidates in ascending id order: the held item is replaced on a
+  /// higher theta, a reward more than 1e-9 above (Beats), or one within
+  /// 1e-9 below (Ties) with strictly greater Q. With no theta = 1
+  /// candidate Q alone decides. When the top group is clean, the stream's
+  /// winner is one `ArgmaxAction` over its theta = 1 members: they replace
+  /// each other only on strictly greater Q, and no other class displaces
+  /// them. When the band chains classes, the stream itself runs. -1 when
+  /// there is no candidate.
+  template <typename QModel>
+  model::ItemId Best(const QModel& q, model::ItemId current) {
+    if (present_.empty()) return q.ArgmaxAction(current, *candidates_);
+    if (SelectTopGroup()) return q.ArgmaxAction(current, pick_);
+    model::ItemId next = -1;
+    double best_q = 0.0;
+    double best_reward = 0.0;
+    theta_one_.ForEachSetBit([&](std::size_t i) {
+      const auto item = static_cast<model::ItemId>(i);
+      const double item_reward = class_reward_[reward_->RewardClassOf(item)];
+      const double q_value = q.Get(current, item);
+      if (next < 0 || Beats(item_reward, best_reward) ||
+          (Ties(item_reward, best_reward) && q_value > best_q)) {
+        next = item;
+        best_q = q_value;
+        best_reward = item_reward;
+      }
+    });
+    return next;
+  }
+
+  /// Algorithm 1's reward-greedy choice: the DrawBandedTie stream over
+  /// every candidate's RewardOf, so theta = 0 candidates tie when the best
+  /// class reward lies within the band of 0.
+  model::ItemId DrawRewardTie(util::Rng& rng) {
+    return DrawBandedTie(
+        *candidates_, [this](model::ItemId item) { return RewardOf(item); },
+        rng, &tied_);
+  }
+
+  /// Every candidate with its signals, best first: theta descending, then
+  /// reward descending where the two differ by more than 1e-9, then
+  /// `q_of(item)` descending, then id ascending.
+  template <typename QOf>
+  std::vector<RankedCandidate> Ranked(QOf&& q_of) const {
+    std::vector<RankedCandidate> ranked;
+    candidates_->ForEachSetBit([&](std::size_t i) {
+      const auto item = static_cast<model::ItemId>(i);
+      ranked.push_back(
+          {item, theta_one_.Test(i) ? 1 : 0, RewardOf(item), q_of(item)});
+    });
+    std::sort(ranked.begin(), ranked.end(),
+              [](const RankedCandidate& a, const RankedCandidate& b) {
+                if (a.theta != b.theta) return a.theta > b.theta;
+                if (std::abs(a.reward - b.reward) > 1e-9) {
+                  return a.reward > b.reward;
+                }
+                if (a.q_value != b.q_value) return a.q_value > b.q_value;
+                return a.item < b.item;
+              });
+    return ranked;
+  }
+
+ private:
+  // The greedy stream's reward comparisons against the held best: an
+  // outright win, and a tie that Q settles.
+  static bool Beats(double r, double held) { return r > held + 1e-9; }
+  static bool Ties(double r, double held) { return r >= held - 1e-9; }
+
+  // Finds the top group — the present classes the best one does not beat
+  // outright — and returns true with its theta = 1 members in `pick_` when
+  // it is clean: its classes tie each other both ways, and every other
+  // present class loses to each of them outright.
+  bool SelectTopGroup();
+
+  const mdp::RewardFunction* reward_;
+  const util::DynamicBitset* candidates_ = nullptr;
+  util::DynamicBitset theta_one_;     // theta = 1 candidates
+  util::DynamicBitset pick_;          // theta = 1 members of the top group
+  std::vector<double> class_reward_;  // Eq. 2 value by reward class
+  std::vector<std::size_t> present_;  // classes with a theta = 1 candidate
+  std::size_t best_class_ = 0;        // highest class reward among present
+  std::vector<model::ItemId> tied_;   // DrawRewardTie scratch
+};
+
 namespace recommender_internal {
 
 // The caller's exclusion list as a bitset, for word-level removal from the
@@ -52,40 +199,6 @@ struct BeamEntry {
   int violating_steps = 0;  // actions taken with theta = 0
   double cumulative_reward = 0.0;
   bool done = false;
-};
-
-// The stream rule's two reward comparisons between a candidate's reward `r`
-// and the held best `held`: an outright win, and a tie that Q settles.
-inline bool RewardBeats(double r, double held) { return r > held + 1e-9; }
-inline bool RewardTies(double r, double held) { return r >= held - 1e-9; }
-
-// Per-traversal scratch of RecommendPlan's class step, reused across steps.
-struct ClassStep {
-  explicit ClassStep(const mdp::RewardFunction& reward);
-
-  util::DynamicBitset theta_one;      // theta = 1 admissible items
-  util::DynamicBitset pick;           // theta = 1 members of the top group
-  std::vector<double> class_reward;   // Eq. 2 value by reward class
-  std::vector<std::size_t> present;   // classes with a theta = 1 member
-};
-
-// Evaluates Eq. 2 once per reward class present in `step->theta_one` and
-// finds the top group: the classes the best one does not beat outright.
-// Returns true with the group's members in `step->pick` when the group is
-// clean — its members tie each other both ways under the stream rule, and
-// every other present class loses to every member both ways — so the
-// stream's winner is the Q argmax over `pick`. Returns false when the
-// +-1e-9 band chains classes and the winner depends on id order; every
-// present class's reward is in `step->class_reward` either way.
-bool SelectTopRewardGroup(const mdp::RewardFunction& reward,
-                          const mdp::EpisodeState& state, ClassStep* step);
-
-// Candidate expansion of one beam entry.
-struct Expansion {
-  model::ItemId item = -1;
-  int theta = 0;
-  double reward = 0.0;
-  double q_value = 0.0;
 };
 
 bool BetterEntry(const BeamEntry& a, const BeamEntry& b);
@@ -102,7 +215,7 @@ double DomainScore(const model::TaskInstance& instance,
 /// H items (courses) or the time budget is exhausted (trips).
 ///
 /// Each step picks lexicographically by (theta, immediate reward, Q), then
-/// the lowest id:
+/// the lowest id (StepRanker::Best):
 /// 1. theta first — the Q state is only the last item, so Q(s, a) of an
 ///    action that violates a constraint *here* can still carry a high
 ///    future value learned at other positions; Theorem 1's guarantee needs
@@ -110,27 +223,11 @@ double DomainScore(const model::TaskInstance& instance,
 /// 2. the immediate Eq. 2 reward next, compared within +-1e-9 — it encodes
 ///    the template-following type choice exactly as Algorithm 1's argmax-R
 ///    behavior policy does;
-/// 3. Q last, to order the reward ties: beyond theta, Eq. 2 sees an item
-///    only through its reward class (type and category weight), so all
-///    theta = 1 items of one class tie, and the learned Q resolves which
-///    item fills the slot (e.g. the antecedent elective a later core
-///    depends on). This is precisely what separates RL-Planner from the
-///    EDA baseline, whose tie-break is a coin flip.
-///
-/// Because the reward comparison is banded, the rule is defined as a stream
-/// over the admissible candidates in ascending id order: the held item is
-/// replaced on a higher theta, an outright reward win (RewardBeats), or a
-/// reward tie (RewardTies) with strictly greater Q. A step computes that
-/// stream's winner from the classes: one batched theta pass; if nothing has
-/// theta = 1, every reward is 0.0 and Q alone decides over the admissible
-/// set; otherwise one Eq. 2 evaluation per class and, when the top group is
-/// clean (see SelectTopRewardGroup), one `ArgmaxAction` over its theta = 1
-/// members. That is exact because the stream restarts at the first
-/// theta = 1 item, after which members of a clean group replace each other
-/// only on strictly greater Q and no other class displaces them —
-/// ArgmaxAction's rule (first allowed id adopted, ties to the lowest id).
-/// An unclean group runs the stream itself over the theta = 1 items, with
-/// rewards looked up per class.
+/// 3. Q last, to order the reward ties: all theta = 1 items of one reward
+///    class tie, and the learned Q resolves which item fills the slot
+///    (e.g. the antecedent elective a later core depends on). This is
+///    precisely what separates RL-Planner from the EDA baseline, whose
+///    tie-break is a coin flip.
 ///
 /// Templated over the policy representation: `QModel` needs `Get(state,
 /// action) -> double` and `ArgmaxAction(state, const DynamicBitset&)` with
@@ -140,48 +237,20 @@ template <typename QModel>
 model::Plan RecommendPlan(const QModel& q, const model::TaskInstance& instance,
                           const mdp::RewardFunction& reward,
                           const RecommendConfig& config) {
-  using recommender_internal::RewardBeats;
-  using recommender_internal::RewardTies;
-  const int horizon =
-      instance.catalog->domain() == model::Domain::kTrip
-          ? static_cast<int>(instance.catalog->size())
-          : instance.hard.TotalItems();
+  const int horizon = EpisodeHorizon(instance);
   const ActionMask mask(reward, horizon, config.mask_type_overflow);
-
   const util::DynamicBitset excluded =
       recommender_internal::ExcludedBits(instance, config.excluded);
 
   mdp::EpisodeState state(instance);
   state.Add(config.start_item);
   util::DynamicBitset allowed(instance.catalog->size());
-  recommender_internal::ClassStep step(reward);
+  StepRanker ranker(reward);
   while (static_cast<int>(state.Length()) < horizon) {
-    const model::ItemId current = state.CurrentItem();
     mask.AllowedSet(state, &allowed);
     allowed.AndNotAssign(excluded);
-    reward.ThetaOneSubset(state, allowed, &step.theta_one);
-    model::ItemId next = -1;
-    if (step.theta_one.None()) {
-      next = q.ArgmaxAction(current, allowed);
-    } else if (recommender_internal::SelectTopRewardGroup(reward, state,
-                                                          &step)) {
-      next = q.ArgmaxAction(current, step.pick);
-    } else {
-      double best_q = 0.0;
-      double best_reward = 0.0;
-      step.theta_one.ForEachSetBit([&](std::size_t i) {
-        const auto item = static_cast<model::ItemId>(i);
-        const double item_reward =
-            step.class_reward[reward.RewardClassOf(item)];
-        const double q_value = q.Get(current, item);
-        if (next < 0 || RewardBeats(item_reward, best_reward) ||
-            (RewardTies(item_reward, best_reward) && q_value > best_q)) {
-          next = item;
-          best_q = q_value;
-          best_reward = item_reward;
-        }
-      });
-    }
+    ranker.Score(state, allowed);
+    const model::ItemId next = ranker.Best(q, state.CurrentItem());
     if (next < 0) break;
     state.Add(next);
   }
@@ -194,7 +263,8 @@ model::Plan RecommendPlan(const QModel& q, const model::TaskInstance& instance,
 /// steps, largest cumulative Eq. 2 reward), and finally returns the
 /// completed plan with the best (hard-constraint satisfaction, domain
 /// score). Strictly generalizes RecommendPlan (width 1, expansion 1).
-/// Evaluates every candidate, so `QModel` needs only `Get(state, action)`.
+/// Takes the first `expansion` entries of StepRanker::Ranked, which reads
+/// every candidate's Q, so `QModel` needs only `Get(state, action)`.
 template <typename QModel>
 model::Plan RecommendPlanBeam(const QModel& q,
                               const model::TaskInstance& instance,
@@ -202,15 +272,12 @@ model::Plan RecommendPlanBeam(const QModel& q,
                               const RecommendConfig& config,
                               const BeamConfig& beam) {
   using recommender_internal::BeamEntry;
-  using recommender_internal::Expansion;
-  const int horizon =
-      instance.catalog->domain() == model::Domain::kTrip
-          ? static_cast<int>(instance.catalog->size())
-          : instance.hard.TotalItems();
+  const int horizon = EpisodeHorizon(instance);
   const ActionMask mask(reward, horizon, config.mask_type_overflow);
   const util::DynamicBitset excluded =
       recommender_internal::ExcludedBits(instance, config.excluded);
   util::DynamicBitset allowed(instance.catalog->size());
+  StepRanker ranker(reward);
 
   std::vector<BeamEntry> entries;
   {
@@ -233,33 +300,19 @@ model::Plan RecommendPlanBeam(const QModel& q,
         next_entries.push_back(std::move(entry));
         continue;
       }
-      // Rank admissible successors by (theta, reward, Q), streaming them
-      // from one word-level mask scan.
-      std::vector<Expansion> candidates;
+      // Rank the admissible successors by (theta, reward, Q).
       const model::ItemId current = entry.state.CurrentItem();
       mask.AllowedSet(entry.state, &allowed);
       allowed.AndNotAssign(excluded);
-      allowed.ForEachSetBit([&](std::size_t i) {
-        const auto item = static_cast<model::ItemId>(i);
-        candidates.push_back({item, reward.Theta(entry.state, item),
-                              reward.Reward(entry.state, item),
-                              q.Get(current, item)});
-      });
+      ranker.Score(entry.state, allowed);
+      const std::vector<RankedCandidate> candidates = ranker.Ranked(
+          [&](model::ItemId item) { return q.Get(current, item); });
       if (candidates.empty()) {
         entry.done = true;
         next_entries.push_back(std::move(entry));
         continue;
       }
       all_done = false;
-      std::sort(candidates.begin(), candidates.end(),
-                [](const Expansion& a, const Expansion& b) {
-                  if (a.theta != b.theta) return a.theta > b.theta;
-                  if (std::abs(a.reward - b.reward) > 1e-9) {
-                    return a.reward > b.reward;
-                  }
-                  if (a.q_value != b.q_value) return a.q_value > b.q_value;
-                  return a.item < b.item;
-                });
       const int take =
           std::min<int>(expansion, static_cast<int>(candidates.size()));
       for (int c = 0; c < take; ++c) {

@@ -161,6 +161,20 @@ std::size_t DynamicBitset::FindNext(std::size_t from) const {
   return w * kWordBits + static_cast<std::size_t>(std::countr_zero(word));
 }
 
+std::size_t DynamicBitset::FindNth(std::size_t n) const {
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    Word word = words_[w];
+    const auto count = static_cast<std::size_t>(std::popcount(word));
+    if (n >= count) {
+      n -= count;
+      continue;
+    }
+    for (; n > 0; --n) word &= word - 1;  // clear the n lowest set bits
+    return w * kWordBits + static_cast<std::size_t>(std::countr_zero(word));
+  }
+  return size_;
+}
+
 std::size_t DynamicBitset::IntersectCount(const DynamicBitset& other) const {
   assert(size_ == other.size_);
   if (words_.size() >= kSimdMinWords) {

@@ -64,6 +64,11 @@ class DynamicBitset {
   /// is none — for ascending walks that stop at the first hit.
   std::size_t FindNext(std::size_t from) const;
 
+  /// Index of the `n`-th set bit (0-based, ascending), or `size()` when
+  /// fewer than n + 1 bits are set — a uniform draw over the set without
+  /// unpacking it into an id vector.
+  std::size_t FindNth(std::size_t n) const;
+
   /// Number of bits set in both `this` and `other` (popcount of the AND) —
   /// the topic-coverage "dot product" over Boolean vectors.
   std::size_t IntersectCount(const DynamicBitset& other) const;

@@ -323,6 +323,39 @@ TEST_F(AdaptiveFixture, DoneAfterHorizonAndAcceptFails) {
   EXPECT_FALSE(session.Pin(0).ok());
 }
 
+// A sparse-trained planner (the representation above 2,048 items) trains
+// the same table as the dense one, so an interactive session over it ranks
+// and completes identically; AdaptivePlanner refuses it, because its
+// affinity shift touches all |I|^2 cells by design.
+TEST_F(AdaptiveFixture, SparsePlannerSuggestsLikeDenseAndAdaptiveRefusesIt) {
+  core::PlannerConfig sparse_config = config_;
+  sparse_config.sarsa.q_representation = rl::QRepresentation::kSparse;
+  core::RlPlanner sparse(instance_, sparse_config);
+  ASSERT_TRUE(sparse.Train().ok());
+  ASSERT_TRUE(sparse.uses_sparse());
+
+  InteractiveSession dense_session(*planner_);
+  InteractiveSession sparse_session(sparse);
+  ASSERT_TRUE(dense_session.Pin(dataset_.default_start).ok());
+  ASSERT_TRUE(sparse_session.Pin(dataset_.default_start).ok());
+  const auto dense_suggestions = dense_session.SuggestNext(-1);
+  const auto sparse_suggestions = sparse_session.SuggestNext(-1);
+  ASSERT_EQ(sparse_suggestions.size(), dense_suggestions.size());
+  ASSERT_FALSE(dense_suggestions.empty());
+  for (std::size_t i = 0; i < dense_suggestions.size(); ++i) {
+    EXPECT_EQ(sparse_suggestions[i].item, dense_suggestions[i].item);
+    EXPECT_EQ(sparse_suggestions[i].theta, dense_suggestions[i].theta);
+    EXPECT_EQ(sparse_suggestions[i].reward, dense_suggestions[i].reward);
+    EXPECT_EQ(sparse_suggestions[i].q_value, dense_suggestions[i].q_value);
+  }
+  EXPECT_EQ(sparse_session.Complete(), dense_session.Complete());
+
+  const AdaptivePlanner adaptive(sparse);
+  const auto adapted = adaptive.Recommend(dataset_.default_start);
+  ASSERT_FALSE(adapted.ok());
+  EXPECT_EQ(adapted.status().code(), util::StatusCode::kFailedPrecondition);
+}
+
 // ------------------------------------------------- FoldFeedback property --
 
 // Property: folding ANY feedback batch into a retrain preserves

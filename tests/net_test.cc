@@ -579,9 +579,16 @@ TEST(WireTest, DrainUnderLoadLosesNoInFlightRequest) {
   std::atomic<int> served_200{0};
   std::atomic<int> shed_503{0};
   std::atomic<int> expired_504{0};
-  // A transport failure on a connection with a request outstanding would be
-  // a dropped in-flight request — the one thing drain must never do.
+  // A transport failure on a connection the server accepted, with a
+  // request outstanding, would be a dropped in-flight request — the one
+  // thing drain must never do.
   std::atomic<int> dropped{0};
+  // A connection still in a listener's backlog when drain closes that
+  // listener is reset by the kernel: its first request fails although the
+  // server never saw the connection. Those failures are counted apart and
+  // must equal the connections the server never accepted.
+  std::atomic<int> connects{0};
+  std::atomic<int> first_request_failures{0};
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -589,15 +596,17 @@ TEST(WireTest, DrainUnderLoadLosesNoInFlightRequest) {
     threads.emplace_back([&] {
       BlockingHttpClient client;
       while (server_up.load(std::memory_order_relaxed)) {
-        if (!client.connected()) {
+        const bool fresh = !client.connected();
+        if (fresh) {
           if (!client.Connect("127.0.0.1", fix->server->port()).ok()) {
             break;  // listener closed: drain has begun and we were idle
           }
+          connects.fetch_add(1);
         }
         auto response = client.Request("POST", "/v1/plan", "{}");
         if (!response.ok()) {
           // The request was on the wire and never answered.
-          dropped.fetch_add(1);
+          (fresh ? first_request_failures : dropped).fetch_add(1);
           client.Close();
           continue;
         }
@@ -630,6 +639,13 @@ TEST(WireTest, DrainUnderLoadLosesNoInFlightRequest) {
 
   EXPECT_EQ(dropped.load(), 0);
   EXPECT_GE(served_200.load(), 50);
+  // Every first-request failure is a connection the server never accepted.
+  auto accepted = fix->metrics.GetCounter("net_connections_total",
+                                          "TCP connections accepted");
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_EQ(static_cast<std::uint64_t>(first_request_failures.load()),
+            static_cast<std::uint64_t>(connects.load()) -
+                accepted.value()->Total());
 
   // Service-side ledger balances exactly: everything admitted was delivered.
   const serve::ServeStatsSnapshot stats = fix->service->stats().Collect();

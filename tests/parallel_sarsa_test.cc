@@ -1,6 +1,7 @@
 // Tests for the intra-run parallel SARSA learner: bit-determinism of the
 // sharded merge, bit-exact K=1 delegation to the serial learner, hard-
-// constraint safety of both, and a cross-revision pin of what they learn.
+// constraint safety of both, and cross-revision pins of what they learn and
+// of what every step-ranking traversal outputs.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "adaptive/interactive.h"
+#include "baselines/eda.h"
 #include "core/config.h"
+#include "core/planner.h"
 #include "core/scoring.h"
 #include "datagen/course_data.h"
+#include "datagen/synthetic.h"
 #include "datagen/trip_data.h"
 #include "mdp/cmdp.h"
 #include "mdp/sparse_q_table.h"
@@ -274,9 +279,12 @@ TEST(ParallelSarsaTest, MetricsRecordingIsBitExactAcrossSeedsAndWorkers) {
 // Hashes of learned tables and episode returns recorded once and checked
 // on every revision: a refactor of the training loops must reproduce them
 // bit for bit. The cases cover both learners (K = 1 and the sharded K = 4),
-// both rollout start modes, the decay-and-jitter restart path (each
-// restart case has at least one unsafe round), and the warm-start
-// LearnFrom entry point, in both Q representations.
+// both rollout start modes, both behaviour policies under all three update
+// rules, the decay-and-jitter restart path (each restart case has at least
+// one unsafe round), and the warm-start LearnFrom entry point, in both Q
+// representations. TraversalGoldenTest pins the other step-ranking
+// traversals the same way: EDA, greedy and beam plans, and interactive
+// suggestions.
 
 // FNV-1a over the little-endian bytes of each mixed word.
 struct Fnv1a {
@@ -317,7 +325,7 @@ std::uint64_t ReturnsHash(const std::vector<double>& returns) {
 }
 
 struct GoldenCase {
-  const char* dataset;  // "univ1-dsct", "paris" or "nyc"
+  const char* dataset;  // a GoldenDataset name
   std::uint64_t seed;
   int workers;
   int episodes;
@@ -325,16 +333,32 @@ struct GoldenCase {
   bool restarts;     // some round's safety rollout fails
   std::uint64_t table_hash;
   std::uint64_t returns_hash;
+  ExplorationMode exploration = ExplorationMode::kRewardGreedy;
+  UpdateRule update_rule = UpdateRule::kSarsa;
 };
 
 void PrintTo(const GoldenCase& c, std::ostream* os) {
+  static const char* const kRules[] = {"", "/q-learning", "/expected-sarsa"};
   *os << c.dataset << "/seed" << c.seed << "/K" << c.workers << "/"
-      << c.episodes << (c.fixed_start ? "" : "/random-start");
+      << c.episodes << (c.fixed_start ? "" : "/random-start")
+      << (c.exploration == ExplorationMode::kEpsilonGreedyQ ? "/q-greedy"
+                                                             : "")
+      << kRules[static_cast<int>(c.update_rule)];
 }
 
+// The catalogs the golden pins run on: the curated Univ-1 DS-CT, Univ-2 DS,
+// NYC and Paris datasets, the 114-item synthetic catalog perfbench's
+// paper_wire workload serves, and a 300-item synthetic course.
 datagen::Dataset GoldenDataset(const std::string& name) {
   if (name == "paris") return datagen::MakeParisTrip();
   if (name == "nyc") return datagen::MakeNycTrip();
+  if (name == "univ2-ds") return datagen::MakeUniv2Ds();
+  if (name == "paper-wire" || name == "course-300") {
+    datagen::SyntheticSpec spec;
+    spec.num_items = name == "paper-wire" ? 114 : 300;
+    spec.vocab_size = 2 * spec.num_items;
+    return datagen::GenerateSynthetic(spec);
+  }
   return datagen::MakeUniv1DsCt();
 }
 
@@ -363,8 +387,10 @@ template <typename QModel>
 void ExpectGolden(const GoldenCase& c) {
   const datagen::Dataset dataset = GoldenDataset(c.dataset);
   const model::TaskInstance instance = dataset.Instance();
-  const core::PlannerConfig config =
+  core::PlannerConfig config =
       GoldenConfig(dataset, c.workers, c.episodes, c.fixed_start);
+  config.sarsa.exploration = c.exploration;
+  config.sarsa.update_rule = c.update_rule;
   const mdp::RewardFunction reward(instance, config.reward);
   obs::Registry registry;
   obs::TrainingMetrics metrics(&registry);
@@ -411,7 +437,141 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"paris", 9, 4, 25, true, true, 0x865abbfef49e183aULL,
                    0xb50280701bdd3fedULL},
         GoldenCase{"nyc", 3, 4, 60, true, true, 0xbd146f11fa0b1697ULL,
-                   0x4f418f0dc9dfe3f5ULL}));
+                   0x4f418f0dc9dfe3f5ULL},
+        GoldenCase{"univ1-dsct", 7, 1, 500, true, false, 0xde32f5096db03276ULL,
+                   0xb59bd26c28c9d159ULL, ExplorationMode::kEpsilonGreedyQ,
+                   UpdateRule::kSarsa},
+        GoldenCase{"univ1-dsct", 7, 1, 500, true, false, 0x173043ac03cc3f50ULL,
+                   0x82780a142350f222ULL, ExplorationMode::kEpsilonGreedyQ,
+                   UpdateRule::kQLearning},
+        GoldenCase{"univ1-dsct", 7, 1, 500, true, false, 0xe8a253ed22208ad9ULL,
+                   0xa279dcfb277c1437ULL, ExplorationMode::kEpsilonGreedyQ,
+                   UpdateRule::kExpectedSarsa},
+        GoldenCase{"univ1-dsct", 7, 1, 500, true, false, 0x38997c309b2760bdULL,
+                   0x95b113a51ac035e7ULL, ExplorationMode::kRewardGreedy,
+                   UpdateRule::kQLearning},
+        GoldenCase{"univ1-dsct", 7, 1, 500, true, false, 0xf3607fff6cf466f4ULL,
+                   0x95b113a51ac035e7ULL, ExplorationMode::kRewardGreedy,
+                   UpdateRule::kExpectedSarsa},
+        GoldenCase{"paper-wire", 17, 1, 500, true, false, 0x39076c2e6c6e5244ULL,
+                   0x89b173df3126e847ULL}));
+
+struct TraversalCase {
+  const char* dataset;             // a GoldenDataset name
+  ExplorationMode exploration;     // the behaviour policy that trains Q
+  std::uint64_t eda_hash;          // EDA plans for seeds 1..10
+  std::uint64_t plans_hash;        // greedy and beam plans from three starts
+  std::uint64_t suggestions_hash;  // interactive suggestions and Complete()
+};
+
+void PrintTo(const TraversalCase& c, std::ostream* os) {
+  *os << c.dataset
+      << (c.exploration == ExplorationMode::kEpsilonGreedyQ ? "/q-greedy"
+                                                             : "");
+}
+
+void MixPlan(const model::Plan& plan, Fnv1a* hash) {
+  hash->Mix(plan.size());
+  for (model::ItemId item : plan.items()) {
+    hash->Mix(static_cast<std::uint64_t>(item));
+  }
+}
+
+void MixSuggestions(const std::vector<adaptive::Suggestion>& suggestions,
+                    Fnv1a* hash) {
+  hash->Mix(suggestions.size());
+  for (const adaptive::Suggestion& s : suggestions) {
+    hash->Mix(static_cast<std::uint64_t>(s.item));
+    hash->Mix(static_cast<std::uint64_t>(s.theta));
+    hash->Mix(std::bit_cast<std::uint64_t>(s.reward));
+    hash->Mix(std::bit_cast<std::uint64_t>(s.q_value));
+  }
+}
+
+// Every traversal that ranks a step, on one dense policy per catalog and
+// behaviour policy: the EDA baseline's reward-tie draws, greedy and beam
+// plans from three starts, and an interactive session's full suggestion
+// lists before and after one pin, then its completed plan.
+class TraversalGoldenTest : public ::testing::TestWithParam<TraversalCase> {};
+
+TEST_P(TraversalGoldenTest, MatchesRecordedHashes) {
+  const TraversalCase& c = GetParam();
+  const datagen::Dataset dataset = GoldenDataset(c.dataset);
+  const model::TaskInstance instance = dataset.Instance();
+  core::PlannerConfig config = GoldenConfig(dataset, 1, 100, true);
+  config.sarsa.exploration = c.exploration;
+  config.seed = 7;
+  core::RlPlanner planner(instance, config);
+  ASSERT_TRUE(planner.Train().ok());
+
+  Fnv1a eda;
+  const baselines::EdaGreedy baseline(instance, config.reward);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    MixPlan(baseline.BuildPlan(seed), &eda);
+  }
+
+  Fnv1a plans;
+  const auto n = static_cast<model::ItemId>(dataset.catalog.size());
+  for (model::ItemId start : {dataset.default_start, n / 3, 2 * n / 3}) {
+    RecommendConfig recommend;
+    recommend.start_item = start;
+    recommend.mask_type_overflow = config.sarsa.mask_type_overflow;
+    MixPlan(RecommendPlan(planner.q_table(), instance,
+                          planner.reward_function(), recommend),
+            &plans);
+    MixPlan(RecommendPlanBeam(planner.q_table(), instance,
+                              planner.reward_function(), recommend,
+                              BeamConfig{}),
+            &plans);
+  }
+
+  Fnv1a suggestions;
+  adaptive::InteractiveSession session(planner);
+  MixSuggestions(session.SuggestNext(-1), &suggestions);
+  ASSERT_TRUE(session.Pin(dataset.default_start).ok());
+  MixSuggestions(session.SuggestNext(-1), &suggestions);
+  MixPlan(session.Complete(), &suggestions);
+
+  EXPECT_EQ(eda.state, c.eda_hash) << std::hex << "eda 0x" << eda.state;
+  EXPECT_EQ(plans.state, c.plans_hash)
+      << std::hex << "plans 0x" << plans.state;
+  EXPECT_EQ(suggestions.state, c.suggestions_hash)
+      << std::hex << "suggestions 0x" << suggestions.state;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, TraversalGoldenTest,
+    ::testing::Values(
+        TraversalCase{"univ1-dsct", ExplorationMode::kRewardGreedy,
+                      0x770e91a08d470567ULL, 0x5fe4f8d61693fc6eULL,
+                      0x5318c317fa180647ULL},
+        TraversalCase{"univ1-dsct", ExplorationMode::kEpsilonGreedyQ,
+                      0x770e91a08d470567ULL, 0x55eb0c1699fcbe62ULL,
+                      0x269b5ba253ed0568ULL},
+        TraversalCase{"univ2-ds", ExplorationMode::kRewardGreedy,
+                      0x516108344cce2d14ULL, 0x80d6a8a95fdb5784ULL,
+                      0xe0913c668b0becb3ULL},
+        TraversalCase{"univ2-ds", ExplorationMode::kEpsilonGreedyQ,
+                      0x516108344cce2d14ULL, 0x2b30aa164e9098a5ULL,
+                      0x615a198e6aaf04f4ULL},
+        TraversalCase{"nyc", ExplorationMode::kRewardGreedy,
+                      0x539042c0f61a1f74ULL, 0xb0f1f1af7db39709ULL,
+                      0x5ef6bb6de02fb69cULL},
+        TraversalCase{"nyc", ExplorationMode::kEpsilonGreedyQ,
+                      0x539042c0f61a1f74ULL, 0x346e84e803d35008ULL,
+                      0x42f8367d2b8cd2b6ULL},
+        TraversalCase{"paris", ExplorationMode::kRewardGreedy,
+                      0x014e910a2d2d6e44ULL, 0x22c32b5dd3759b18ULL,
+                      0x4313b315b13ba149ULL},
+        TraversalCase{"paris", ExplorationMode::kEpsilonGreedyQ,
+                      0x014e910a2d2d6e44ULL, 0xf1b3682fb277853cULL,
+                      0xbf19db71966a6d71ULL},
+        TraversalCase{"course-300", ExplorationMode::kRewardGreedy,
+                      0x7267ffc68f5e25e7ULL, 0xf97376ce900e182dULL,
+                      0x31d8585fbc2a3554ULL},
+        TraversalCase{"course-300", ExplorationMode::kEpsilonGreedyQ,
+                      0x7267ffc68f5e25e7ULL, 0x8014e293c5b116cbULL,
+                      0x5a8d8b031126e190ULL}));
 
 // The fleet's retrain path: SarsaLearner::LearnFrom on a warm table.
 template <typename QModel>

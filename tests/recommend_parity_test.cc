@@ -349,21 +349,20 @@ TEST(RecommendParityTest, ChainedNearTiesFallBackToTheStream) {
 
   mdp::EpisodeState state(instance);
   state.Add(0);
-  recommender_internal::ClassStep step(reward);
   util::DynamicBitset allowed(4);
   allowed.SetAll();
   allowed.Set(0, false);
-  reward.ThetaOneSubset(state, allowed, &step.theta_one);
-  ASSERT_EQ(step.theta_one, allowed);
-  EXPECT_FALSE(
-      recommender_internal::SelectTopRewardGroup(reward, state, &step));
+  util::DynamicBitset theta_one;
+  reward.ThetaOneSubset(state, allowed, &theta_one);
+  ASSERT_EQ(theta_one, allowed);
 
   const model::Plan plan = RecommendPlan(q, instance, reward, config);
   EXPECT_EQ(plan.items(), ReferenceRecommendPlan(q, instance, reward, config)
                               .items());
   EXPECT_EQ(plan.items(), (std::vector<model::ItemId>{0, 3}));
-  // The shortcuts the fallback exists to avoid: the best class alone picks
-  // item 1, the argmax over the top group item 2.
+  // The shortcuts the fallback exists to avoid, so the plan's item 3 proves
+  // the stream ran: the best class alone picks item 1, the argmax over the
+  // top group item 2.
   util::DynamicBitset best_class =
       reward.RewardClassItems(reward.RewardClassOf(1));
   best_class &= allowed;

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "datagen/course_data.h"
 #include "datagen/synthetic.h"
 #include "datagen/trip_data.h"
+#include "geo/latlng.h"
 #include "mdp/episode_state.h"
 #include "mdp/reward.h"
+#include "mdp/similarity.h"
+#include "model/topic_vector.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 
@@ -331,20 +335,42 @@ std::vector<datagen::Dataset> ClassTestDatasets() {
   return datasets;
 }
 
-TEST(RewardClassTest, ThetaOneSubsetMatchesPerItemThetaUnderEveryOption) {
+// The free-function references of Eq. 3-5 and Eq. 2: the newly covered
+// ideal topics counted directly, and AggSim recomputed over the type
+// sequence extended by the candidate.
+int ReferenceTheta(const model::TaskInstance& instance,
+                   const RewardFunction& reward, const EpisodeState& state,
+                   model::ItemId item) {
+  const std::size_t gained = model::NewlyCoveredIdealTopics(
+      state.covered_topics(), instance.catalog->item(item).topics,
+      instance.soft.ideal_topics);
+  if (gained < reward.RequiredNewIdealTopics()) return 0;
+  return reward.PrerequisiteReward(state, item);
+}
+
+double ReferenceReward(const model::TaskInstance& instance,
+                       const RewardWeights& weights,
+                       const RewardFunction& reward, const EpisodeState& state,
+                       model::ItemId item) {
+  if (ReferenceTheta(instance, reward, state, item) == 0) return 0.0;
+  model::TypeSequence extended = state.type_sequence();
+  extended.push_back(instance.catalog->item(item).type);
+  return weights.delta * AggregateSimilarity(extended,
+                                             instance.soft.interleaving,
+                                             weights.similarity) +
+         weights.beta * reward.TypeWeight(item);
+}
+
+TEST(RewardClassTest, ThetaOneSubsetMatchesReferenceTheta) {
   for (const datagen::Dataset& dataset : ClassTestDatasets()) {
     SCOPED_TRACE(dataset.name);
     const model::TaskInstance instance = dataset.Instance();
     const std::size_t n = dataset.catalog.size();
     RewardWeights weights;
     weights.epsilon = 2.0;  // two new topics: exercises counts past one
-    // The reference: per-item Theta with every cache off.
-    const RewardFunction legacy(instance, weights, {false, false, false});
-    for (int bits = 0; bits < 8; ++bits) {
-      const RewardFunctionOptions options{(bits & 1) != 0, (bits & 2) != 0,
-                                          (bits & 4) != 0};
-      const RewardFunction reward(instance, weights, options);
-      util::Rng rng(static_cast<std::uint64_t>(bits) + 1);
+    const RewardFunction reward(instance, weights);
+    for (std::uint64_t run = 1; run <= 8; ++run) {
+      util::Rng rng(run);
       EpisodeState state(instance);
       util::DynamicBitset out;
       while (state.Length() < std::min<std::size_t>(n, 12)) {
@@ -358,10 +384,11 @@ TEST(RewardClassTest, ThetaOneSubsetMatchesPerItemThetaUnderEveryOption) {
         reward.ThetaOneSubset(state, candidates, &out);
         for (std::size_t i = 0; i < n; ++i) {
           const auto item = static_cast<model::ItemId>(i);
-          EXPECT_EQ(out.Test(i),
-                    candidates.Test(i) && legacy.Theta(state, item) == 1)
-              << "options " << bits << ", step " << state.Length()
-              << ", item " << i;
+          const int theta = ReferenceTheta(instance, reward, state, item);
+          EXPECT_EQ(out.Test(i), candidates.Test(i) && theta == 1)
+              << "run " << run << ", step " << state.Length() << ", item "
+              << i;
+          EXPECT_EQ(reward.Theta(state, item), theta);
         }
         model::ItemId next;
         do {
@@ -383,7 +410,6 @@ TEST(RewardClassTest, ClassesPartitionTheCatalogAndCarryItsReward) {
     // out-of-range bucket and unused weights occur.
     weights.category_weights = {0.5, 0.3, 0.2};
     const RewardFunction reward(instance, weights);
-    const RewardFunction legacy(instance, weights, {false, false, false});
     ASSERT_LE(reward.num_reward_classes(), 2u * (3 + 1));
     util::DynamicBitset covered(n);
     for (std::size_t c = 0; c < reward.num_reward_classes(); ++c) {
@@ -409,7 +435,29 @@ TEST(RewardClassTest, ClassesPartitionTheCatalogAndCarryItsReward) {
       EXPECT_EQ(reward.Reward(state, item),
                 reward.Theta(state, item) == 1 ? reward.ClassReward(state, c)
                                                : 0.0);
-      EXPECT_EQ(reward.Reward(state, item), legacy.Reward(state, item));
+      EXPECT_EQ(reward.Reward(state, item),
+                ReferenceReward(instance, weights, reward, state, item));
+    }
+  }
+}
+
+// The trip-domain distance matrix serves exactly the haversine of each
+// pair of locations.
+TEST(RewardDistanceTest, DistanceKmMatchesHaversineOnEveryPair) {
+  for (const datagen::Dataset& dataset :
+       {datagen::MakeNycTrip(), datagen::MakeParisTrip()}) {
+    SCOPED_TRACE(dataset.name);
+    const model::TaskInstance instance = dataset.Instance();
+    const RewardWeights weights;
+    const RewardFunction reward(instance, weights);
+    const auto n = static_cast<model::ItemId>(dataset.catalog.size());
+    for (model::ItemId a = 0; a < n; ++a) {
+      for (model::ItemId b = 0; b < n; ++b) {
+        EXPECT_EQ(reward.DistanceKm(a, b),
+                  geo::HaversineKm(dataset.catalog.item(a).location,
+                                   dataset.catalog.item(b).location))
+            << a << " -> " << b;
+      }
     }
   }
 }

@@ -169,6 +169,12 @@ TEST(BitsetTest, ForEachSetBitVisitsAscendingAcrossWords) {
   EXPECT_EQ(bits.FindNext(66), 127u);
   EXPECT_EQ(bits.FindNext(200), 200u);
   EXPECT_EQ(DynamicBitset(0).FindNext(0), 0u);
+  // FindNth(n) is the n-th bit of the same walk, size() past the count.
+  for (std::size_t n = 0; n < expected.size(); ++n) {
+    EXPECT_EQ(bits.FindNth(n), expected[n]);
+  }
+  EXPECT_EQ(bits.FindNth(expected.size()), 200u);
+  EXPECT_EQ(DynamicBitset(0).FindNth(0), 0u);
 }
 
 TEST(BitsetTest, ForEachSetWordSkipsZeroWords) {

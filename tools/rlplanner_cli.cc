@@ -455,10 +455,19 @@ int CmdMetrics(const Dataset& dataset, const CommandLine& cmd) {
 }
 
 // Trains a policy and prints its strongest transitions; with --out, also
-// writes a Graphviz DOT rendering.
+// writes a Graphviz DOT rendering. The inspector reads the dense table, so
+// a run that resolves to the sparse representation stops before training.
 int CmdInspect(const Dataset& dataset, const CommandLine& cmd) {
   const rlplanner::model::TaskInstance instance = dataset.Instance();
   rlplanner::core::PlannerConfig config = BuildConfig(dataset, cmd);
+  if (rlplanner::rl::ResolveQRepresentation(config.sarsa.q_representation,
+                                            dataset.catalog.size()) ==
+      rlplanner::rl::QRepresentation::kSparse) {
+    std::fprintf(stderr,
+                 "inspect reads the dense Q-table: the sparse policy needs "
+                 "--q-repr dense\n");
+    return 1;
+  }
   rlplanner::core::RlPlanner planner(instance, config);
   if (const auto status = planner.Train(); !status.ok()) {
     std::fprintf(stderr, "training failed: %s\n", status.ToString().c_str());
