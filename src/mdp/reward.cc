@@ -2,10 +2,10 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "geo/latlng.h"
-#include "model/topic_vector.h"
-#include "util/simd.h"
+#include "model/catalog.h"
 
 namespace rlplanner::mdp {
 
@@ -51,25 +51,26 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
       weights_(&weights),
       num_items_(instance.catalog->size()),
       required_new_topics_(ComputeRequiredNewIdealTopics()) {
-  // One pass over the catalog builds every per-item cache.
-  const model::TopicVector& ideal = instance_->soft.ideal_topics;
-  ideal_words_per_item_ = ideal.word_count();
-  ideal_topic_words_.resize(num_items_ * ideal_words_per_item_);
+  const model::Catalog& catalog = *instance_->catalog;
+  const model::HardConstraints& hard = instance_->hard;
+  // One pass over the catalog builds every per-item index.
   // Reward class key: type x category bucket, the last bucket of each type
   // holding every category without a weight. Classes are numbered in order
   // of first appearance, so only the pairs the catalog uses exist.
   const std::size_t buckets = weights_->category_weights.size() + 1;
   std::vector<int> class_of_key(2 * buckets, -1);
   class_of_item_.reserve(num_items_);
-  r2_may_fail_.Resize(num_items_);
-  std::uint64_t* words = ideal_topic_words_.data();
-  for (const model::Item& item : instance_->catalog->items()) {
+  no_prerequisite_.Resize(num_items_);
+  items_of_type_[0].Resize(num_items_);
+  items_of_type_[1].Resize(num_items_);
+  const std::size_t num_minima = hard.category_min_counts.size();
+  items_of_minimum_bucket_.assign(num_minima + 1,
+                                  util::DynamicBitset(num_items_));
+  // (antecedent, dependent) pairs, in ascending dependent order.
+  std::vector<std::pair<model::ItemId, model::ItemId>> prerequisite_edges;
+  dependent_offsets_.assign(num_items_ + 1, 0);
+  for (const model::Item& item : catalog.items()) {
     const auto id = static_cast<std::size_t>(item.id);
-    // Written straight into the flat array: no per-item TopicVector.
-    assert(item.topics.size() == ideal.size());
-    for (std::size_t w = 0; w < ideal_words_per_item_; ++w) {
-      *words++ = item.topics.word_data()[w] & ideal.word_data()[w];
-    }
     const bool in_range =
         item.category >= 0 &&
         static_cast<std::size_t>(item.category) < buckets - 1;
@@ -86,13 +87,68 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
     const auto c = static_cast<std::size_t>(class_of_key[key]);
     classes_[c].items.Set(id);
     class_of_item_.push_back(static_cast<std::uint32_t>(c));
-    if (!item.prereqs.empty() ||
-        (instance_->hard.no_consecutive_same_theme &&
-         item.primary_theme >= 0)) {
-      r2_may_fail_.Set(id);
+
+    if (item.prereqs.empty()) no_prerequisite_.Set(id);
+    for (const auto& group : item.prereqs.groups()) {
+      for (model::ItemId member : group) {
+        if (member < 0 || static_cast<std::size_t>(member) >= num_items_) {
+          continue;
+        }
+        prerequisite_edges.emplace_back(member, item.id);
+        ++dependent_offsets_[static_cast<std::size_t>(member) + 1];
+      }
+    }
+    if (hard.no_consecutive_same_theme && item.primary_theme >= 0) {
+      const auto theme = static_cast<std::size_t>(item.primary_theme);
+      if (theme >= items_of_theme_.size()) {
+        items_of_theme_.resize(theme + 1, util::DynamicBitset(num_items_));
+      }
+      items_of_theme_[theme].Set(id);
+    }
+
+    if (item.type == model::ItemType::kPrimary) {
+      primary_items_.push_back(item.id);
+    }
+    items_of_type_[item.type == model::ItemType::kPrimary ? 0 : 1].Set(id);
+    const bool has_minimum =
+        item.category >= 0 &&
+        static_cast<std::size_t>(item.category) < num_minima;
+    items_of_minimum_bucket_[has_minimum
+                                 ? static_cast<std::size_t>(item.category)
+                                 : num_minima]
+        .Set(id);
+  }
+
+  // Counting sort of the edges by antecedent; stable, so every dependents
+  // list stays ascending.
+  for (std::size_t a = 0; a < num_items_; ++a) {
+    dependent_offsets_[a + 1] += dependent_offsets_[a];
+  }
+  dependents_.resize(prerequisite_edges.size());
+  std::vector<std::uint32_t> fill(dependent_offsets_.begin(),
+                                  dependent_offsets_.end() - 1);
+  for (const auto& [antecedent, dependent] : prerequisite_edges) {
+    dependents_[fill[static_cast<std::size_t>(antecedent)]++] = dependent;
+  }
+
+  // Ideal-topic counts from the catalog's topic postings: one walk per
+  // topic of T_ideal, no per-item popcount.
+  const model::TopicVector& ideal = instance_->soft.ideal_topics;
+  assert(ideal.size() == catalog.vocabulary_size());
+  ideal_topic_counts_.assign(num_items_, 0);
+  ideal.ForEachSetBit([&](std::size_t topic) {
+    for (model::ItemId id : catalog.ItemsWithTopic(topic)) {
+      ++ideal_topic_counts_[static_cast<std::size_t>(id)];
+    }
+  });
+  initial_coverage_.Resize(num_items_);
+  for (std::size_t i = 0; i < num_items_; ++i) {
+    if (ideal_topic_counts_[i] >= required_new_topics_) {
+      initial_coverage_.Set(i);
     }
   }
-  if (instance_->catalog->domain() == model::Domain::kTrip &&
+
+  if (catalog.domain() == model::Domain::kTrip &&
       num_items_ <= kMaxDistanceMatrixItems) {
     distance_matrix_.resize(num_items_ * num_items_);
     for (std::size_t a = 0; a < num_items_; ++a) {
@@ -122,15 +178,21 @@ std::size_t RewardFunction::ComputeRequiredNewIdealTopics() const {
 
 int RewardFunction::TopicCoverageReward(const EpisodeState& state,
                                         model::ItemId next) const {
-  // ThetaOneSubset's kernel over a one-row selection: the item's row.
-  std::uint64_t select = 1;
-  util::simd::Active().retain_rows_andnot_count_at_least(
-      &select, 1,
-      ideal_topic_words_.data() +
-          static_cast<std::size_t>(next) * ideal_words_per_item_,
-      ideal_words_per_item_, state.covered_topics().word_data(),
-      required_new_topics_);
-  return select != 0 ? 1 : 0;
+  const std::uint64_t* topics =
+      instance_->catalog->item(next).topics.word_data();
+  const std::uint64_t* ideal = instance_->soft.ideal_topics.word_data();
+  const std::uint64_t* covered = state.covered_topics().word_data();
+  const std::size_t words = state.covered_topics().word_count();
+  // Clear-lowest counting that stops at the threshold: no popcount, which
+  // is a library call on baseline x86-64.
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < words && count < required_new_topics_; ++w) {
+    for (std::uint64_t fresh = topics[w] & ideal[w] & ~covered[w];
+         fresh != 0 && count < required_new_topics_; fresh &= fresh - 1) {
+      ++count;
+    }
+  }
+  return count >= required_new_topics_ ? 1 : 0;
 }
 
 int RewardFunction::PrerequisiteReward(const EpisodeState& state,
@@ -157,22 +219,6 @@ int RewardFunction::Theta(const EpisodeState& state,
   const int r1 = TopicCoverageReward(state, next);
   if (r1 == 0) return 0;  // short-circuit; theta = r1 * r2
   return r1 * PrerequisiteReward(state, next);
-}
-
-void RewardFunction::ThetaOneSubset(const EpisodeState& state,
-                                    const util::DynamicBitset& candidates,
-                                    util::DynamicBitset* out) const {
-  *out = candidates;
-  util::simd::Active().retain_rows_andnot_count_at_least(
-      out->mutable_word_data(), out->word_count(), ideal_topic_words_.data(),
-      ideal_words_per_item_, state.covered_topics().word_data(),
-      required_new_topics_);
-  r2_may_fail_.ForEachSetBit([&](std::size_t i) {
-    if (out->Test(i) &&
-        PrerequisiteReward(state, static_cast<model::ItemId>(i)) == 0) {
-      out->Set(i, false);
-    }
-  });
 }
 
 double RewardFunction::TypeSimilarity(const EpisodeState& state,

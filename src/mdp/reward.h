@@ -2,6 +2,7 @@
 #define RLPLANNER_MDP_REWARD_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mdp/episode_state.h"
@@ -39,10 +40,15 @@ struct RewardWeights {
 /// The reward function `R(s_i, e_i, s_{i+1})` of Section III-B, bound to one
 /// task instance. All components are exposed individually so tests can
 /// exercise them; traversals read Eq. 2 per reward class through
-/// rl::StepRanker (ThetaOneSubset + ClassReward), not Reward() per item.
+/// rl::StepRanker, not Reward() per item.
 ///
-/// Construction snapshots per-item caches derived from the instance and the
-/// weights; mutate either only before building the function, never after.
+/// Construction makes one pass over the catalog and builds every per-item
+/// index the traversals need: the reward classes, the empty-episode theta
+/// sets and the antecedent -> dependents lists that rl::StepRanker updates
+/// incrementally, and the partitions rl::ActionMask reads. The function is
+/// read-only afterwards, so any number of rankers and masks may share it.
+/// Mutate the instance or the weights only before building the function,
+/// never after.
 class RewardFunction {
  public:
   /// Neither argument is copied; both must outlive the function.
@@ -60,15 +66,6 @@ class RewardFunction {
 
   /// theta = r1 * r2 (Eq. 5).
   int Theta(const EpisodeState& state, model::ItemId next) const;
-
-  /// The theta = 1 members of `candidates`, written to `out` (resized to
-  /// the catalog): one pass over the candidate bits against the flat
-  /// ideal-topic array, with the prerequisite gap and the trip theme rule
-  /// checked only for items that carry them. Bit i of `out` is set iff
-  /// `candidates` has it and `Theta(state, i) == 1`.
-  void ThetaOneSubset(const EpisodeState& state,
-                      const util::DynamicBitset& candidates,
-                      util::DynamicBitset* out) const;
 
   /// The interleaving term: AggSim of the type sequence extended by `next`.
   double InterleavingSimilarity(const EpisodeState& state,
@@ -118,6 +115,59 @@ class RewardFunction {
     return ComputeDistanceKm(a, b);
   }
 
+  /// Incremental theta's starting point, the empty episode. Eq. 3 and 4
+  /// are monotone within an episode: an item's count of uncovered ideal
+  /// topics only falls as coverage grows, and its prerequisite gap only
+  /// turns from unmet to met as antecedents age. rl::StepRanker copies
+  /// these and updates them per action.
+  /// - Each item's number of ideal topics, |T^m ∩ T^ideal|.
+  const std::vector<std::uint32_t>& IdealTopicCounts() const {
+    return ideal_topic_counts_;
+  }
+  /// - r1 of the empty episode: the items whose count reaches
+  ///   RequiredNewIdealTopics().
+  const util::DynamicBitset& InitialCoverageItems() const {
+    return initial_coverage_;
+  }
+  /// - The items without a prerequisite: r2 of the empty episode, before
+  ///   the trip theme rule.
+  const util::DynamicBitset& NoPrerequisiteItems() const {
+    return no_prerequisite_;
+  }
+  /// - The items whose prerequisite groups name `antecedent`, ascending
+  ///   (an item naming it in two groups appears twice). Out-of-range group
+  ///   members name nobody.
+  std::span<const model::ItemId> DependentsOf(model::ItemId antecedent) const {
+    const auto a = static_cast<std::size_t>(antecedent);
+    return {dependents_.data() + dependent_offsets_[a],
+            dependents_.data() + dependent_offsets_[a + 1]};
+  }
+  /// - The items of trip theme `theme` when the no-consecutive-theme rule
+  ///   is on; null when the rule is off or `theme` is outside [0, the
+  ///   highest theme of any item].
+  const util::DynamicBitset* ItemsOfTheme(int theme) const {
+    const auto t = static_cast<std::size_t>(theme);
+    return theme >= 0 && t < items_of_theme_.size() ? &items_of_theme_[t]
+                                                    : nullptr;
+  }
+
+  /// Catalog partitions for rl::ActionMask's lookahead, built here once
+  /// rather than per mask:
+  /// - the primary item ids, ascending;
+  const std::vector<model::ItemId>& PrimaryItems() const {
+    return primary_items_;
+  }
+  /// - the items of each type;
+  const util::DynamicBitset& ItemsOfType(model::ItemType type) const {
+    return items_of_type_[type == model::ItemType::kPrimary ? 0 : 1];
+  }
+  /// - the items of each category-minimum bucket: bucket c below
+  ///   `hard.category_min_counts.size()` holds category c, and the last
+  ///   bucket every category without a minimum.
+  const util::DynamicBitset& ItemsOfMinimumBucket(std::size_t bucket) const {
+    return items_of_minimum_bucket_[bucket];
+  }
+
   const RewardWeights& weights() const { return *weights_; }
   const model::TaskInstance& instance() const { return *instance_; }
 
@@ -138,15 +188,22 @@ class RewardFunction {
   const RewardWeights* weights_;
   std::size_t num_items_ = 0;
   std::size_t required_new_topics_ = 0;
-  // Row-major items x words array of each item's `topics & T_ideal`.
-  std::size_t ideal_words_per_item_ = 0;
-  std::vector<std::uint64_t> ideal_topic_words_;
   // Reward class of each item, and the classes themselves.
   std::vector<std::uint32_t> class_of_item_;
   std::vector<RewardClass> classes_;
-  // Items whose r2 can be 0: a non-empty prerequisite expression, or a
-  // theme under the trip no-consecutive-theme rule. r2 = 1 for the rest.
-  util::DynamicBitset r2_may_fail_;
+  // The empty-episode theta sets and the r2 re-check lists (see
+  // IdealTopicCounts). The dependents of item a are
+  // dependents_[dependent_offsets_[a] .. dependent_offsets_[a + 1]).
+  std::vector<std::uint32_t> ideal_topic_counts_;
+  util::DynamicBitset initial_coverage_;
+  util::DynamicBitset no_prerequisite_;
+  std::vector<std::uint32_t> dependent_offsets_;
+  std::vector<model::ItemId> dependents_;
+  std::vector<util::DynamicBitset> items_of_theme_;
+  // The action mask's partitions (see PrimaryItems).
+  std::vector<model::ItemId> primary_items_;
+  util::DynamicBitset items_of_type_[2];
+  std::vector<util::DynamicBitset> items_of_minimum_bucket_;
   // Row-major pairwise haversine matrix (trip domain, up to 1024 items).
   std::vector<double> distance_matrix_;
 };

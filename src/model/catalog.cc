@@ -5,7 +5,9 @@
 namespace rlplanner::model {
 
 Catalog::Catalog(Domain domain, std::vector<std::string> vocabulary)
-    : domain_(domain), vocabulary_(std::move(vocabulary)) {
+    : domain_(domain),
+      vocabulary_(std::move(vocabulary)),
+      items_with_topic_(vocabulary_.size()) {
   for (std::size_t i = 0; i < vocabulary_.size(); ++i) {
     topic_index_.emplace(vocabulary_[i], static_cast<int>(i));
   }
@@ -23,6 +25,8 @@ util::Result<ItemId> Catalog::AddItem(Item item) {
   }
   const ItemId id = static_cast<ItemId>(items_.size());
   item.id = id;
+  item.topics.ForEachSetBit(
+      [&](std::size_t topic) { items_with_topic_[topic].push_back(id); });
   code_index_.emplace(item.code, id);
   items_.push_back(std::move(item));
   return id;
@@ -68,14 +72,6 @@ int Catalog::CountByCategory(int category) const {
     if (item.category == category) ++count;
   }
   return count;
-}
-
-std::vector<ItemId> Catalog::ItemsOfType(ItemType type) const {
-  std::vector<ItemId> out;
-  for (const Item& item : items_) {
-    if (item.type == type) out.push_back(item.id);
-  }
-  return out;
 }
 
 util::Status Catalog::Validate() const {

@@ -19,7 +19,10 @@ enum class Domain {
 };
 
 /// The item universe `I` of one dataset plus its topic vocabulary `T`.
-/// Items are stored densely; `ItemId` is the index.
+/// Items are stored densely; `ItemId` is the index. Alongside the items the
+/// catalog keeps one posting list per topic (ItemsWithTopic), appended by
+/// AddItem, so code that reacts to a topic — incremental theta's coverage
+/// update — walks that topic's items instead of every item's topic vector.
 class Catalog {
  public:
   /// Creates an empty catalog for `domain` whose topic vectors have
@@ -27,7 +30,8 @@ class Catalog {
   Catalog(Domain domain, std::vector<std::string> vocabulary);
 
   /// Adds `item`; its `id` is assigned (and its `topics` must match the
-  /// vocabulary size). Fails when the code is duplicated.
+  /// vocabulary size) and appended to the posting list of each of its
+  /// topics. Fails when the code is duplicated.
   util::Result<ItemId> AddItem(Item item);
 
   Domain domain() const { return domain_; }
@@ -47,6 +51,13 @@ class Catalog {
   /// Index of `topic` in the vocabulary, or -1.
   int TopicId(std::string_view topic) const;
 
+  /// Ids of the items whose topic vector holds topic `topic`, ascending.
+  /// Independent of any T_ideal, so every reward function over this
+  /// catalog shares the lists.
+  const std::vector<ItemId>& ItemsWithTopic(std::size_t topic) const {
+    return items_with_topic_[topic];
+  }
+
   /// Builds a TopicVector with 1-bits at the given topic names; unknown
   /// names produce InvalidArgument.
   util::Result<TopicVector> MakeTopicVector(
@@ -57,9 +68,6 @@ class Catalog {
 
   /// Number of items in weight-category `category`.
   int CountByCategory(int category) const;
-
-  /// Ids of all items of `type`.
-  std::vector<ItemId> ItemsOfType(ItemType type) const;
 
   /// Human-readable names for the weight categories; defaults to
   /// {"primary", "secondary"}.
@@ -80,6 +88,8 @@ class Catalog {
   std::vector<std::string> vocabulary_;
   std::unordered_map<std::string, int> topic_index_;
   std::vector<Item> items_;
+  // Topic -> ascending ids of the items holding it.
+  std::vector<std::vector<ItemId>> items_with_topic_;
   std::unordered_map<std::string, ItemId> code_index_;
   std::vector<std::string> category_names_ = {"primary", "secondary"};
 };

@@ -11,29 +11,8 @@ ActionMask::ActionMask(const mdp::RewardFunction& reward, int horizon,
     : reward_(&reward),
       horizon_(horizon),
       mask_type_overflow_(mask_type_overflow) {
-  const model::TaskInstance& instance = reward.instance();
-  const std::size_t n = instance.catalog->size();
-  items_of_type_[0].Resize(n);
-  items_of_type_[1].Resize(n);
-  // Bucket items by the category the split lookahead discounts; the last
-  // bucket collects every category without a minimum (including none).
-  const std::size_t num_minima = instance.hard.category_min_counts.size();
-  items_of_category_.assign(num_minima + 1, util::DynamicBitset(n));
-  for (const model::Item& item : instance.catalog->items()) {
-    if (item.type == model::ItemType::kPrimary) {
-      primary_ids_.push_back(item.id);
-    }
-    const std::size_t bit = static_cast<std::size_t>(item.id);
-    items_of_type_[item.type == model::ItemType::kPrimary ? 0 : 1].Set(bit);
-    const bool has_minimum =
-        item.category >= 0 &&
-        static_cast<std::size_t>(item.category) < num_minima;
-    items_of_category_[has_minimum ? static_cast<std::size_t>(item.category)
-                                   : num_minima]
-        .Set(bit);
-  }
-  primary_cost_scratch_.reserve(primary_ids_.size());
-  group_scratch_.Resize(n);
+  primary_cost_scratch_.reserve(reward.PrimaryItems().size());
+  group_scratch_.Resize(reward.instance().catalog->size());
 }
 
 bool ActionMask::Allowed(const mdp::EpisodeState& state,
@@ -76,7 +55,9 @@ void ActionMask::AllowedSet(const mdp::EpisodeState& state,
     const int needed = instance.hard.num_primary - state.primary_count() -
                        (t == 0 ? 1 : 0);
     primary_needed[t] = std::max(needed, 0);
-    if (primary_needed[t] > slots_left) out->AndNotAssign(items_of_type_[t]);
+    if (primary_needed[t] > slots_left) {
+      out->AndNotAssign(reward_->ItemsOfType(static_cast<model::ItemType>(t)));
+    }
   }
 
   // Category minima owed depends only on the candidate's category: the
@@ -97,7 +78,7 @@ void ActionMask::AllowedSet(const mdp::EpisodeState& state,
                                     state.CategoryCount(static_cast<int>(c)) >
                                 0;
       if (base_owed - (discount ? 1 : 0) > slots_left) {
-        out->AndNotAssign(items_of_category_[c]);
+        out->AndNotAssign(reward_->ItemsOfMinimumBucket(c));
       }
     }
   }
@@ -106,11 +87,11 @@ void ActionMask::AllowedSet(const mdp::EpisodeState& state,
   // needed, which again depends only on the candidate's type; the per-item
   // scan runs just over the survivors of that type.
   for (int t = 0; t < 2; ++t) {
-    const int unplaced = static_cast<int>(primary_ids_.size()) -
+    const int unplaced = static_cast<int>(reward_->PrimaryItems().size()) -
                          state.primary_count() - (t == 0 ? 1 : 0);
     if (unplaced != primary_needed[t]) continue;
     group_scratch_ = *out;
-    group_scratch_ &= items_of_type_[t];
+    group_scratch_ &= reward_->ItemsOfType(static_cast<model::ItemType>(t));
     group_scratch_.ForEachSetBit([&](std::size_t i) {
       const model::ItemId item = static_cast<model::ItemId>(i);
       if (!AntecedentsStillSchedulable(state, item, primary_needed[t])) {
@@ -141,15 +122,15 @@ bool ActionMask::AntecedentsStillSchedulable(const mdp::EpisodeState& state,
   // first), so the unplaced count follows from the cached primary total.
   const bool candidate_is_primary =
       instance.catalog->item(candidate).type == model::ItemType::kPrimary;
-  const int unplaced_primaries = static_cast<int>(primary_ids_.size()) -
-                                 state.primary_count() -
-                                 (candidate_is_primary ? 1 : 0);
+  const int unplaced_primaries =
+      static_cast<int>(reward_->PrimaryItems().size()) -
+      state.primary_count() - (candidate_is_primary ? 1 : 0);
   if (unplaced_primaries != primary_needed) return true;
 
   const int gap = instance.hard.gap;
   const int next_pos = static_cast<int>(state.Length());  // candidate here
   const int last_pos = horizon_ - 1;
-  for (model::ItemId core_id : primary_ids_) {
+  for (model::ItemId core_id : reward_->PrimaryItems()) {
     const model::Item& core = instance.catalog->item(core_id);
     if (state.Contains(core.id) || core.id == candidate) continue;
     int earliest = next_pos + 1;  // soonest free slot after the candidate
@@ -219,7 +200,7 @@ bool ActionMask::SplitStillSatisfiable(const mdp::EpisodeState& state,
   }
   std::vector<double>& primary_costs = primary_cost_scratch_;
   primary_costs.clear();
-  for (model::ItemId other_id : primary_ids_) {
+  for (model::ItemId other_id : reward_->PrimaryItems()) {
     const model::Item& other = instance.catalog->item(other_id);
     if (other.id == item || state.Contains(other.id)) continue;
     if (other.credits > budget_left + 1e-9) continue;

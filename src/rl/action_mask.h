@@ -25,12 +25,13 @@ inline int EpisodeHorizon(const model::TaskInstance& instance) {
 /// reproduces the paper's observation that a greedy next-step recommender
 /// frequently violates the hard constraints.
 ///
-/// Construction caches the catalog's primary-item id list so the lookahead
-/// checks scan |primaries| candidates instead of the whole catalog. A scratch
-/// buffer backs the trip-domain cheapest-primaries check, so concurrent
-/// Allowed() calls on the *same* mask are not safe — give each worker its
-/// own mask (each SARSA run and each recommendation traversal already
-/// constructs its own).
+/// The lookahead reads the catalog partitions the reward function built
+/// once (its primary-item list, so the checks scan |primaries| candidates
+/// instead of the whole catalog, and its type and category-minimum sets);
+/// construction only allocates scratch. A scratch buffer backs the
+/// trip-domain cheapest-primaries check, so concurrent Allowed() calls on
+/// the *same* mask are not safe — give each worker its own mask (each SARSA
+/// run and each recommendation traversal already constructs its own).
 class ActionMask {
  public:
   /// `mask_type_overflow` additionally enforces, by one-step lookahead, that
@@ -72,14 +73,6 @@ class ActionMask {
   const mdp::RewardFunction* reward_;
   int horizon_;
   bool mask_type_overflow_;
-  // Ids of all primary items, cached once per mask.
-  std::vector<model::ItemId> primary_ids_;
-  // Catalog partitions for the grouped AllowedSet checks: items by type
-  // (indexed by ItemType) and by reward category (last slot = items whose
-  // category is outside `category_min_counts`, which never earn the
-  // candidate's own-category discount).
-  util::DynamicBitset items_of_type_[2];
-  std::vector<util::DynamicBitset> items_of_category_;
   // Scratch for the trip-domain cheapest-primaries sort (avoids a heap
   // allocation per candidate; see the thread-safety note above).
   mutable std::vector<double> primary_cost_scratch_;

@@ -19,16 +19,16 @@
 namespace rlplanner::rl {
 
 /// An episode's starting item (Algorithm 1 line 3): the configured fixed
-/// item, or a random primary drawn from `rng` (any item when the catalog
-/// has no primaries).
-inline model::ItemId PickStartItem(const model::TaskInstance& instance,
+/// item, or a random primary drawn from `rng` out of the reward function's
+/// ascending primary list (any item when the catalog has no primaries).
+inline model::ItemId PickStartItem(const mdp::RewardFunction& reward,
                                    const SarsaConfig& config,
                                    util::Rng& rng) {
   if (config.start_item >= 0) return config.start_item;
-  const auto primaries =
-      instance.catalog->ItemsOfType(model::ItemType::kPrimary);
+  const std::vector<model::ItemId>& primaries = reward.PrimaryItems();
   if (!primaries.empty()) return primaries[rng.NextIndex(primaries.size())];
-  return static_cast<model::ItemId>(rng.NextIndex(instance.catalog->size()));
+  return static_cast<model::ItemId>(
+      rng.NextIndex(reward.instance().catalog->size()));
 }
 
 /// The episode generator of Algorithm 1, shared by the serial and sharded
@@ -69,7 +69,7 @@ class EpisodeRunner {
     double episode_return = 0.0;
 
     // Seed the episode with the starting item (Algorithm 1 line 3).
-    const model::ItemId start = PickStartItem(*instance_, *config_, *rng_);
+    const model::ItemId start = PickStartItem(*reward_, *config_, *rng_);
     state.Add(start);
 
     // Choose the first action from the start state.

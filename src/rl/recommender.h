@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -79,18 +80,28 @@ model::ItemId DrawBandedTie(const util::DynamicBitset& candidates,
 
 /// The one step-ranking rule of every traversal. Beyond theta, Eq. 2 sees
 /// an item only through its reward class (type and category weight), so
-/// `Score` evaluates a step once — one batched theta pass, one Eq. 2 value
+/// `Score` evaluates a step once — the theta = 1 candidates, one Eq. 2 value
 /// per class with a theta = 1 candidate — and three queries read per-item
 /// rewards from the classes: Best (greedy recommendation), DrawRewardTie
 /// (the reward-greedy behaviour policy and EDA) and Ranked (beam search,
-/// interactive suggestions). One ranker per traversal and thread.
+/// interactive suggestions).
+///
+/// Theta is not recomputed over the catalog per step. The ranker keeps the
+/// r1 and r2 sets of the sequence it last scored and updates them only
+/// where the actions since can change them (incremental theta): a newly
+/// covered ideal topic lowers the counts of the items holding it, and an
+/// antecedent whose gap elapses re-checks its dependents. The sets are
+/// exact for any state: Score replays from the empty episode whenever the
+/// sequence it last saw is not a prefix of the new one, as between
+/// episodes or beam entries. One ranker per traversal and thread.
 class StepRanker {
  public:
   /// `reward` must outlive the ranker.
   explicit StepRanker(const mdp::RewardFunction& reward);
 
   /// Scores the step from `state` over `candidates`, which must stay
-  /// unchanged until the next Score.
+  /// unchanged until the next Score. `state` must belong to the reward
+  /// function's instance.
   void Score(const mdp::EpisodeState& state,
              const util::DynamicBitset& candidates);
 
@@ -176,7 +187,22 @@ class StepRanker {
   // present class loses to each of them outright.
   bool SelectTopGroup();
 
+  // Brings the maintained r1/r2 sets to `state.sequence()`: applies only
+  // the items past `applied_` when it is a prefix, else resets and replays.
+  void Sync(const mdp::EpisodeState& state);
+  // Back to the empty episode's sets.
+  void Reset();
+  // Marks the ideal topics `item` newly covers and lowers the counts of the
+  // items holding them, clearing r1 where a count drops below threshold.
+  void Cover(model::ItemId item);
+
   const mdp::RewardFunction* reward_;
+  // The maintained theta factors of the sequence `applied_`.
+  std::vector<model::ItemId> applied_;
+  std::vector<std::uint32_t> uncovered_;  // ideal topics each item adds
+  util::DynamicBitset covered_;           // ideal topics `applied_` covers
+  util::DynamicBitset r1_;                // uncovered_ >= the threshold
+  util::DynamicBitset r2_;                // prerequisite gap met
   const util::DynamicBitset* candidates_ = nullptr;
   util::DynamicBitset theta_one_;     // theta = 1 candidates
   util::DynamicBitset pick_;          // theta = 1 members of the top group

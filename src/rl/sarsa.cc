@@ -38,7 +38,7 @@ QModel RunPolicyIteration(const model::TaskInstance& instance,
   double explore = config.explore_epsilon;
 
   RecommendConfig rollout_config;
-  rollout_config.start_item = PickStartItem(instance, config, rng);
+  rollout_config.start_item = PickStartItem(reward, config, rng);
   rollout_config.mask_type_overflow = config.mask_type_overflow;
   rollout_config.gamma = config.gamma;
   auto policy_is_safe = [&](const QModel& table) {

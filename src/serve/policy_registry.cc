@@ -29,36 +29,49 @@ util::Status DimensionMismatch(std::size_t policy_items,
 
 PolicyRegistry::PolicyRegistry(std::uint64_t catalog_fingerprint,
                                std::size_t num_items)
-    : catalog_fingerprint_(catalog_fingerprint), num_items_(num_items) {
-  map_.store(std::make_shared<const SlotMap>(), std::memory_order_release);
+    : catalog_fingerprint_(catalog_fingerprint),
+      num_items_(num_items),
+      map_(std::make_shared<const SlotMap>()) {}
+
+std::shared_ptr<const PolicyRegistry::SlotMap> PolicyRegistry::LoadMap()
+    const {
+  std::lock_guard<std::mutex> lock(read_mutex_);
+  return map_;
 }
 
 std::shared_ptr<const PolicyRegistry::SlotState> PolicyRegistry::LoadSlot(
     const std::string& name) const {
-  const std::shared_ptr<const SlotMap> map =
-      map_.load(std::memory_order_acquire);
-  if (map == nullptr) return nullptr;
+  const std::shared_ptr<const SlotMap> map = LoadMap();
   const auto it = map->find(name);
   if (it == map->end()) return nullptr;
-  return it->second->state.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(read_mutex_);
+  return it->second->state;
+}
+
+void PolicyRegistry::StoreState(Slot& slot,
+                                std::shared_ptr<const SlotState> next) {
+  {
+    std::lock_guard<std::mutex> lock(read_mutex_);
+    slot.state.swap(next);
+  }
+  // `next` now holds the old state and drops it here, outside the lock.
 }
 
 std::shared_ptr<PolicyRegistry::Slot> PolicyRegistry::SlotForWrite(
     const std::string& name, bool create) {
-  const std::shared_ptr<const SlotMap> map =
-      map_.load(std::memory_order_acquire);
-  const auto it = map->find(name);
-  if (it != map->end()) return it->second;
+  // Writers are serialized by `mutex_`, so reading `map_` needs no copy
+  // under the read mutex: only this thread ever replaces it.
+  const auto it = map_->find(name);
+  if (it != map_->end()) return it->second;
   if (!create) return nullptr;
   // Slot creation is the rare path: copy the pointer map (cheap — slots are
   // shared, not duplicated) and swap the new map in for future readers.
-  auto next = std::make_shared<SlotMap>(*map);
+  auto next = std::make_shared<SlotMap>(*map_);
   auto slot = std::make_shared<Slot>();
-  slot->state.store(std::make_shared<const SlotState>(),
-                    std::memory_order_release);
+  slot->state = std::make_shared<const SlotState>();
   (*next)[name] = slot;
-  map_.store(std::shared_ptr<const SlotMap>(std::move(next)),
-             std::memory_order_release);
+  std::lock_guard<std::mutex> lock(read_mutex_);
+  map_ = std::move(next);
   return slot;
 }
 
@@ -68,16 +81,14 @@ std::uint64_t PolicyRegistry::Publish(const std::string& name,
   const std::uint64_t version = next_version_++;
   policy->version = version;
   const std::shared_ptr<Slot> slot = SlotForWrite(name, /*create=*/true);
-  const std::shared_ptr<const SlotState> old =
-      slot->state.load(std::memory_order_acquire);
+  const std::shared_ptr<const SlotState> old = slot->state;
   // The swap: readers that already resolved the old state keep serving from
   // it; the next resolution observes the new incumbent. A direct install
   // supersedes any staged canary.
   auto next = std::make_shared<SlotState>();
   next->incumbent = std::move(policy);
   next->previous = old->incumbent;
-  slot->state.store(std::shared_ptr<const SlotState>(std::move(next)),
-                    std::memory_order_release);
+  StoreState(*slot, std::move(next));
   ++install_count_;
   return version;
 }
@@ -88,7 +99,7 @@ util::Result<std::uint64_t> PolicyRegistry::PublishCanary(
   std::lock_guard<std::mutex> lock(mutex_);
   const std::shared_ptr<Slot> slot = SlotForWrite(name, /*create=*/false);
   const std::shared_ptr<const SlotState> old =
-      slot == nullptr ? nullptr : slot->state.load(std::memory_order_acquire);
+      slot == nullptr ? nullptr : slot->state;
   if (old == nullptr || old->incumbent == nullptr) {
     return util::Status::FailedPrecondition(
         "no incumbent policy under '" + name +
@@ -102,8 +113,7 @@ util::Result<std::uint64_t> PolicyRegistry::PublishCanary(
   next->previous = old->previous;
   next->canary = std::move(policy);
   next->canary_permille = std::min<std::uint32_t>(canary_permille, 1000);
-  slot->state.store(std::shared_ptr<const SlotState>(std::move(next)),
-                    std::memory_order_release);
+  StoreState(*slot, std::move(next));
   ++install_count_;
   return version;
 }
@@ -209,7 +219,7 @@ util::Status PolicyRegistry::PromoteCanary(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::shared_ptr<Slot> slot = SlotForWrite(name, /*create=*/false);
   const std::shared_ptr<const SlotState> old =
-      slot == nullptr ? nullptr : slot->state.load(std::memory_order_acquire);
+      slot == nullptr ? nullptr : slot->state;
   if (old == nullptr || old->canary == nullptr) {
     return util::Status::FailedPrecondition("no canary staged under '" + name +
                                             "' to promote");
@@ -217,8 +227,7 @@ util::Status PolicyRegistry::PromoteCanary(const std::string& name) {
   auto next = std::make_shared<SlotState>();
   next->incumbent = old->canary;  // keeps its install-time version
   next->previous = old->incumbent;
-  slot->state.store(std::shared_ptr<const SlotState>(std::move(next)),
-                    std::memory_order_release);
+  StoreState(*slot, std::move(next));
   return util::Status::Ok();
 }
 
@@ -226,7 +235,7 @@ util::Status PolicyRegistry::Rollback(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::shared_ptr<Slot> slot = SlotForWrite(name, /*create=*/false);
   const std::shared_ptr<const SlotState> old =
-      slot == nullptr ? nullptr : slot->state.load(std::memory_order_acquire);
+      slot == nullptr ? nullptr : slot->state;
   if (old == nullptr) {
     return util::Status::NotFound("no policy installed under '" + name + "'");
   }
@@ -243,8 +252,7 @@ util::Status PolicyRegistry::Rollback(const std::string& name) {
         "nothing to roll back under '" + name +
         "': no canary staged and no previous version retained");
   }
-  slot->state.store(std::shared_ptr<const SlotState>(std::move(next)),
-                    std::memory_order_release);
+  StoreState(*slot, std::move(next));
   return util::Status::Ok();
 }
 
@@ -297,8 +305,7 @@ std::optional<SlotInfo> PolicyRegistry::Info(const std::string& name) const {
 }
 
 std::vector<std::string> PolicyRegistry::Names() const {
-  const std::shared_ptr<const SlotMap> map =
-      map_.load(std::memory_order_acquire);
+  const std::shared_ptr<const SlotMap> map = LoadMap();
   std::vector<std::string> names;
   names.reserve(map->size());
   for (const auto& [name, slot] : *map) names.push_back(name);

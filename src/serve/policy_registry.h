@@ -1,7 +1,6 @@
 #ifndef RLPLANNER_SERVE_POLICY_REGISTRY_H_
 #define RLPLANNER_SERVE_POLICY_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -86,12 +85,13 @@ struct SlotInfo {
 /// Named, hot-swappable policy slots with RCU-style publication and canary
 /// routing. Each slot holds an immutable state record
 /// {incumbent, canary, previous, canary fraction}; readers resolve a policy
-/// with two atomic shared_ptr loads (slot map, then slot state) and NEVER
-/// take a lock — the serve hot path stays lock-free while the fleet
-/// orchestrator republishes underneath it. In-flight requests keep whatever
-/// policy they resolved alive through its reference count and finish on it;
-/// every request admitted after a swap observes the new state — no
-/// downtime, no torn reads. The writer mutex serializes installs only.
+/// with two shared_ptr copies (slot map, then slot state), each under a
+/// small read mutex held for that copy alone — never the writer mutex, which
+/// installs hold for milliseconds. The serve hot path thus never waits on
+/// the fleet orchestrator republishing underneath it. In-flight requests
+/// keep whatever policy they resolved alive through its reference count and
+/// finish on it; every request admitted after a swap observes the new
+/// state — no downtime, no torn reads.
 ///
 /// Publication pipeline on top of the plain hot swap:
 ///   Install*            — direct publish: the policy becomes the incumbent,
@@ -189,18 +189,20 @@ class PolicyRegistry {
   util::Status Rollback(const std::string& name);
 
   /// The current incumbent of `name`, or nullptr when the slot does not
-  /// exist. Lock-free. The returned pointer stays valid (and immutable) for
-  /// as long as the caller holds it, regardless of later swaps.
+  /// exist. Never waits on an install. The returned pointer stays valid
+  /// (and immutable) for as long as the caller holds it, regardless of
+  /// later swaps.
   std::shared_ptr<const ServablePolicy> Current(const std::string& name) const;
 
-  /// The staged canary of `name`, or nullptr when none. Lock-free.
+  /// The staged canary of `name`, or nullptr when none. Never waits on an
+  /// install.
   std::shared_ptr<const ServablePolicy> Canary(const std::string& name) const;
 
   /// Canary-aware policy resolution — the serve hot path. Returns the canary
   /// when one is staged and `RouteBucket(route_key) < canary_permille`,
-  /// the incumbent otherwise (or nullptr for an unknown slot). Lock-free;
-  /// a given route key always lands on the same side of a given split, so
-  /// per-user keys give sticky canary assignment.
+  /// the incumbent otherwise (or nullptr for an unknown slot). Never waits
+  /// on an install; a given route key always lands on the same side of a
+  /// given split, so per-user keys give sticky canary assignment.
   std::shared_ptr<const ServablePolicy> Route(const std::string& name,
                                               std::uint64_t route_key) const;
 
@@ -233,15 +235,22 @@ class PolicyRegistry {
     std::uint32_t canary_permille = 0;
   };
 
-  /// Stable per-name holder; the atomic state pointer is what swaps.
+  /// Stable per-name holder; the state pointer is what swaps (guarded by
+  /// `read_mutex_`).
   struct Slot {
-    std::atomic<std::shared_ptr<const SlotState>> state;
+    std::shared_ptr<const SlotState> state;
   };
 
   using SlotMap = std::unordered_map<std::string, std::shared_ptr<Slot>>;
 
-  /// Two-atomic-load read path shared by Current/Canary/Route/Info.
+  /// Two-copy read path shared by Current/Canary/Route/Info/Names.
+  std::shared_ptr<const SlotMap> LoadMap() const;
   std::shared_ptr<const SlotState> LoadSlot(const std::string& name) const;
+
+  /// Swaps `next` in as `slot`'s state (writer mutex held). The old state
+  /// is released after the read mutex, so a policy's teardown never blocks
+  /// readers.
+  void StoreState(Slot& slot, std::shared_ptr<const SlotState> next);
 
   /// Stamps a version on `policy` and swaps it in as `name`'s incumbent
   /// (previous = old incumbent, staged canary dropped). Takes the writer
@@ -261,11 +270,15 @@ class PolicyRegistry {
 
   const std::uint64_t catalog_fingerprint_;
   const std::size_t num_items_;
-  /// Serializes writers only; readers go through map_/Slot::state.
+  /// Serializes writers; policy lookups never take it.
   mutable std::mutex mutex_;
-  /// RCU-published slot map: copied and atomically swapped when a slot is
-  /// created (rare), shared otherwise. Readers load it once per resolution.
-  std::atomic<std::shared_ptr<const SlotMap>> map_;
+  /// Guards the pointer copies and stores of `map_` and every
+  /// `Slot::state`. Held only for one shared_ptr copy or swap; writers
+  /// take it inside `mutex_`.
+  mutable std::mutex read_mutex_;
+  /// RCU-published slot map: copied and swapped when a slot is created
+  /// (rare), shared otherwise. Readers copy it once per resolution.
+  std::shared_ptr<const SlotMap> map_;
   std::uint64_t next_version_ = 1;
   std::uint64_t install_count_ = 0;
 };

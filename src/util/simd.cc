@@ -79,31 +79,6 @@ void ScalarComplementWords(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] = ~src[i];
 }
 
-void ScalarRetainRowsAndNotCountAtLeast(std::uint64_t* select,
-                                        std::size_t num_words,
-                                        const std::uint64_t* rows,
-                                        std::size_t row_words,
-                                        const std::uint64_t* mask,
-                                        std::size_t threshold) {
-  for (std::size_t w = 0; w < num_words; ++w) {
-    for (std::uint64_t word = select[w]; word != 0; word &= word - 1) {
-      const int bit = std::countr_zero(word);
-      const std::uint64_t* row =
-          rows + (w * 64 + static_cast<std::size_t>(bit)) * row_words;
-      // Clear-lowest counting that stops at the threshold: no popcount,
-      // which is a library call on baseline x86-64.
-      std::size_t count = 0;
-      for (std::size_t r = 0; r < row_words && count < threshold; ++r) {
-        for (std::uint64_t fresh = row[r] & ~mask[r];
-             fresh != 0 && count < threshold; fresh &= fresh - 1) {
-          ++count;
-        }
-      }
-      if (count < threshold) select[w] &= ~(std::uint64_t{1} << bit);
-    }
-  }
-}
-
 // Blocked 4-accumulator dot: the fixed summation order all levels share
 // (lane j accumulates indices ≡ j mod 4; lanes combine as (0+2)+(1+3), then
 // the tail adds left to right). AVX2 reproduces this order exactly with one
@@ -183,7 +158,6 @@ constexpr Kernels kScalarKernels = {
     &ScalarXorAssignWords,
     &ScalarAndNotAssignWords,
     &ScalarComplementWords,
-    &ScalarRetainRowsAndNotCountAtLeast,
     &ScalarDotF64,
     &ScalarAxpyF64,
     &ScalarScaleF64,

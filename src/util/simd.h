@@ -48,6 +48,8 @@ struct Kernels {
   Level level;
 
   // --- u64 word kernels (DynamicBitset substrate) -------------------------
+  // Whole-set word operations only: rl::StepRanker maintains the per-step
+  // theta set from posting lists, so no kernel filters catalog rows.
   // Total set bits in words[0..n).
   std::size_t (*popcount_words)(const std::uint64_t* words, std::size_t n);
   // popcount(a & b): the topic-coverage "dot product" over Boolean vectors.
@@ -74,16 +76,6 @@ struct Kernels {
                               std::size_t n);
   void (*complement_words)(std::uint64_t* dst, const std::uint64_t* src,
                            std::size_t n);
-  // Batched row filter (the reward's theta pass): `rows` holds one
-  // `row_words`-word row per bit of `select` (num_words words). Every set
-  // bit i stays set iff popcount(rows[i * row_words + w] & ~mask[w]),
-  // summed over w < row_words, is at least `threshold`; it is cleared
-  // otherwise. Clear bits are never read or set.
-  void (*retain_rows_andnot_count_at_least)(
-      std::uint64_t* select, std::size_t num_words, const std::uint64_t* rows,
-      std::size_t row_words, const std::uint64_t* mask,
-      std::size_t threshold);
-
   // --- f64 kernels (QTable / reward substrate) ----------------------------
   // Blocked dot product with a *fixed* 4-accumulator summation order shared
   // by the scalar and vector paths, so the result is bit-identical across

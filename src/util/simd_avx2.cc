@@ -192,31 +192,6 @@ void Avx2ComplementWords(std::uint64_t* dst, const std::uint64_t* src,
   for (; i < n; ++i) dst[i] = ~src[i];
 }
 
-// Rows are a few words each (one vocabulary's worth of topics), so the
-// hardware popcount that -mavx2 brings in beats the nibble-LUT vectors here;
-// summing every word keeps the per-row loop free of data-dependent branches.
-void Avx2RetainRowsAndNotCountAtLeast(std::uint64_t* select,
-                                      std::size_t num_words,
-                                      const std::uint64_t* rows,
-                                      std::size_t row_words,
-                                      const std::uint64_t* mask,
-                                      std::size_t threshold) {
-  for (std::size_t w = 0; w < num_words; ++w) {
-    std::uint64_t keep = select[w];
-    for (std::uint64_t word = select[w]; word != 0; word &= word - 1) {
-      const int bit = std::countr_zero(word);
-      const std::uint64_t* row =
-          rows + (w * 64 + static_cast<std::size_t>(bit)) * row_words;
-      std::size_t count = 0;
-      for (std::size_t r = 0; r < row_words; ++r) {
-        count += static_cast<std::size_t>(std::popcount(row[r] & ~mask[r]));
-      }
-      if (count < threshold) keep &= ~(std::uint64_t{1} << bit);
-    }
-    select[w] = keep;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // f64 kernels
 // ---------------------------------------------------------------------------
@@ -452,7 +427,6 @@ constexpr Kernels kAvx2Kernels = {
     &Avx2XorAssignWords,
     &Avx2AndNotAssignWords,
     &Avx2ComplementWords,
-    &Avx2RetainRowsAndNotCountAtLeast,
     &Avx2DotF64,
     &Avx2AxpyF64,
     &Avx2ScaleF64,

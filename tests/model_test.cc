@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "datagen/course_data.h"
+#include "datagen/trip_data.h"
 #include "geo/latlng.h"
 #include "model/catalog.h"
 #include "model/constraints.h"
@@ -184,8 +188,26 @@ TEST(CatalogTest, CountsAndTypeQueries) {
   EXPECT_EQ(catalog.CountByType(ItemType::kPrimary), 1);
   EXPECT_EQ(catalog.CountByType(ItemType::kSecondary), 1);
   EXPECT_EQ(catalog.CountByCategory(0), 1);
-  EXPECT_EQ(catalog.ItemsOfType(ItemType::kPrimary),
-            (std::vector<ItemId>{0}));
+}
+
+// The topic postings AddItem maintains equal a scan of every item's topic
+// vector, ascending, on every built-in dataset.
+TEST(CatalogTest, ItemsWithTopicMatchesScan) {
+  for (const datagen::Dataset& dataset :
+       {datagen::MakeUniv1DsCt(), datagen::MakeUniv1Cybersecurity(),
+        datagen::MakeUniv1Cs(), datagen::MakeUniv2Ds(),
+        datagen::MakeTableIIToy(), datagen::MakeNycTrip(),
+        datagen::MakeParisTrip()}) {
+    SCOPED_TRACE(dataset.name);
+    const Catalog& catalog = dataset.catalog;
+    for (std::size_t topic = 0; topic < catalog.vocabulary_size(); ++topic) {
+      std::vector<ItemId> scan;
+      for (const Item& item : catalog.items()) {
+        if (item.topics.Test(topic)) scan.push_back(item.id);
+      }
+      EXPECT_EQ(catalog.ItemsWithTopic(topic), scan) << "topic " << topic;
+    }
+  }
 }
 
 TEST(CatalogTest, ValidatePassesOnConsistentCatalog) {

@@ -347,14 +347,9 @@ TEST(RecommendParityTest, ChainedNearTiesFallBackToTheStream) {
   config.start_item = 0;
   config.mask_type_overflow = false;
 
-  mdp::EpisodeState state(instance);
-  state.Add(0);
   util::DynamicBitset allowed(4);
   allowed.SetAll();
   allowed.Set(0, false);
-  util::DynamicBitset theta_one;
-  reward.ThetaOneSubset(state, allowed, &theta_one);
-  ASSERT_EQ(theta_one, allowed);
 
   const model::Plan plan = RecommendPlan(q, instance, reward, config);
   EXPECT_EQ(plan.items(), ReferenceRecommendPlan(q, instance, reward, config)

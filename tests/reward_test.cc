@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "datagen/course_data.h"
@@ -16,6 +18,7 @@
 #include "mdp/reward.h"
 #include "mdp/similarity.h"
 #include "model/topic_vector.h"
+#include "rl/recommender.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 
@@ -361,44 +364,203 @@ double ReferenceReward(const model::TaskInstance& instance,
          weights.beta * reward.TypeWeight(item);
 }
 
-TEST(RewardClassTest, ThetaOneSubsetMatchesReferenceTheta) {
-  for (const datagen::Dataset& dataset : ClassTestDatasets()) {
-    SCOPED_TRACE(dataset.name);
-    const model::TaskInstance instance = dataset.Instance();
-    const std::size_t n = dataset.catalog.size();
-    RewardWeights weights;
-    weights.epsilon = 2.0;  // two new topics: exercises counts past one
-    const RewardFunction reward(instance, weights);
-    for (std::uint64_t run = 1; run <= 8; ++run) {
-      util::Rng rng(run);
-      EpisodeState state(instance);
-      util::DynamicBitset out;
-      while (state.Length() < std::min<std::size_t>(n, 12)) {
-        util::DynamicBitset candidates(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!state.Contains(static_cast<model::ItemId>(i)) &&
-              rng.NextDouble() < 0.7) {
-            candidates.Set(i);
-          }
-        }
-        reward.ThetaOneSubset(state, candidates, &out);
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto item = static_cast<model::ItemId>(i);
-          const int theta = ReferenceTheta(instance, reward, state, item);
-          EXPECT_EQ(out.Test(i), candidates.Test(i) && theta == 1)
-              << "run " << run << ", step " << state.Length() << ", item "
-              << i;
-          EXPECT_EQ(reward.Theta(state, item), theta);
-        }
-        model::ItemId next;
-        do {
-          next = static_cast<model::ItemId>(rng.NextBounded(n));
-        } while (state.Contains(next));
-        state.Add(next);
+// ------------------------------------------------- incremental theta --
+
+// rl::StepRanker keeps the theta = 1 set across Score calls and updates it
+// per action. Whatever order states reach it in, each candidate's theta, as
+// Ranked() reports it, must equal the per-item Theta and the reference.
+struct IncrementalThetaParam {
+  const char* dataset;
+  double epsilon;
+  int gap;
+  bool quarter_ideal;  // T_ideal = a quarter of the vocabulary
+};
+
+datagen::Dataset MakeNamedDataset(const std::string& name) {
+  if (name == "univ1_dsct") return datagen::MakeUniv1DsCt();
+  if (name == "univ2_ds") return datagen::MakeUniv2Ds();
+  if (name == "nyc") return datagen::MakeNycTrip();
+  if (name == "paris") return datagen::MakeParisTrip();
+  datagen::SyntheticSpec spec;
+  spec.num_items = 300;
+  spec.vocab_size = 200;
+  spec.prereq_probability = 0.4;
+  return datagen::GenerateSynthetic(spec);
+}
+
+class IncrementalThetaTest
+    : public ::testing::TestWithParam<IncrementalThetaParam> {
+ protected:
+  IncrementalThetaTest() : dataset_(MakeNamedDataset(GetParam().dataset)) {
+    instance_ = dataset_.Instance();
+    instance_.hard.gap = GetParam().gap;
+    if (GetParam().quarter_ideal) {
+      const std::size_t vocabulary = dataset_.catalog.vocabulary_size();
+      std::vector<std::size_t> topics(vocabulary);
+      for (std::size_t t = 0; t < vocabulary; ++t) topics[t] = t;
+      util::Rng rng(7);
+      rng.Shuffle(topics);
+      instance_.soft.ideal_topics = model::TopicVector(vocabulary);
+      for (std::size_t t = 0; t < vocabulary / 4; ++t) {
+        instance_.soft.ideal_topics.Set(topics[t]);
+      }
+    }
+    weights_.epsilon = GetParam().epsilon;
+    reward_ = std::make_unique<RewardFunction>(instance_, weights_);
+    for (const model::Item& item : dataset_.catalog.items()) {
+      for (model::ItemId antecedent : item.prereqs.ReferencedItems()) {
+        antecedents_.push_back(antecedent);
       }
     }
   }
+
+  // Scores `state` over a random ~70% of its unchosen items and checks the
+  // theta of every candidate.
+  void ExpectExactTheta(rl::StepRanker& ranker, const EpisodeState& state,
+                        util::Rng& rng) {
+    const std::size_t n = dataset_.catalog.size();
+    util::DynamicBitset candidates(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!state.Contains(static_cast<model::ItemId>(i)) &&
+          rng.NextDouble() < 0.7) {
+        candidates.Set(i);
+      }
+    }
+    ranker.Score(state, candidates);
+    const std::vector<rl::RankedCandidate> ranked =
+        ranker.Ranked([](model::ItemId) { return 0.0; });
+    ASSERT_EQ(ranked.size(), candidates.Count());
+    for (const rl::RankedCandidate& candidate : ranked) {
+      ASSERT_TRUE(candidates.Test(static_cast<std::size_t>(candidate.item)));
+      const int theta = ReferenceTheta(instance_, *reward_, state,
+                                       candidate.item);
+      EXPECT_EQ(reward_->Theta(state, candidate.item), theta);
+      EXPECT_EQ(candidate.theta, theta)
+          << "step " << state.Length() << ", item " << candidate.item;
+    }
+  }
+
+  // Appends a random unchosen item — an antecedent half of the time, so
+  // gaps elapse and dependents turn admissible within a short episode.
+  void AddRandomItem(EpisodeState& state, util::Rng& rng) {
+    const std::size_t n = dataset_.catalog.size();
+    for (int attempt = 0; attempt < 8 && !antecedents_.empty(); ++attempt) {
+      if (!rng.NextBernoulli(0.5)) break;
+      const model::ItemId item =
+          antecedents_[rng.NextIndex(antecedents_.size())];
+      if (!state.Contains(item)) {
+        state.Add(item);
+        return;
+      }
+    }
+    model::ItemId item;
+    do {
+      item = static_cast<model::ItemId>(rng.NextIndex(n));
+    } while (state.Contains(item));
+    state.Add(item);
+  }
+
+  std::size_t EpisodeLength() const {
+    return std::min<std::size_t>(dataset_.catalog.size() / 2, 14);
+  }
+
+  datagen::Dataset dataset_;
+  model::TaskInstance instance_;
+  RewardWeights weights_;
+  std::unique_ptr<RewardFunction> reward_;
+  std::vector<model::ItemId> antecedents_;
+};
+
+TEST_P(IncrementalThetaTest, ScoreEveryStep) {
+  for (std::uint64_t run = 1; run <= 4; ++run) {
+    util::Rng rng(run);
+    rl::StepRanker ranker(*reward_);
+    EpisodeState state(instance_);
+    while (true) {
+      ExpectExactTheta(ranker, state, rng);
+      if (state.Length() == EpisodeLength()) break;
+      AddRandomItem(state, rng);
+    }
+  }
 }
+
+// Exploring training steps skip Score, so one Score may apply several
+// actions at once.
+TEST_P(IncrementalThetaTest, ScoreEveryOtherStep) {
+  for (std::uint64_t run = 1; run <= 4; ++run) {
+    util::Rng rng(run);
+    rl::StepRanker ranker(*reward_);
+    EpisodeState state(instance_);
+    AddRandomItem(state, rng);
+    while (state.Length() < EpisodeLength()) {
+      if (state.Length() % 2 == run % 2) ExpectExactTheta(ranker, state, rng);
+      AddRandomItem(state, rng);
+    }
+    ExpectExactTheta(ranker, state, rng);
+  }
+}
+
+// Beam search scores the entries of one step in turn on one ranker: each
+// entry's sequence diverges from the one scored before it.
+TEST_P(IncrementalThetaTest, AlternateTwoDivergingStates) {
+  for (std::uint64_t run = 1; run <= 4; ++run) {
+    util::Rng rng(run);
+    rl::StepRanker ranker(*reward_);
+    EpisodeState first(instance_);
+    for (int i = 0; i < 3; ++i) AddRandomItem(first, rng);
+    ExpectExactTheta(ranker, first, rng);
+    EpisodeState second = first;
+    while (second.Length() < EpisodeLength()) {
+      AddRandomItem(first, rng);
+      AddRandomItem(second, rng);
+      ExpectExactTheta(ranker, first, rng);
+      ExpectExactTheta(ranker, second, rng);
+    }
+  }
+}
+
+// Training and the safety rollout run episode after episode on one ranker.
+TEST_P(IncrementalThetaTest, NewEpisodesOnOneRanker) {
+  util::Rng rng(11);
+  rl::StepRanker ranker(*reward_);
+  for (int episode = 0; episode < 4; ++episode) {
+    EpisodeState state(instance_);
+    AddRandomItem(state, rng);
+    while (true) {
+      ExpectExactTheta(ranker, state, rng);
+      if (state.Length() == EpisodeLength()) break;
+      AddRandomItem(state, rng);
+    }
+  }
+}
+
+std::vector<IncrementalThetaParam> IncrementalThetaMatrix() {
+  std::vector<IncrementalThetaParam> params;
+  for (const char* dataset :
+       {"univ1_dsct", "univ2_ds", "nyc", "paris", "synthetic"}) {
+    for (double epsilon : {RewardWeights().epsilon, 2.0}) {
+      for (int gap : {1, 2, 3, 5}) {
+        for (bool quarter_ideal : {false, true}) {
+          params.push_back({dataset, epsilon, gap, quarter_ideal});
+        }
+      }
+    }
+  }
+  return params;
+}
+
+std::string IncrementalThetaName(
+    const ::testing::TestParamInfo<IncrementalThetaParam>& info) {
+  const IncrementalThetaParam& p = info.param;
+  return std::string(p.dataset) +
+         (p.epsilon >= 1.0 ? "_eps2" : "_epsdefault") + "_gap" +
+         std::to_string(p.gap) +
+         (p.quarter_ideal ? "_quarterideal" : "_fullideal");
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, IncrementalThetaTest,
+                         ::testing::ValuesIn(IncrementalThetaMatrix()),
+                         IncrementalThetaName);
 
 TEST(RewardClassTest, ClassesPartitionTheCatalogAndCarryItsReward) {
   for (const datagen::Dataset& dataset : ClassTestDatasets()) {

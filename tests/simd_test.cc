@@ -237,42 +237,10 @@ TEST_P(WordKernelMatrixTest, AllWordKernelsMatchScalar) {
       MakeWords(Pattern::kRandom, param.bits, rng);
   const std::size_t n = a.size();
   const Kernels& scalar = KernelsForLevel(Level::kScalar);
-  // Row filter inputs: one 3-word row per bit of `a` (about 24 bits per
-  // row) and a quarter-dense mask, so the thresholds below straddle the
-  // typical counts.
-  constexpr std::size_t kRowWords = 3;
-  std::vector<std::uint64_t> rows(n * 64 * kRowWords);
-  for (std::uint64_t& word : rows) {
-    word = rng.NextU64() & rng.NextU64() & rng.NextU64();
-  }
-  std::uint64_t row_mask[kRowWords];
-  for (std::uint64_t& word : row_mask) word = rng.NextU64() & rng.NextU64();
-  auto retained = [&](const Kernels& kernels, std::size_t threshold) {
-    std::vector<std::uint64_t> select = a;
-    kernels.retain_rows_andnot_count_at_least(select.data(), n, rows.data(),
-                                              kRowWords, row_mask, threshold);
-    return select;
-  };
-  for (std::size_t threshold : {0, 1, 2, 16, 18, 20, 200}) {
-    std::vector<std::uint64_t> want = a;
-    for (std::size_t i = 0; i < n * 64; ++i) {
-      std::size_t count = 0;
-      for (std::size_t r = 0; r < kRowWords; ++r) {
-        count += std::popcount(rows[i * kRowWords + r] & ~row_mask[r]);
-      }
-      if (count < threshold) want[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-    }
-    EXPECT_EQ(retained(scalar, threshold), want) << "threshold " << threshold;
-  }
 
   for (Level level : LevelsUnderTest()) {
     SCOPED_TRACE(LevelName(level));
     const Kernels& vec = KernelsForLevel(level);
-
-    for (std::size_t threshold : {0, 1, 2, 16, 18, 20, 200}) {
-      EXPECT_EQ(retained(vec, threshold), retained(scalar, threshold))
-          << "threshold " << threshold;
-    }
 
     EXPECT_EQ(vec.popcount_words(a.data(), n),
               scalar.popcount_words(a.data(), n));
