@@ -50,25 +50,49 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
     : instance_(&instance),
       weights_(&weights),
       num_items_(instance.catalog->size()),
-      required_new_topics_(ComputeRequiredNewIdealTopics()) {
+      required_new_topics_(ComputeRequiredNewIdealTopics()),
+      index_(BuildIndex()) {
+  BuildIdealTopicSets();
+}
+
+RewardFunction::RewardFunction(const model::TaskInstance& instance,
+                               const RewardFunction& base)
+    : instance_(&instance),
+      weights_(base.weights_),
+      num_items_(base.num_items_),
+      required_new_topics_(base.required_new_topics_),
+      index_(base.index_) {
+  // Everything the index was built from must be the base's.
+  assert(instance.catalog == base.instance_->catalog);
+  assert(instance.hard == base.instance_->hard);
+  assert(instance.soft.interleaving.permutations() ==
+         base.instance_->soft.interleaving.permutations());
+  BuildIdealTopicSets();
+}
+
+std::shared_ptr<const RewardFunction::CatalogIndex>
+RewardFunction::BuildIndex() const {
   const model::Catalog& catalog = *instance_->catalog;
   const model::HardConstraints& hard = instance_->hard;
+  auto index = std::make_shared<CatalogIndex>();
   // One pass over the catalog builds every per-item index.
   // Reward class key: type x category bucket, the last bucket of each type
   // holding every category without a weight. Classes are numbered in order
   // of first appearance, so only the pairs the catalog uses exist.
   const std::size_t buckets = weights_->category_weights.size() + 1;
   std::vector<int> class_of_key(2 * buckets, -1);
-  class_of_item_.reserve(num_items_);
-  no_prerequisite_.Resize(num_items_);
-  items_of_type_[0].Resize(num_items_);
-  items_of_type_[1].Resize(num_items_);
+  std::vector<RewardClass>& classes = index->classes;
+  index->class_of_item.reserve(num_items_);
+  index->no_prerequisite.Resize(num_items_);
+  index->items_of_type[0].Resize(num_items_);
+  index->items_of_type[1].Resize(num_items_);
   const std::size_t num_minima = hard.category_min_counts.size();
-  items_of_minimum_bucket_.assign(num_minima + 1,
-                                  util::DynamicBitset(num_items_));
+  index->items_of_minimum_bucket.assign(num_minima + 1,
+                                        util::DynamicBitset(num_items_));
   // (antecedent, dependent) pairs, in ascending dependent order.
   std::vector<std::pair<model::ItemId, model::ItemId>> prerequisite_edges;
-  dependent_offsets_.assign(num_items_ + 1, 0);
+  std::vector<std::uint32_t>& offsets = index->dependent_offsets;
+  offsets.assign(num_items_ + 1, 0);
   for (const model::Item& item : catalog.items()) {
     const auto id = static_cast<std::size_t>(item.id);
     const bool in_range =
@@ -79,60 +103,76 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
     const std::size_t key =
         (item.type == model::ItemType::kPrimary ? 0 : buckets) + bucket;
     if (class_of_key[key] < 0) {
-      class_of_key[key] = static_cast<int>(classes_.size());
-      classes_.push_back(
+      class_of_key[key] = static_cast<int>(classes.size());
+      classes.push_back(
           {item.type, in_range ? weights_->category_weights[bucket] : 0.0,
            util::DynamicBitset(num_items_)});
     }
     const auto c = static_cast<std::size_t>(class_of_key[key]);
-    classes_[c].items.Set(id);
-    class_of_item_.push_back(static_cast<std::uint32_t>(c));
+    classes[c].items.Set(id);
+    index->class_of_item.push_back(static_cast<std::uint32_t>(c));
 
-    if (item.prereqs.empty()) no_prerequisite_.Set(id);
+    if (item.prereqs.empty()) index->no_prerequisite.Set(id);
     for (const auto& group : item.prereqs.groups()) {
       for (model::ItemId member : group) {
         if (member < 0 || static_cast<std::size_t>(member) >= num_items_) {
           continue;
         }
         prerequisite_edges.emplace_back(member, item.id);
-        ++dependent_offsets_[static_cast<std::size_t>(member) + 1];
+        ++offsets[static_cast<std::size_t>(member) + 1];
       }
     }
     if (hard.no_consecutive_same_theme && item.primary_theme >= 0) {
       const auto theme = static_cast<std::size_t>(item.primary_theme);
-      if (theme >= items_of_theme_.size()) {
-        items_of_theme_.resize(theme + 1, util::DynamicBitset(num_items_));
+      std::vector<util::DynamicBitset>& themes = index->items_of_theme;
+      if (theme >= themes.size()) {
+        themes.resize(theme + 1, util::DynamicBitset(num_items_));
       }
-      items_of_theme_[theme].Set(id);
+      themes[theme].Set(id);
     }
 
     if (item.type == model::ItemType::kPrimary) {
-      primary_items_.push_back(item.id);
+      index->primary_items.push_back(item.id);
     }
-    items_of_type_[item.type == model::ItemType::kPrimary ? 0 : 1].Set(id);
+    index->items_of_type[item.type == model::ItemType::kPrimary ? 0 : 1].Set(
+        id);
     const bool has_minimum =
         item.category >= 0 &&
         static_cast<std::size_t>(item.category) < num_minima;
-    items_of_minimum_bucket_[has_minimum
-                                 ? static_cast<std::size_t>(item.category)
-                                 : num_minima]
+    index->items_of_minimum_bucket[has_minimum
+                                       ? static_cast<std::size_t>(item.category)
+                                       : num_minima]
         .Set(id);
   }
 
   // Counting sort of the edges by antecedent; stable, so every dependents
   // list stays ascending.
-  for (std::size_t a = 0; a < num_items_; ++a) {
-    dependent_offsets_[a + 1] += dependent_offsets_[a];
-  }
-  dependents_.resize(prerequisite_edges.size());
-  std::vector<std::uint32_t> fill(dependent_offsets_.begin(),
-                                  dependent_offsets_.end() - 1);
+  for (std::size_t a = 0; a < num_items_; ++a) offsets[a + 1] += offsets[a];
+  index->dependents.resize(prerequisite_edges.size());
+  std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
   for (const auto& [antecedent, dependent] : prerequisite_edges) {
-    dependents_[fill[static_cast<std::size_t>(antecedent)]++] = dependent;
+    index->dependents[fill[static_cast<std::size_t>(antecedent)]++] =
+        dependent;
   }
 
+  if (catalog.domain() == model::Domain::kTrip &&
+      num_items_ <= kMaxDistanceMatrixItems) {
+    index->distance_matrix.resize(num_items_ * num_items_);
+    for (std::size_t a = 0; a < num_items_; ++a) {
+      for (std::size_t b = 0; b < num_items_; ++b) {
+        index->distance_matrix[a * num_items_ + b] =
+            ComputeDistanceKm(static_cast<model::ItemId>(a),
+                              static_cast<model::ItemId>(b));
+      }
+    }
+  }
+  return index;
+}
+
+void RewardFunction::BuildIdealTopicSets() {
   // Ideal-topic counts from the catalog's topic postings: one walk per
   // topic of T_ideal, no per-item popcount.
+  const model::Catalog& catalog = *instance_->catalog;
   const model::TopicVector& ideal = instance_->soft.ideal_topics;
   assert(ideal.size() == catalog.vocabulary_size());
   ideal_topic_counts_.assign(num_items_, 0);
@@ -145,18 +185,6 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
   for (std::size_t i = 0; i < num_items_; ++i) {
     if (ideal_topic_counts_[i] >= required_new_topics_) {
       initial_coverage_.Set(i);
-    }
-  }
-
-  if (catalog.domain() == model::Domain::kTrip &&
-      num_items_ <= kMaxDistanceMatrixItems) {
-    distance_matrix_.resize(num_items_ * num_items_);
-    for (std::size_t a = 0; a < num_items_; ++a) {
-      for (std::size_t b = 0; b < num_items_; ++b) {
-        distance_matrix_[a * num_items_ + b] =
-            ComputeDistanceKm(static_cast<model::ItemId>(a),
-                              static_cast<model::ItemId>(b));
-      }
     }
   }
 }
@@ -232,13 +260,14 @@ double RewardFunction::InterleavingSimilarity(const EpisodeState& state,
 }
 
 double RewardFunction::TypeWeight(model::ItemId next) const {
-  return classes_[RewardClassOf(next)].weight;
+  return index_->classes[RewardClassOf(next)].weight;
 }
 
 double RewardFunction::ClassReward(const EpisodeState& state,
                                    std::size_t c) const {
-  return weights_->delta * TypeSimilarity(state, classes_[c].type) +
-         weights_->beta * classes_[c].weight;
+  const RewardClass& reward_class = index_->classes[c];
+  return weights_->delta * TypeSimilarity(state, reward_class.type) +
+         weights_->beta * reward_class.weight;
 }
 
 double RewardFunction::Reward(const EpisodeState& state,

@@ -2,6 +2,7 @@
 #define RLPLANNER_MDP_REWARD_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,18 +43,39 @@ struct RewardWeights {
 /// exercise them; traversals read Eq. 2 per reward class through
 /// rl::StepRanker, not Reward() per item.
 ///
-/// Construction makes one pass over the catalog and builds every per-item
-/// index the traversals need: the reward classes, the empty-episode theta
-/// sets and the antecedent -> dependents lists that rl::StepRanker updates
-/// incrementally, and the partitions rl::ActionMask reads. The function is
-/// read-only afterwards, so any number of rankers and masks may share it.
-/// Mutate the instance or the weights only before building the function,
-/// never after.
+/// The function has two parts:
+/// - a catalog index, built in one pass over the catalog: the reward
+///   classes, the no-prerequisite set and the antecedent -> dependents lists
+///   that rl::StepRanker updates incrementally, the trip theme sets, the
+///   partitions rl::ActionMask reads and the trip distance matrix. It
+///   depends only on the catalog, the hard constraints and the weights, so
+///   it is immutable and shared (`std::shared_ptr<const>`) by every
+///   function built from it;
+/// - the two T_ideal sets incremental theta starts from: each item's
+///   ideal-topic count and the empty episode's r1 set.
+/// A per-user T_ideal (PlanService's `ideal_topics`) builds only the second
+/// part on top of the served function's index.
+///
+/// The function is read-only after construction, so any number of rankers,
+/// masks and threads may share it and its index without locks. Mutate the
+/// instance or the weights only before building the function, never after.
 class RewardFunction {
  public:
-  /// Neither argument is copied; both must outlive the function.
+  /// Builds the catalog index, then the T_ideal sets. Neither argument is
+  /// copied; both must outlive the function.
   RewardFunction(const model::TaskInstance& instance,
                  const RewardWeights& weights);
+
+  /// Shares `base`'s catalog index and weights and builds only the T_ideal
+  /// sets, from `instance.soft.ideal_topics`: one walk of T_ideal's topic
+  /// postings, then one pass over the counts.
+  ///
+  /// Precondition (asserted): `instance` has `base`'s catalog, hard
+  /// constraints and interleaving template; only `soft.ideal_topics` may
+  /// differ. `instance` and `base`'s weights must outlive the function;
+  /// `base` itself need not, as the index is shared.
+  RewardFunction(const model::TaskInstance& instance,
+                 const RewardFunction& base);
 
   /// r1 (Eq. 3): 1 iff adding `next` increases coverage of `T^ideal` by at
   /// least the epsilon threshold.
@@ -83,13 +105,13 @@ class RewardFunction {
   /// 2 x (categories + 1) classes — one per (type, category) pair present,
   /// with every category outside `category_weights` (weight 0) in one
   /// bucket per type — whose theta = 1 members all earn the same reward.
-  std::size_t num_reward_classes() const { return classes_.size(); }
+  std::size_t num_reward_classes() const { return index_->classes.size(); }
   std::size_t RewardClassOf(model::ItemId item) const {
-    return class_of_item_[static_cast<std::size_t>(item)];
+    return index_->class_of_item[static_cast<std::size_t>(item)];
   }
   /// The items of reward class `c` (a partition of the catalog).
   const util::DynamicBitset& RewardClassItems(std::size_t c) const {
-    return classes_[c].items;
+    return index_->classes[c].items;
   }
   /// The Eq. 2 reward every theta = 1 member of class `c` earns from
   /// `state`.
@@ -108,9 +130,10 @@ class RewardFunction {
   /// precomputed pairwise matrix when available (trip domain, catalogs up to
   /// 1024 items). Bit-identical to geo::HaversineKm on the same locations.
   double DistanceKm(model::ItemId a, model::ItemId b) const {
-    if (!distance_matrix_.empty()) {
-      return distance_matrix_[static_cast<std::size_t>(a) * num_items_ +
-                              static_cast<std::size_t>(b)];
+    const std::vector<double>& matrix = index_->distance_matrix;
+    if (!matrix.empty()) {
+      return matrix[static_cast<std::size_t>(a) * num_items_ +
+                    static_cast<std::size_t>(b)];
     }
     return ComputeDistanceKm(a, b);
   }
@@ -132,40 +155,41 @@ class RewardFunction {
   /// - The items without a prerequisite: r2 of the empty episode, before
   ///   the trip theme rule.
   const util::DynamicBitset& NoPrerequisiteItems() const {
-    return no_prerequisite_;
+    return index_->no_prerequisite;
   }
   /// - The items whose prerequisite groups name `antecedent`, ascending
   ///   (an item naming it in two groups appears twice). Out-of-range group
   ///   members name nobody.
   std::span<const model::ItemId> DependentsOf(model::ItemId antecedent) const {
     const auto a = static_cast<std::size_t>(antecedent);
-    return {dependents_.data() + dependent_offsets_[a],
-            dependents_.data() + dependent_offsets_[a + 1]};
+    const model::ItemId* dependents = index_->dependents.data();
+    return {dependents + index_->dependent_offsets[a],
+            dependents + index_->dependent_offsets[a + 1]};
   }
   /// - The items of trip theme `theme` when the no-consecutive-theme rule
   ///   is on; null when the rule is off or `theme` is outside [0, the
   ///   highest theme of any item].
   const util::DynamicBitset* ItemsOfTheme(int theme) const {
+    const std::vector<util::DynamicBitset>& themes = index_->items_of_theme;
     const auto t = static_cast<std::size_t>(theme);
-    return theme >= 0 && t < items_of_theme_.size() ? &items_of_theme_[t]
-                                                    : nullptr;
+    return theme >= 0 && t < themes.size() ? &themes[t] : nullptr;
   }
 
   /// Catalog partitions for rl::ActionMask's lookahead, built here once
   /// rather than per mask:
   /// - the primary item ids, ascending;
   const std::vector<model::ItemId>& PrimaryItems() const {
-    return primary_items_;
+    return index_->primary_items;
   }
   /// - the items of each type;
   const util::DynamicBitset& ItemsOfType(model::ItemType type) const {
-    return items_of_type_[type == model::ItemType::kPrimary ? 0 : 1];
+    return index_->items_of_type[type == model::ItemType::kPrimary ? 0 : 1];
   }
   /// - the items of each category-minimum bucket: bucket c below
   ///   `hard.category_min_counts.size()` holds category c, and the last
   ///   bucket every category without a minimum.
   const util::DynamicBitset& ItemsOfMinimumBucket(std::size_t bucket) const {
-    return items_of_minimum_bucket_[bucket];
+    return index_->items_of_minimum_bucket[bucket];
   }
 
   const RewardWeights& weights() const { return *weights_; }
@@ -179,6 +203,28 @@ class RewardFunction {
     util::DynamicBitset items;
   };
 
+  // The catalog index (see the class comment).
+  struct CatalogIndex {
+    // Reward class of each item, and the classes themselves.
+    std::vector<std::uint32_t> class_of_item;
+    std::vector<RewardClass> classes;
+    // The empty episode's r2 set and the r2 re-check lists (see
+    // NoPrerequisiteItems). The dependents of item a are
+    // dependents[dependent_offsets[a] .. dependent_offsets[a + 1]).
+    util::DynamicBitset no_prerequisite;
+    std::vector<std::uint32_t> dependent_offsets;
+    std::vector<model::ItemId> dependents;
+    std::vector<util::DynamicBitset> items_of_theme;
+    // The action mask's partitions (see PrimaryItems).
+    std::vector<model::ItemId> primary_items;
+    util::DynamicBitset items_of_type[2];
+    std::vector<util::DynamicBitset> items_of_minimum_bucket;
+    // Row-major pairwise haversine matrix (trip domain, up to 1024 items).
+    std::vector<double> distance_matrix;
+  };
+
+  std::shared_ptr<const CatalogIndex> BuildIndex() const;
+  void BuildIdealTopicSets();
   double ComputeDistanceKm(model::ItemId a, model::ItemId b) const;
   std::size_t ComputeRequiredNewIdealTopics() const;
   double TypeSimilarity(const EpisodeState& state,
@@ -188,24 +234,10 @@ class RewardFunction {
   const RewardWeights* weights_;
   std::size_t num_items_ = 0;
   std::size_t required_new_topics_ = 0;
-  // Reward class of each item, and the classes themselves.
-  std::vector<std::uint32_t> class_of_item_;
-  std::vector<RewardClass> classes_;
-  // The empty-episode theta sets and the r2 re-check lists (see
-  // IdealTopicCounts). The dependents of item a are
-  // dependents_[dependent_offsets_[a] .. dependent_offsets_[a + 1]).
+  std::shared_ptr<const CatalogIndex> index_;
+  // The T_ideal sets (see IdealTopicCounts).
   std::vector<std::uint32_t> ideal_topic_counts_;
   util::DynamicBitset initial_coverage_;
-  util::DynamicBitset no_prerequisite_;
-  std::vector<std::uint32_t> dependent_offsets_;
-  std::vector<model::ItemId> dependents_;
-  std::vector<util::DynamicBitset> items_of_theme_;
-  // The action mask's partitions (see PrimaryItems).
-  std::vector<model::ItemId> primary_items_;
-  util::DynamicBitset items_of_type_[2];
-  std::vector<util::DynamicBitset> items_of_minimum_bucket_;
-  // Row-major pairwise haversine matrix (trip domain, up to 1024 items).
-  std::vector<double> distance_matrix_;
 };
 
 }  // namespace rlplanner::mdp

@@ -47,6 +47,8 @@ struct HardConstraints {
   /// Sanity checks (non-negative counts, gap >= 1, category minima
   /// consistent with the total).
   util::Status Validate() const;
+
+  bool operator==(const HardConstraints&) const = default;
 };
 
 /// Soft constraints `P_soft = <T_ideal, IT>` (Section II-A3).

@@ -1,6 +1,7 @@
 #include "serve/plan_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -348,34 +349,30 @@ util::Result<PlanResponse> PlanService::Execute(
   recommend.gamma = policy->provenance.gamma;
   recommend.mask_type_overflow = policy->provenance.mask_type_overflow;
 
-  PlanResponse response;
-  response.policy_version = policy->version;
+  // Per-user T_ideal: a request-local instance whose soft constraints carry
+  // the override, and a reward that shares reward_'s catalog index and
+  // builds only the two T_ideal sets. Both live on this stack frame only.
+  std::optional<model::TaskInstance> local;
+  std::optional<mdp::RewardFunction> local_reward;
   if (request.ideal_topics.has_value()) {
-    // Per-user T_ideal: rebuild the soft constraints and a request-local
-    // reward function over the same catalog. The override instance and
-    // reward live on this stack frame only.
     auto ideal = catalog.MakeTopicVector(*request.ideal_topics);
     if (!ideal.ok()) return ideal.status();
-    model::TaskInstance local = *instance_;
-    local.soft.ideal_topics = std::move(ideal).value();
-    const mdp::RewardFunction local_reward(local, weights_);
-    response.plan = policy->VisitQ([&](const auto& q) {
-      return rl::RecommendPlan(q, local, local_reward, recommend);
-    });
-    response.score = core::ScorePlan(local, response.plan);
-    core::ValidationReport report = core::ValidatePlan(local, response.plan);
-    response.valid = report.valid;
-    response.violations = std::move(report.violations);
-  } else {
-    response.plan = policy->VisitQ([&](const auto& q) {
-      return rl::RecommendPlan(q, *instance_, reward_, recommend);
-    });
-    response.score = core::ScorePlan(*instance_, response.plan);
-    core::ValidationReport report =
-        core::ValidatePlan(*instance_, response.plan);
-    response.valid = report.valid;
-    response.violations = std::move(report.violations);
+    local.emplace(*instance_);
+    local->soft.ideal_topics = std::move(ideal).value();
+    local_reward.emplace(*local, reward_);
   }
+  const model::TaskInstance& instance = local ? *local : *instance_;
+  const mdp::RewardFunction& reward = local_reward ? *local_reward : reward_;
+
+  PlanResponse response;
+  response.policy_version = policy->version;
+  response.plan = policy->VisitQ([&](const auto& q) {
+    return rl::RecommendPlan(q, instance, reward, recommend);
+  });
+  response.score = core::ScorePlan(instance, response.plan);
+  core::ValidationReport report = core::ValidatePlan(instance, response.plan);
+  response.valid = report.valid;
+  response.violations = std::move(report.violations);
   return response;
 }
 

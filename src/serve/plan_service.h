@@ -207,8 +207,10 @@ class PlanService {
   void Deliver(Pending& pending, util::Result<PlanResponse> result);
 
   const model::TaskInstance* instance_;
-  mdp::RewardWeights weights_;  // kept alive for reward_ and override rebuilds
-  mdp::RewardFunction reward_;  // default-T_ideal path, shared across workers
+  mdp::RewardWeights weights_;  // kept alive for reward_ and its overrides
+  // Default-T_ideal path, shared across workers; each ideal_topics override
+  // builds its reward on this one's catalog index.
+  mdp::RewardFunction reward_;
   const PolicyRegistry* registry_;
   PlanServiceConfig config_;
   ServeStats stats_;

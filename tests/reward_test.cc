@@ -374,6 +374,9 @@ struct IncrementalThetaParam {
   double epsilon;
   int gap;
   bool quarter_ideal;  // T_ideal = a quarter of the vocabulary
+  // Build the reward as a per-user T_ideal override does: on the catalog
+  // index of a reward over the dataset's own T_ideal.
+  bool shared_index;
 };
 
 datagen::Dataset MakeNamedDataset(const std::string& name) {
@@ -394,6 +397,7 @@ class IncrementalThetaTest
   IncrementalThetaTest() : dataset_(MakeNamedDataset(GetParam().dataset)) {
     instance_ = dataset_.Instance();
     instance_.hard.gap = GetParam().gap;
+    const model::TaskInstance dataset_instance = instance_;
     if (GetParam().quarter_ideal) {
       const std::size_t vocabulary = dataset_.catalog.vocabulary_size();
       std::vector<std::size_t> topics(vocabulary);
@@ -406,7 +410,13 @@ class IncrementalThetaTest
       }
     }
     weights_.epsilon = GetParam().epsilon;
-    reward_ = std::make_unique<RewardFunction>(instance_, weights_);
+    if (GetParam().shared_index) {
+      // The base goes out of scope here; the override keeps its index.
+      const RewardFunction base(dataset_instance, weights_);
+      reward_ = std::make_unique<RewardFunction>(instance_, base);
+    } else {
+      reward_ = std::make_unique<RewardFunction>(instance_, weights_);
+    }
     for (const model::Item& item : dataset_.catalog.items()) {
       for (model::ItemId antecedent : item.prereqs.ReferencedItems()) {
         antecedents_.push_back(antecedent);
@@ -519,6 +529,14 @@ TEST_P(IncrementalThetaTest, AlternateTwoDivergingStates) {
   }
 }
 
+// The T_ideal sets incremental theta starts from equal a full build's, however
+// the reward was built.
+TEST_P(IncrementalThetaTest, IdealTopicSetsMatchAFullBuild) {
+  const RewardFunction full(instance_, weights_);
+  EXPECT_EQ(reward_->IdealTopicCounts(), full.IdealTopicCounts());
+  EXPECT_TRUE(reward_->InitialCoverageItems() == full.InitialCoverageItems());
+}
+
 // Training and the safety rollout run episode after episode on one ranker.
 TEST_P(IncrementalThetaTest, NewEpisodesOnOneRanker) {
   util::Rng rng(11);
@@ -541,7 +559,10 @@ std::vector<IncrementalThetaParam> IncrementalThetaMatrix() {
     for (double epsilon : {RewardWeights().epsilon, 2.0}) {
       for (int gap : {1, 2, 3, 5}) {
         for (bool quarter_ideal : {false, true}) {
-          params.push_back({dataset, epsilon, gap, quarter_ideal});
+          for (bool shared_index : {false, true}) {
+            params.push_back(
+                {dataset, epsilon, gap, quarter_ideal, shared_index});
+          }
         }
       }
     }
@@ -555,7 +576,8 @@ std::string IncrementalThetaName(
   return std::string(p.dataset) +
          (p.epsilon >= 1.0 ? "_eps2" : "_epsdefault") + "_gap" +
          std::to_string(p.gap) +
-         (p.quarter_ideal ? "_quarterideal" : "_fullideal");
+         (p.quarter_ideal ? "_quarterideal" : "_fullideal") +
+         (p.shared_index ? "_sharedindex" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, IncrementalThetaTest,

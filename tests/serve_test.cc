@@ -21,12 +21,16 @@
 
 #include "core/config.h"
 #include "core/planner.h"
+#include "core/scoring.h"
 #include "datagen/course_data.h"
+#include "datagen/trip_data.h"
 #include "mdp/q_table.h"
+#include "mdp/reward.h"
 #include "obs/debugz.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "rl/recommender.h"
 #include "serve/plan_service.h"
 #include "serve/policy_registry.h"
 #include "serve/policy_snapshot.h"
@@ -393,11 +397,17 @@ TEST(PolicyRegistryCanaryTest, DirectInstallSupersedesStagedCanary) {
 // --- PlanService ----------------------------------------------------------
 
 struct ServingFixture {
-  Dataset dataset = datagen::MakeTableIIToy();
-  model::TaskInstance instance = dataset.Instance();
-  core::PlannerConfig config = ToyConfig(dataset);
-  PolicyRegistry registry{CatalogFingerprint(dataset.catalog),
-                          dataset.catalog.size()};
+  // The Table II toy program by default; trip datasets pass the trip
+  // reward weights.
+  explicit ServingFixture(
+      Dataset source = datagen::MakeTableIIToy(),
+      mdp::RewardWeights reward = core::DefaultUniv1Config().reward)
+      : dataset(std::move(source)),
+        instance(dataset.Instance()),
+        config(ToyConfig(dataset)),
+        registry(CatalogFingerprint(dataset.catalog), dataset.catalog.size()) {
+    config.reward = std::move(reward);
+  }
 
   // Trains with `seed` and installs the policy under `name`.
   std::uint64_t InstallTrained(const std::string& name, std::uint64_t seed) {
@@ -409,7 +419,64 @@ struct ServingFixture {
     EXPECT_TRUE(installed.ok());
     return installed.value();
   }
+
+  // The response Execute owes `request`: the greedy rollout under its
+  // policy over a reward built from scratch for the request's instance,
+  // T_ideal override applied, and that plan's score and validity report.
+  PlanResponse Oracle(const PlanRequest& request) const {
+    const auto policy = registry.Current(request.policy_name);
+    model::TaskInstance local = instance;
+    if (request.ideal_topics.has_value()) {
+      local.soft.ideal_topics =
+          dataset.catalog.MakeTopicVector(*request.ideal_topics).value();
+    }
+    const mdp::RewardFunction reward(local, config.reward);
+    rl::RecommendConfig recommend;
+    recommend.start_item = request.start_item;
+    recommend.excluded = request.excluded;
+    recommend.mask_type_overflow = policy->provenance.mask_type_overflow;
+    PlanResponse response;
+    response.policy_version = policy->version;
+    response.plan = policy->VisitQ([&](const auto& q) {
+      return rl::RecommendPlan(q, local, reward, recommend);
+    });
+    response.score = core::ScorePlan(local, response.plan);
+    core::ValidationReport report = core::ValidatePlan(local, response.plan);
+    response.valid = report.valid;
+    response.violations = std::move(report.violations);
+    return response;
+  }
+
+  Dataset dataset;
+  model::TaskInstance instance;
+  core::PlannerConfig config;
+  PolicyRegistry registry;
 };
+
+// Distinct ideal-topic profiles over `catalog`'s vocabulary (which must
+// hold at least `count` topics): profile k holds every (k + 2)-th topic
+// from topic k on.
+std::vector<std::vector<std::string>> IdealTopicProfiles(
+    const model::Catalog& catalog, std::size_t count) {
+  const std::vector<std::string>& vocabulary = catalog.vocabulary();
+  EXPECT_GE(vocabulary.size(), count);
+  std::vector<std::vector<std::string>> profiles(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    for (std::size_t t = k; t < vocabulary.size(); t += k + 2) {
+      profiles[k].push_back(vocabulary[t]);
+    }
+  }
+  return profiles;
+}
+
+void ExpectOracleResponse(const PlanResponse& served,
+                          const PlanResponse& oracle) {
+  EXPECT_TRUE(served.plan == oracle.plan);
+  EXPECT_EQ(served.score, oracle.score);
+  EXPECT_EQ(served.valid, oracle.valid);
+  EXPECT_EQ(served.violations, oracle.violations);
+  EXPECT_EQ(served.policy_version, oracle.policy_version);
+}
 
 TEST(PlanServiceTest, ServesValidatedPlansWithMetadata) {
   ServingFixture fix;
@@ -482,7 +549,7 @@ TEST(PlanServiceTest, PerRequestOverridesChangeTheRollout) {
       std::vector<std::string>{fix.dataset.catalog.vocabulary().front()};
   auto override_result = service.Execute(override_request);
   ASSERT_TRUE(override_result.ok()) << override_result.status().ToString();
-  EXPECT_FALSE(override_result.value().plan.empty());
+  ExpectOracleResponse(override_result.value(), fix.Oracle(override_request));
 
   // Unknown topic names and out-of-range items are rejected.
   PlanRequest bad_topic = base;
@@ -500,6 +567,71 @@ TEST(PlanServiceTest, PerRequestOverridesChangeTheRollout) {
   bad_policy.policy_name = "missing";
   EXPECT_EQ(service.Execute(bad_policy).status().code(),
             util::StatusCode::kNotFound);
+}
+
+// Each ideal-topics override is served exactly as a reward built from
+// scratch for it plans, scores and validates, on a course and a trip
+// catalog (the trip one shares the theme sets and the distance matrix).
+TEST(PlanServiceTest, OverridesMatchAFullRewardOracle) {
+  for (const bool trip : {false, true}) {
+    SCOPED_TRACE(trip ? "nyc" : "univ1-dsct");
+    ServingFixture fix(
+        trip ? datagen::MakeNycTrip() : datagen::MakeUniv1DsCt(),
+        trip ? core::DefaultTripConfig().reward
+             : core::DefaultUniv1Config().reward);
+    fix.InstallTrained("default", 17);
+    const PlanService service(fix.instance, fix.config.reward, fix.registry,
+                              {});
+    const auto profiles = IdealTopicProfiles(fix.dataset.catalog, 8);
+    for (std::size_t k = 0; k < profiles.size(); ++k) {
+      PlanRequest request;
+      request.start_item = fix.dataset.default_start;
+      request.ideal_topics = profiles[k];
+      if (k % 2 == 1) request.excluded = {static_cast<model::ItemId>(k)};
+      auto served = service.Execute(request);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ExpectOracleResponse(served.value(), fix.Oracle(request));
+    }
+  }
+}
+
+// Overrides from several profiles run at once on several workers, beside
+// default-T_ideal requests; all of them share the served reward's index.
+TEST(PlanServiceTest, ConcurrentOverridesMatchTheOracle) {
+  ServingFixture fix(datagen::MakeUniv1DsCt());
+  fix.InstallTrained("default", 17);
+  PlanServiceConfig service_config;
+  service_config.num_workers = 4;
+  PlanService service(fix.instance, fix.config.reward, fix.registry,
+                      service_config);
+  service.Start();
+
+  const auto profiles = IdealTopicProfiles(fix.dataset.catalog, 12);
+  std::vector<PlanRequest> requests;
+  for (int round = 0; round < 4; ++round) {
+    for (const std::vector<std::string>& profile : profiles) {
+      PlanRequest request;
+      request.start_item = fix.dataset.default_start;
+      request.ideal_topics = profile;
+      requests.push_back(request);
+    }
+    PlanRequest base;
+    base.start_item = fix.dataset.default_start;
+    requests.push_back(base);
+  }
+  std::vector<std::future<util::Result<PlanResponse>>> futures;
+  for (const PlanRequest& request : requests) {
+    auto submitted = service.Submit(request);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted).value());
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto served = futures[i].get();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectOracleResponse(served.value(), fix.Oracle(requests[i]));
+  }
+  service.Stop();
+  EXPECT_EQ(service.stats().Collect().failed, 0u);
 }
 
 TEST(PlanServiceTest, AdmissionControlRejectsWhenQueueIsFull) {

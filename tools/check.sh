@@ -258,6 +258,21 @@ print(f"load-smoke.json OK ({doc['completed']} requests, "
       f"{doc['requests_per_sec']:.0f} req/s)")
 EOF
 
+  # Per-user ideal-topic overrides through the real binary. Both topics are
+  # in the toy vocabulary, so every request must be served.
+  ./build/bench/load_gen closed --target "${target}" --connections 2 \
+    --requests 16 --body '{"start_item": 0, "excluded": [4],
+      "ideal_topics": ["clustering", "regression"]}' \
+    > build/override-smoke.json
+  python3 - <<'EOF'
+import json
+with open("build/override-smoke.json") as f:
+    doc = json.load(f)
+assert doc["status_counts"] == {"200": 16}, doc["status_counts"]
+assert doc["errors"] == 0, doc
+print(f"override-smoke.json OK ({doc['completed']} requests)")
+EOF
+
   # The live /metrics endpoint must round-trip as well-formed Prometheus
   # text exposition carrying both layers' metric families.
   ./build/bench/load_gen get --target "${target}" > build/metrics-wire.txt
