@@ -279,9 +279,6 @@ std::vector<KernelBench> RunKernelBenchmarks() {
         benchmark::DoNotOptimize(k.argmax_masked_f64(
             x.data(), kFloats, mask_words.data(), mask_words.size()));
       }));
-  rows.push_back(bench("dot_f64/10000", [&](const simd::Kernels& k) {
-    benchmark::DoNotOptimize(k.dot_f64(x.data(), y.data(), kFloats));
-  }));
   // Accumulates in place across iterations (x - base is bounded, so a 30ms
   // window cannot overflow): copying a fresh destination inside the timed
   // op would swamp the kernel with memcpy.

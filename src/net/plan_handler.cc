@@ -157,9 +157,7 @@ std::string PlanResponseToJson(const serve::PlanResponse& response) {
 PlanHandler::PlanHandler(serve::PlanService* service, Options options)
     : service_(service),
       metrics_(options.metrics),
-      trace_(options.trace != nullptr && options.trace->enabled()
-                 ? options.trace
-                 : nullptr),
+      trace_(options.trace),
       profiler_(options.profiler != nullptr && options.profiler->enabled()
                     ? options.profiler
                     : nullptr),

@@ -115,7 +115,7 @@ class PlanHandler {
 
   serve::PlanService* service_;
   obs::Registry* metrics_;
-  obs::TraceCollector* trace_;  // null when absent or disabled
+  obs::TraceCollector* trace_;  // null when absent
   obs::Profiler* profiler_;
   obs::FlightRecorder* recorder_;
   const serve::PolicyRegistry* slots_;

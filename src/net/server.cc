@@ -106,8 +106,6 @@ HttpServer::HttpServer(HttpServerConfig config, Handler handler)
   } else {
     metrics_ = config_.metrics;
   }
-  trace_ = config_.trace != nullptr && config_.trace->enabled() ? config_.trace
-                                                                : nullptr;
   const auto counter = [this](const char* name, const char* help) {
     auto result = metrics_->GetCounter(name, help);
     return result.ok() ? result.value() : FallbackCounter();
@@ -278,8 +276,9 @@ void HttpServer::Shutdown() {
 }
 
 void HttpServer::ShardLoop(Shard& shard) {
-  if (trace_ != nullptr) {
-    trace_->SetCurrentThreadName("net-shard-" + std::to_string(shard.index));
+  if (config_.trace != nullptr) {
+    config_.trace->SetCurrentThreadName("net-shard-" +
+                                        std::to_string(shard.index));
   }
   epoll_event events[64];
   while (true) {
@@ -388,11 +387,11 @@ void HttpServer::AcceptReady(Shard& shard) {
     shard.connections.emplace(fd, std::move(conn));
     connections_total_->Increment();
     connections_active_->Add(1.0);
-    if (trace_ != nullptr) {
+    if (config_.trace != nullptr) {
       const auto now = std::chrono::steady_clock::now();
-      trace_->EmitComplete("serve_accept", now, now,
-                           {{"shard", std::to_string(shard.index)},
-                            {"fd", std::to_string(fd)}});
+      config_.trace->EmitComplete("serve_accept", now, now,
+                                  {{"shard", std::to_string(shard.index)},
+                                   {"fd", std::to_string(fd)}});
     }
   }
 }

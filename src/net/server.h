@@ -211,7 +211,6 @@ class HttpServer {
 
   std::unique_ptr<obs::Registry> owned_registry_;
   obs::Registry* metrics_;
-  obs::TraceCollector* trace_;  // null when absent or disabled
   obs::Counter* connections_total_;
   obs::Gauge* connections_active_;
   obs::Counter* bytes_read_total_;

@@ -66,8 +66,7 @@ void FlightRecorder::Complete(RequestRecord record) {
   if (record.total_ms < config_.slo_ms) return;
   ++violations_;
   recent_.push_front(record);
-  while (recent_.size() > config_.keep_recent) recent_.pop_back();
-  if (config_.keep_slowest == 0) return;
+  while (recent_.size() > kKeepRecent) recent_.pop_back();
   // slowest_ stays sorted descending; evict the fastest retained record
   // when full. trace_id breaks total_ms ties so insertion is deterministic.
   const auto position = std::upper_bound(
@@ -77,11 +76,11 @@ void FlightRecorder::Complete(RequestRecord record) {
         return a.trace_id < b.trace_id;
       });
   if (position == slowest_.end() &&
-      slowest_.size() >= config_.keep_slowest) {
+      slowest_.size() >= kKeepSlowest) {
     return;
   }
   slowest_.insert(position, std::move(record));
-  if (slowest_.size() > config_.keep_slowest) slowest_.pop_back();
+  if (slowest_.size() > kKeepSlowest) slowest_.pop_back();
 }
 
 std::uint64_t FlightRecorder::requests_observed() const {

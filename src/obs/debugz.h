@@ -19,10 +19,6 @@ struct FlightRecorderConfig {
   /// recorder: every hook is one predictable branch and the serving path is
   /// bit-for-bit what it is without a recorder.
   double slo_ms = 0.0;
-  /// Reservoir sizes: the K slowest SLO violators ever seen, plus the M most
-  /// recent ones (a spike that has aged out of "slowest" is still visible).
-  std::size_t keep_slowest = 16;
-  std::size_t keep_recent = 32;
 };
 
 /// One stage of a recorded request, relative to its enqueue time.
@@ -54,6 +50,12 @@ struct RequestRecord {
 /// not touched at all when disabled.
 class FlightRecorder {
  public:
+  /// Reservoir sizes: the kKeepSlowest slowest SLO violators ever seen,
+  /// plus the kKeepRecent most recent ones (a spike that has aged out of
+  /// "slowest" is still visible).
+  static constexpr std::size_t kKeepSlowest = 16;
+  static constexpr std::size_t kKeepRecent = 32;
+
   explicit FlightRecorder(const FlightRecorderConfig& config);
 
   FlightRecorder(const FlightRecorder&) = delete;

@@ -12,7 +12,7 @@ ScopedSpan::ScopedSpan(Registry* registry, const char* name,
                        TraceCollector* trace)
     : registry_(registry != nullptr && registry->enabled() ? registry
                                                            : nullptr),
-      trace_(trace != nullptr && trace->enabled() ? trace : nullptr),
+      trace_(trace),
       name_(name),
       parent_(g_current_span),
       depth_(parent_ != nullptr ? parent_->depth_ + 1 : 0) {

@@ -36,7 +36,7 @@ TraceCollector::TraceCollector(TraceCollectorConfig config)
       id_(g_next_collector_id.fetch_add(1, std::memory_order_relaxed)),
       epoch_(std::chrono::steady_clock::now()),
       budget_events_left_(config.memory_budget_bytes / sizeof(TraceEvent)) {
-  if (config_.enabled && config_.metrics != nullptr) {
+  if (config_.metrics != nullptr) {
     auto counter = config_.metrics->GetCounter(
         "trace_events_dropped_total",
         "Trace events dropped because a ring buffer or the collector "
@@ -111,7 +111,6 @@ void TraceCollector::EmitSpan(const char* name,
                               std::chrono::steady_clock::time_point begin,
                               std::chrono::steady_clock::time_point end,
                               const TraceArg* args, int num_args) {
-  if (!config_.enabled) return;
   Emit(name, SinceEpochNs(begin), SinceEpochNs(end), args, num_args);
 }
 
@@ -119,7 +118,6 @@ void TraceCollector::EmitComplete(
     const char* name, std::chrono::steady_clock::time_point begin,
     std::chrono::steady_clock::time_point end,
     std::initializer_list<std::pair<const char*, std::string_view>> args) {
-  if (!config_.enabled) return;
   std::array<TraceArg, kMaxTraceArgs> storage;
   int count = 0;
   for (const auto& [key, value] : args) {
@@ -133,7 +131,6 @@ void TraceCollector::EmitComplete(
 void TraceCollector::EmitAt(
     const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
     std::initializer_list<std::pair<const char*, std::string_view>> args) {
-  if (!config_.enabled) return;
   std::array<TraceArg, kMaxTraceArgs> storage;
   int count = 0;
   for (const auto& [key, value] : args) {
@@ -145,7 +142,6 @@ void TraceCollector::EmitAt(
 }
 
 void TraceCollector::SetCurrentThreadName(std::string name) {
-  if (!config_.enabled) return;
   ThreadBuffer* buffer = CurrentBuffer();
   std::lock_guard<std::mutex> lock(mutex_);
   buffer->name = std::move(name);

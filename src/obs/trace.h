@@ -47,9 +47,6 @@ struct TraceEvent {
 };
 
 struct TraceCollectorConfig {
-  /// A disabled collector accepts every call and records nothing; emitters
-  /// resolve it to null up front so a span costs one predictable branch.
-  bool enabled = true;
   /// Hard cap on event storage across all threads. Each thread carves its
   /// buffer out of this budget at first emit; once the budget is spent,
   /// later threads drop every event (counted exactly).
@@ -83,8 +80,6 @@ class TraceCollector {
   TraceCollector& operator=(const TraceCollector&) = delete;
 
   ~TraceCollector();
-
-  bool enabled() const { return config_.enabled; }
 
   /// Emits one complete event with steady-clock endpoints (converted to
   /// ns since the collector epoch) onto the calling thread's timeline.
@@ -149,9 +144,8 @@ class TraceCollector {
   };
 
   /// The calling thread's buffer, registering it (and carving its ring out
-  /// of the memory budget) on first use. Never null for an enabled
-  /// collector — a budget-exhausted thread gets a zero-capacity buffer
-  /// that counts drops.
+  /// of the memory budget) on first use. Never null — a budget-exhausted
+  /// thread gets a zero-capacity buffer that counts drops.
   ThreadBuffer* CurrentBuffer();
 
   void Emit(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,

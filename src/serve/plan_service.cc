@@ -38,8 +38,7 @@ PlanService::PlanService(const model::TaskInstance& instance,
       registry_(&registry),
       config_(config),
       stats_(config.metrics),
-      trace_(config.trace != nullptr && config.trace->enabled() ? config.trace
-                                                                : nullptr),
+      trace_(config.trace),
       recorder_(config.recorder != nullptr && config.recorder->enabled()
                     ? config.recorder
                     : nullptr),
@@ -279,11 +278,7 @@ void PlanService::WorkerLoop() {
     if (result.ok()) {
       result.value().queue_ms = queue_ms;
       result.value().exec_ms = exec_ms;
-      if (recorder_ != nullptr) {
-        stats_.RecordCompleted(total_ms, pending.trace_id, version);
-      } else {
-        stats_.RecordCompleted(total_ms);
-      }
+      stats_.RecordCompleted(total_ms, pending.trace_id, version);
       stats_.RecordResponseVersion(version);
     } else {
       stats_.RecordFailed();

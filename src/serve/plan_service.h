@@ -214,7 +214,7 @@ class PlanService {
   const PolicyRegistry* registry_;
   PlanServiceConfig config_;
   ServeStats stats_;
-  obs::TraceCollector* trace_;      // null when absent or disabled
+  obs::TraceCollector* trace_;      // null when absent
   obs::FlightRecorder* recorder_;   // null when absent or disabled
   std::atomic<std::uint64_t> next_trace_id_{1};
   /// Per-request canary routing keys for requests that do not carry one.

@@ -61,11 +61,6 @@ ServeStats::ServeStats(obs::Registry* registry) {
                      .value();
 }
 
-void ServeStats::RecordCompleted(double latency_ms) {
-  completed_->Increment();
-  latency_us_->RecordRounded(latency_ms * 1000.0);
-}
-
 void ServeStats::RecordCompleted(double latency_ms, std::uint64_t trace_id,
                                  std::uint64_t version) {
   completed_->Increment();

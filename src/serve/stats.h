@@ -79,14 +79,12 @@ class ServeStats {
   void RecordRejectedQueueFull() { rejected_queue_full_->Increment(); }
   void RecordExpiredDeadline() { expired_deadline_->Increment(); }
   void RecordFailed() { failed_->Increment(); }
-  /// `latency_ms` is enqueue-to-completion (queue wait + execution).
-  void RecordCompleted(double latency_ms);
-
-  /// RecordCompleted plus exemplar capture: the latency bucket remembers
-  /// (trace_id, version) when exemplars are enabled (see EnableExemplars)
-  /// and trace_id is non-zero.
-  void RecordCompleted(double latency_ms, std::uint64_t trace_id,
-                       std::uint64_t version);
+  /// `latency_ms` is enqueue-to-completion (queue wait + execution). The
+  /// latency bucket also remembers (trace_id, version) as its exemplar when
+  /// exemplars are enabled (see EnableLatencyExemplars) and trace_id is
+  /// non-zero.
+  void RecordCompleted(double latency_ms, std::uint64_t trace_id = 0,
+                       std::uint64_t version = 0);
 
   /// Turns on exemplar slots for serve_request_latency_us. Setup-time only
   /// (call before the service starts its workers).

@@ -103,26 +103,6 @@ DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
   return *this;
 }
 
-DynamicBitset& DynamicBitset::operator^=(const DynamicBitset& other) {
-  assert(size_ == other.size_);
-  if (words_.size() >= kSimdMinWords) {
-    simd::Active().xor_assign_words(words_.data(), other.words_.data(),
-                                    words_.size());
-    return *this;
-  }
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
-  return *this;
-}
-
-DynamicBitset DynamicBitset::AndNot(const DynamicBitset& other) const {
-  assert(size_ == other.size_);
-  DynamicBitset out(size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    out.words_[i] = words_[i] & ~other.words_[i];
-  }
-  return out;
-}
-
 DynamicBitset& DynamicBitset::AndNotAssign(const DynamicBitset& other) {
   assert(size_ == other.size_);
   if (words_.size() >= kSimdMinWords) {

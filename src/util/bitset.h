@@ -47,10 +47,6 @@ class DynamicBitset {
 
   DynamicBitset& operator|=(const DynamicBitset& other);
   DynamicBitset& operator&=(const DynamicBitset& other);
-  DynamicBitset& operator^=(const DynamicBitset& other);
-
-  /// Returns `this & ~other` (set difference).
-  DynamicBitset AndNot(const DynamicBitset& other) const;
 
   /// In-place set difference: `this &= ~other`. Word-level, no allocation.
   DynamicBitset& AndNotAssign(const DynamicBitset& other);
@@ -85,9 +81,6 @@ class DynamicBitset {
   /// QTable's masked argmax — without per-bit extraction.
   const std::uint64_t* word_data() const { return words_.data(); }
   std::size_t word_count() const { return words_.size(); }
-  /// Writable words for kernels that only clear bits (a set bit past
-  /// `size()` would break Count()).
-  std::uint64_t* mutable_word_data() { return words_.data(); }
 
   /// Renders as a string of '0'/'1' characters, index 0 first.
   std::string ToString() const;

@@ -64,11 +64,6 @@ void ScalarOrAssignWords(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
 }
 
-void ScalarXorAssignWords(std::uint64_t* dst, const std::uint64_t* src,
-                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
-}
-
 void ScalarAndNotAssignWords(std::uint64_t* dst, const std::uint64_t* src,
                              std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
@@ -77,28 +72,6 @@ void ScalarAndNotAssignWords(std::uint64_t* dst, const std::uint64_t* src,
 void ScalarComplementWords(std::uint64_t* dst, const std::uint64_t* src,
                            std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = ~src[i];
-}
-
-// Blocked 4-accumulator dot: the fixed summation order all levels share
-// (lane j accumulates indices ≡ j mod 4; lanes combine as (0+2)+(1+3), then
-// the tail adds left to right). AVX2 reproduces this order exactly with one
-// 4-lane vector accumulator.
-double ScalarDotF64(const double* a, const double* b, std::size_t n) {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 += a[i] * b[i];
-    acc1 += a[i + 1] * b[i + 1];
-    acc2 += a[i + 2] * b[i + 2];
-    acc3 += a[i + 3] * b[i + 3];
-  }
-  double total = (acc0 + acc2) + (acc1 + acc3);
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
-void ScalarAxpyF64(double a, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = y[i] + a * x[i];
 }
 
 void ScalarScaleF64(double* v, double factor, std::size_t n) {
@@ -155,11 +128,8 @@ constexpr Kernels kScalarKernels = {
     &ScalarAnyWords,
     &ScalarAndAssignWords,
     &ScalarOrAssignWords,
-    &ScalarXorAssignWords,
     &ScalarAndNotAssignWords,
     &ScalarComplementWords,
-    &ScalarDotF64,
-    &ScalarAxpyF64,
     &ScalarScaleF64,
     &ScalarAccumulateDeltaF64,
     &ScalarMaxAbsF64,

@@ -69,20 +69,12 @@ struct Kernels {
                            std::size_t n);
   void (*or_assign_words)(std::uint64_t* dst, const std::uint64_t* src,
                           std::size_t n);
-  void (*xor_assign_words)(std::uint64_t* dst, const std::uint64_t* src,
-                           std::size_t n);
   // dst &= ~src (set difference) and dst = ~src (complement seed).
   void (*andnot_assign_words)(std::uint64_t* dst, const std::uint64_t* src,
                               std::size_t n);
   void (*complement_words)(std::uint64_t* dst, const std::uint64_t* src,
                            std::size_t n);
   // --- f64 kernels (QTable / reward substrate) ----------------------------
-  // Blocked dot product with a *fixed* 4-accumulator summation order shared
-  // by the scalar and vector paths, so the result is bit-identical across
-  // levels (it differs from a naive left-to-right sum by design).
-  double (*dot_f64)(const double* a, const double* b, std::size_t n);
-  // y[i] += a * x[i] (separate mul + add, never fused).
-  void (*axpy_f64)(double a, const double* x, double* y, std::size_t n);
   // v[i] *= factor.
   void (*scale_f64)(double* v, double factor, std::size_t n);
   // q[i] += local[i] - base[i]: the deterministic shard-merge kernel.

@@ -162,14 +162,6 @@ void Avx2OrAssignWords(std::uint64_t* dst, const std::uint64_t* src,
       [](std::uint64_t d, std::uint64_t s) { return d | s; });
 }
 
-void Avx2XorAssignWords(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) {
-  ElementwiseWords(
-      dst, src, n,
-      [](__m256i d, __m256i s) { return _mm256_xor_si256(d, s); },
-      [](std::uint64_t d, std::uint64_t s) { return d ^ s; });
-}
-
 void Avx2AndNotAssignWords(std::uint64_t* dst, const std::uint64_t* src,
                            std::size_t n) {
   ElementwiseWords(
@@ -195,36 +187,6 @@ void Avx2ComplementWords(std::uint64_t* dst, const std::uint64_t* src,
 // ---------------------------------------------------------------------------
 // f64 kernels
 // ---------------------------------------------------------------------------
-
-double Avx2DotF64(const double* a, const double* b, std::size_t n) {
-  // One vector accumulator: lane j holds the scalar path's acc<j>.
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d va = _mm256_loadu_pd(a + i);
-    const __m256d vb = _mm256_loadu_pd(b + i);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-  }
-  // Combine exactly as the scalar kernel: (acc0 + acc2) + (acc1 + acc3).
-  const __m128d lo = _mm256_castpd256_pd128(acc);       // lanes 0, 1
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);     // lanes 2, 3
-  const __m128d pair = _mm_add_pd(lo, hi);              // {0+2, 1+3}
-  double total = _mm_cvtsd_f64(pair) +
-                 _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
-void Avx2AxpyF64(double a, const double* x, double* y, std::size_t n) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(x + i);
-    const __m256d vy = _mm256_loadu_pd(y + i);
-    _mm256_storeu_pd(y + i, _mm256_add_pd(vy, _mm256_mul_pd(va, vx)));
-  }
-  for (; i < n; ++i) y[i] = y[i] + a * x[i];
-}
 
 void Avx2ScaleF64(double* v, double factor, std::size_t n) {
   const __m256d vf = _mm256_set1_pd(factor);
@@ -424,11 +386,8 @@ constexpr Kernels kAvx2Kernels = {
     &Avx2AnyWords,
     &Avx2AndAssignWords,
     &Avx2OrAssignWords,
-    &Avx2XorAssignWords,
     &Avx2AndNotAssignWords,
     &Avx2ComplementWords,
-    &Avx2DotF64,
-    &Avx2AxpyF64,
     &Avx2ScaleF64,
     &Avx2AccumulateDeltaF64,
     &Avx2MaxAbsF64,

@@ -109,15 +109,6 @@ void NeonOrAssignWords(std::uint64_t* dst, const std::uint64_t* src,
   for (; i < n; ++i) dst[i] |= src[i];
 }
 
-void NeonXorAssignWords(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, veorq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
 void NeonAndNotAssignWords(std::uint64_t* dst, const std::uint64_t* src,
                            std::size_t n) {
   std::size_t i = 0;
@@ -151,7 +142,6 @@ const Kernels* GetNeonKernels() {
     k.any_words = &NeonAnyWords;
     k.and_assign_words = &NeonAndAssignWords;
     k.or_assign_words = &NeonOrAssignWords;
-    k.xor_assign_words = &NeonXorAssignWords;
     k.andnot_assign_words = &NeonAndNotAssignWords;
     k.complement_words = &NeonComplementWords;
     return k;

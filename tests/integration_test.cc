@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "baselines/eda.h"
@@ -16,6 +17,7 @@
 #include "datagen/course_data.h"
 #include "datagen/synthetic.h"
 #include "datagen/trip_data.h"
+#include "eval/experiment.h"
 
 namespace rlplanner {
 namespace {
@@ -89,6 +91,43 @@ TEST(EndToEndTest, RlBeatsOmegaOnDefaults) {
   }
   EXPECT_GT(planner.Score(plan.value()), omega_best);
 }
+
+// ------------------------------------------- Figure 1: RL above EDA --
+
+// One Figure 1 dataset with its Table III configuration, run the way
+// bench/fig1_baselines runs it: 10 seeded runs per method.
+struct Fig1Case {
+  const char* name;
+  datagen::Dataset (*make)();
+  core::PlannerConfig (*config)();
+};
+
+class Fig1RlBeatsEdaTest : public ::testing::TestWithParam<Fig1Case> {};
+
+TEST_P(Fig1RlBeatsEdaTest, RlMeanScoreAboveEda) {
+  const datagen::Dataset dataset = GetParam().make();
+  const core::PlannerConfig config = GetParam().config();
+  const eval::ExperimentResult rl =
+      eval::RunMethod(dataset, eval::Method::kRlPlannerAvg, config, 10);
+  const eval::ExperimentResult eda =
+      eval::RunMethod(dataset, eval::Method::kEda, config, 10);
+  EXPECT_GT(rl.mean_score, eda.mean_score);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig1Datasets, Fig1RlBeatsEdaTest,
+    ::testing::Values(
+        Fig1Case{"Univ1DsCt", datagen::MakeUniv1DsCt,
+                 core::DefaultUniv1Config},
+        Fig1Case{"Univ1Cybersecurity", datagen::MakeUniv1Cybersecurity,
+                 core::DefaultUniv1Config},
+        Fig1Case{"Univ1Cs", datagen::MakeUniv1Cs, core::DefaultUniv1Config},
+        Fig1Case{"Univ2Ds", datagen::MakeUniv2Ds, core::DefaultUniv2Config},
+        Fig1Case{"Nyc", datagen::MakeNycTrip, core::DefaultTripConfig},
+        Fig1Case{"Paris", datagen::MakeParisTrip, core::DefaultTripConfig}),
+    [](const ::testing::TestParamInfo<Fig1Case>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(EndToEndTest, FullPipelineIsDeterministic) {
   const datagen::Dataset dataset = datagen::MakeUniv1Cs();

@@ -2,8 +2,9 @@
 // parser and serializer, the service-to-wire status contract, the strict
 // /v1/plan JSON decoding, and loopback integration against a real
 // HttpServer on an ephemeral port — keep-alive reuse, pipelining,
-// malformed/oversized requests, 503/504 mapping, concurrent clients, and
-// graceful drain under load with zero in-flight loss.
+// malformed/oversized requests, 503/504 mapping, concurrent clients,
+// graceful drain under load with zero in-flight loss, and policy hot swaps
+// under load with zero dropped requests.
 //
 // The concurrency tests here run under ThreadSanitizer in tools/check.sh
 // (RLPLANNER_SANITIZE=thread).
@@ -13,7 +14,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +25,7 @@
 #include "core/config.h"
 #include "core/planner.h"
 #include "datagen/course_data.h"
+#include "mdp/q_table.h"
 #include "net/client.h"
 #include "net/http.h"
 #include "net/plan_handler.h"
@@ -653,6 +657,138 @@ TEST(WireTest, DrainUnderLoadLosesNoInFlightRequest) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
   fix.reset();  // second drain/shutdown pass in ~WireFixture is idempotent
+}
+
+// A hot swap is invisible to traffic on the wire. Keep-alive connections
+// plan while new versions are installed on the fixture's registry: every
+// request ends 200 (a 503 from admission backpressure is retried), names a
+// version the registry installed, and carries that version's plan.
+// Installs are paced by completed requests, not sleeps, and the connections
+// plan until the last version has served, so every install lands under
+// load on any machine.
+TEST(WireTest, HotSwapUnderLoadDropsNothing) {
+  WireFixture fix;
+  constexpr int kConnections = 4;
+  constexpr int kVersions = 6;  // the fixture's version 1, then 5 installs
+  constexpr int kRequestsPerConnection = 40;  // at least; more while swapping
+  // Each connection has at most one request in flight when an install
+  // returns, so of kPace > kConnections requests finished after it, one was
+  // sent after it and planned on the new version: every version serves.
+  constexpr int kPace = 2 * kConnections;
+
+  // tables[v - 1] and plans[v - 1] belong to version v; version 1 retrains
+  // the fixture's policy (training is deterministic).
+  std::vector<mdp::QTable> tables;
+  std::vector<std::vector<model::ItemId>> plans;
+  for (int v = 1; v <= kVersions; ++v) {
+    core::PlannerConfig config = ToyConfig(fix.dataset);
+    if (v > 1) config.seed = 100 + static_cast<std::uint64_t>(v);
+    core::RlPlanner planner(fix.instance, config);
+    ASSERT_TRUE(planner.Train().ok());
+    tables.push_back(planner.q_table());
+    auto plan = planner.Recommend(fix.dataset.default_start);
+    ASSERT_TRUE(plan.ok());
+    plans.push_back(plan.value().items());
+  }
+  // Read only after the joins below.
+  std::map<std::uint64_t, std::vector<model::ItemId>> plan_of_version = {
+      {1, plans[0]}};
+
+  std::atomic<int> finished{0};  // requests answered, or failed for good
+  std::atomic<bool> swapping{true};
+  std::atomic<int> dropped{0};
+  std::vector<std::vector<std::pair<std::uint64_t, std::vector<model::ItemId>>>>
+      responses(kConnections);
+  const std::string body =
+      "{\"start_item\":" + std::to_string(fix.dataset.default_start) + "}";
+
+  std::vector<std::thread> clients;
+  clients.reserve(kConnections);
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      BlockingHttpClient client;
+      for (int i = 0; i < kRequestsPerConnection || swapping.load(); ++i) {
+        auto response = fix.Plan(client, body);
+        // Admission backpressure is not an error: retry it, boundedly, so a
+        // service stuck shedding load fails the test instead of hanging it.
+        for (int retry = 0; retry < 1000 && response.ok() &&
+                            response.value().status == 503;
+             ++retry) {
+          std::this_thread::yield();
+          response = fix.Plan(client, body);
+        }
+        finished.fetch_add(1);
+        if (!response.ok() || response.value().status != 200) {
+          dropped.fetch_add(1);
+          client.Close();
+          continue;
+        }
+        auto document = util::json::Parse(response.value().body);
+        const util::json::Value* version =
+            document.ok() ? document.value().Find("policy_version") : nullptr;
+        const util::json::Value* plan =
+            document.ok() ? document.value().Find("plan") : nullptr;
+        if (version == nullptr || plan == nullptr) {
+          dropped.fetch_add(1);
+          continue;
+        }
+        std::vector<model::ItemId> items;
+        for (const util::json::Value& item : plan->AsArray()) {
+          items.push_back(static_cast<model::ItemId>(item.AsNumber()));
+        }
+        responses[static_cast<std::size_t>(c)].emplace_back(
+            static_cast<std::uint64_t>(version->AsNumber()), std::move(items));
+      }
+    });
+  }
+  std::thread swapper([&] {
+    const core::PlannerConfig config = ToyConfig(fix.dataset);
+    const auto await_pace = [&] {
+      const int since = finished.load();
+      while (finished.load() < since + kPace) std::this_thread::yield();
+    };
+    for (int v = 2; v <= kVersions; ++v) {
+      await_pace();
+      auto installed = fix.registry.Install(
+          "default", tables[static_cast<std::size_t>(v - 1)], config.sarsa,
+          100 + static_cast<std::uint64_t>(v));
+      EXPECT_TRUE(installed.ok()) << installed.status().ToString();
+      if (installed.ok()) {
+        plan_of_version[installed.value()] =
+            plans[static_cast<std::size_t>(v - 1)];
+      }
+    }
+    await_pace();  // the last version serves too
+    swapping.store(false);
+  });
+  for (std::thread& thread : clients) thread.join();
+  swapper.join();
+
+  EXPECT_EQ(dropped.load(), 0);
+  EXPECT_EQ(fix.registry.install_count(),
+            static_cast<std::uint64_t>(kVersions));
+  std::size_t total = 0;
+  std::set<std::uint64_t> versions_seen;
+  for (const auto& per_connection : responses) {
+    for (const auto& [version, items] : per_connection) {
+      ++total;
+      versions_seen.insert(version);
+      const auto it = plan_of_version.find(version);
+      ASSERT_NE(it, plan_of_version.end())
+          << "response names version " << version
+          << ", which the registry never installed";
+      EXPECT_EQ(items, it->second)
+          << "response plan is not the rollout of version " << version;
+    }
+  }
+  // Every request sent was answered with a plan.
+  EXPECT_EQ(total, static_cast<std::size_t>(finished.load()));
+  EXPECT_GE(total, static_cast<std::size_t>(kConnections) *
+                       static_cast<std::size_t>(kRequestsPerConnection));
+  EXPECT_EQ(versions_seen.size(), static_cast<std::size_t>(kVersions));
+  const serve::ServeStatsSnapshot stats = fix.service->stats().Collect();
+  EXPECT_EQ(stats.completed, total);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 // --- Live introspection endpoints -----------------------------------------

@@ -512,21 +512,6 @@ TEST(ObsSpanTest, AttachedCollectorReceivesSpanEventWithArgs) {
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
 }
 
-TEST(ObsSpanTest, DisabledCollectorResolvesToUntraced) {
-  TraceCollectorConfig config;
-  config.enabled = false;
-  TraceCollector trace(config);
-  {
-    ScopedSpan span(nullptr, "quiet", &trace);
-    // The constructor resolves a disabled collector to null, so the span is
-    // back on the one-branch path and AddArg is a no-op.
-    EXPECT_FALSE(span.traced());
-    span.AddArg("ignored", "value");
-  }
-  EXPECT_EQ(trace.emitted_total(), 0u);
-  EXPECT_EQ(trace.dropped_total(), 0u);
-}
-
 TEST(ObsSpanTest, PoolWorkersGetTheirOwnRootSpans) {
   // The parent chain is thread-local: a span opened on a pool worker is a
   // root even while the submitting thread holds a live span. Indices that
@@ -615,25 +600,6 @@ TEST(ObsTraceTest, ArgValuesTruncateAndExtraArgsAreDropped) {
   // ...and args past kMaxTraceArgs are silently ignored.
   EXPECT_NE(json.find("\"a3\": \"3\""), std::string::npos);
   EXPECT_EQ(json.find("beyond_cap"), std::string::npos);
-}
-
-TEST(ObsTraceTest, DisabledCollectorRecordsNothing) {
-  Registry registry;
-  TraceCollectorConfig config;
-  config.enabled = false;
-  config.metrics = &registry;
-  TraceCollector trace(config);
-  trace.EmitAt("ev", 0, 1);
-  trace.SetCurrentThreadName("main");
-  EXPECT_FALSE(trace.enabled());
-  EXPECT_EQ(trace.emitted_total(), 0u);
-  EXPECT_EQ(trace.dropped_total(), 0u);
-  // No thread ever registered, so the export is just process metadata.
-  EXPECT_EQ(trace.ToChromeTrace().find("thread_name"), std::string::npos);
-  // A disabled collector does not register the dropped counter either.
-  for (const MetricSnapshot& m : registry.Collect().metrics) {
-    EXPECT_NE(m.name, "trace_events_dropped_total");
-  }
 }
 
 TEST(ObsTraceTest, OverflowAccountingIsExactAcrossThreads) {
@@ -999,31 +965,42 @@ TEST(ObsFlightRecorderTest, DisabledRecorderRetainsNothing) {
 }
 
 TEST(ObsFlightRecorderTest, ReservoirsKeepSlowestAndRecent) {
+  constexpr std::size_t kSlowest = FlightRecorder::kKeepSlowest;
+  constexpr std::size_t kRecent = FlightRecorder::kKeepRecent;
   FlightRecorderConfig config;
   config.slo_ms = 10.0;
-  config.keep_slowest = 2;
-  config.keep_recent = 3;
   FlightRecorder recorder(config);
   ASSERT_TRUE(recorder.enabled());
   recorder.Complete(MakeRecord(1, 5.0));  // under SLO: observed, not retained
-  recorder.Complete(MakeRecord(2, 50.0));
-  recorder.Complete(MakeRecord(3, 30.0));
-  recorder.Complete(MakeRecord(4, 70.0));  // evicts 30ms from "slowest"
-  recorder.Complete(MakeRecord(5, 20.0));
-  recorder.Complete(MakeRecord(6, 40.0));  // recent is now [6, 5, 4]
-  EXPECT_EQ(recorder.requests_observed(), 6u);
-  EXPECT_EQ(recorder.slo_violations(), 5u);
+  // Violators 2..last: even ids are slow and grow slower, odd ids sit just
+  // over the SLO. Once "slowest" is full, an even arrival evicts its fastest
+  // record and an odd one is turned away; both age through "recent".
+  const std::uint64_t last = 2 * kSlowest + 9;
+  static_assert(2 * kSlowest + 9 > kRecent);
+  for (std::uint64_t id = 2; id <= last; ++id) {
+    const double total_ms = id % 2 == 0 ? 100.0 + static_cast<double>(id)
+                                        : 11.0;
+    recorder.Complete(MakeRecord(id, total_ms));
+  }
+  EXPECT_EQ(recorder.requests_observed(), last);
+  EXPECT_EQ(recorder.slo_violations(), last - 1);
 
   auto parsed = util::json::Parse(recorder.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const util::json::Value& root = parsed.value();
   const auto& slowest = root.Find("slowest")->AsArray();
-  ASSERT_EQ(slowest.size(), 2u);
-  EXPECT_EQ(slowest[0].Find("trace_id")->AsNumber(), 4.0);  // 70ms first
-  EXPECT_EQ(slowest[1].Find("trace_id")->AsNumber(), 2.0);  // then 50ms
+  ASSERT_EQ(slowest.size(), kSlowest);
+  const std::uint64_t slowest_id = last - last % 2;
+  for (std::size_t i = 0; i < kSlowest; ++i) {  // slowest first
+    EXPECT_EQ(slowest[i].Find("trace_id")->AsNumber(),
+              static_cast<double>(slowest_id - 2 * i));
+  }
   const auto& recent = root.Find("recent")->AsArray();
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_EQ(recent[0].Find("trace_id")->AsNumber(), 6.0);  // newest first
+  ASSERT_EQ(recent.size(), kRecent);
+  for (std::size_t i = 0; i < kRecent; ++i) {  // newest first
+    EXPECT_EQ(recent[i].Find("trace_id")->AsNumber(),
+              static_cast<double>(last - i));
+  }
   // Span breakdowns survive into the export.
   const auto& spans = slowest[0].Find("spans")->AsArray();
   ASSERT_EQ(spans.size(), 2u);

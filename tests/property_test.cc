@@ -46,7 +46,7 @@ TEST_P(BitsetPropertyTest, MatchesReferenceImplementation) {
   }
   EXPECT_EQ(a.Count(), ref_count);
 
-  // IntersectCount / Intersects / AndNot.
+  // IntersectCount / Intersects / AndNotAssign.
   std::size_t ref_inter = 0;
   std::size_t ref_andnot = 0;
   for (std::size_t i = 0; i < size; ++i) {
@@ -55,19 +55,18 @@ TEST_P(BitsetPropertyTest, MatchesReferenceImplementation) {
   }
   EXPECT_EQ(a.IntersectCount(b), ref_inter);
   EXPECT_EQ(a.Intersects(b), ref_inter > 0);
-  EXPECT_EQ(a.AndNot(b).Count(), ref_andnot);
+  util::DynamicBitset a_minus_b = a;
+  a_minus_b.AndNotAssign(b);
+  EXPECT_EQ(a_minus_b.Count(), ref_andnot);
 
-  // OR / AND / XOR.
+  // OR / AND.
   util::DynamicBitset or_ab = a;
   or_ab |= b;
   util::DynamicBitset and_ab = a;
   and_ab &= b;
-  util::DynamicBitset xor_ab = a;
-  xor_ab ^= b;
   for (std::size_t i = 0; i < size; ++i) {
     EXPECT_EQ(or_ab.Test(i), ref_a[i] || ref_b[i]);
     EXPECT_EQ(and_ab.Test(i), ref_a[i] && ref_b[i]);
-    EXPECT_EQ(xor_ab.Test(i), ref_a[i] != ref_b[i]);
   }
 }
 

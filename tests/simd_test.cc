@@ -263,7 +263,6 @@ TEST_P(WordKernelMatrixTest, AllWordKernelsMatchScalar) {
     } mutating[] = {
         {"and_assign", scalar.and_assign_words, vec.and_assign_words},
         {"or_assign", scalar.or_assign_words, vec.or_assign_words},
-        {"xor_assign", scalar.xor_assign_words, vec.xor_assign_words},
         {"andnot_assign", scalar.andnot_assign_words, vec.andnot_assign_words},
         {"complement", scalar.complement_words, vec.complement_words},
     };
@@ -322,8 +321,6 @@ TEST_P(F64KernelMatrixTest, AllF64KernelsMatchScalarBitExact) {
     SCOPED_TRACE(LevelName(level));
     const Kernels& vec = KernelsForLevel(level);
 
-    EXPECT_EQ(Bits(vec.dot_f64(x.data(), y.data(), n)),
-              Bits(scalar.dot_f64(x.data(), y.data(), n)));
     EXPECT_EQ(Bits(vec.max_abs_f64(x.data(), n)),
               Bits(scalar.max_abs_f64(x.data(), n)));
     EXPECT_EQ(vec.count_nonzero_f64(x.data(), n),
@@ -331,15 +328,6 @@ TEST_P(F64KernelMatrixTest, AllF64KernelsMatchScalarBitExact) {
     EXPECT_EQ(vec.argmax_masked_f64(x.data(), n, mask.data(), mask.size()),
               scalar.argmax_masked_f64(x.data(), n, mask.data(), mask.size()));
 
-    {
-      std::vector<double> want = y;
-      std::vector<double> got = y;
-      scalar.axpy_f64(0.371, x.data(), want.data(), n);
-      vec.axpy_f64(0.371, x.data(), got.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "axpy index " << i;
-      }
-    }
     {
       std::vector<double> want = x;
       std::vector<double> got = x;
@@ -470,23 +458,19 @@ TEST_F(BitsetSimdTest, BitsetOpsMatchOracleAcrossInlineCutoff) {
     EXPECT_EQ(a.IntersectCount(b), inter);
     EXPECT_EQ(a.AndNotIntersectCount(b, c), fused);
     EXPECT_EQ(a.Intersects(b), intersects);
-    EXPECT_EQ(a.AndNotIntersectCount(b, c),
-              a.AndNot(b).IntersectCount(c));
 
     DynamicBitset and_set = a;
     and_set &= b;
     DynamicBitset or_set = a;
     or_set |= b;
-    DynamicBitset xor_set = a;
-    xor_set ^= b;
     DynamicBitset andnot_set = a;
     andnot_set.AndNotAssign(b);
+    EXPECT_EQ(a.AndNotIntersectCount(b, c), andnot_set.IntersectCount(c));
     DynamicBitset complement;
     complement.AssignComplementOf(a);
     for (std::size_t i = 0; i < bits; ++i) {
       ASSERT_EQ(and_set.Test(i), oa[i] && ob[i]) << i;
       ASSERT_EQ(or_set.Test(i), oa[i] || ob[i]) << i;
-      ASSERT_EQ(xor_set.Test(i), oa[i] != ob[i]) << i;
       ASSERT_EQ(andnot_set.Test(i), oa[i] && !ob[i]) << i;
       ASSERT_EQ(complement.Test(i), !oa[i]) << i;
     }

@@ -30,7 +30,7 @@ Usage:
   tools/bench_gate.py --self-test
 
 Refreshing a baseline after an intentional change (new kernel, different
-benchmark budget): rerun the three binaries from build/bench and copy the
+benchmark budget): rerun the four binaries from build/bench and copy the
 JSON files over the repo-root copies (see EXPERIMENTS.md).
 """
 
@@ -72,12 +72,6 @@ GATE_SPEC = {
     "BENCH_serve.json": {
         "context": ["simd", "catalog_items", "hardware_threads", "smoke"],
         "sections": [
-            ("throughput",
-             lambda e: f"workers{e['workers']}/clients{e['clients']}",
-             [("requests_per_sec", "higher")], "wall_s"),
-            ("wire",
-             lambda e: f"shards{e['shards']}/connections{e['connections']}",
-             [("requests_per_sec", "higher")], "wall_s"),
             ("snapshot_load",
              lambda e: f"{e['format']}/{e['mode']}",
              [("seconds", "lower")], "seconds"),
@@ -93,17 +87,6 @@ GATE_SPEC = {
             ("profiler_overhead", "on_off_ratio", 0.98, "wall_s"),
         ],
     },
-    "BENCH_fleet.json": {
-        "context": ["simd", "catalog_items", "hardware_threads", "smoke"],
-        "sections": [
-            ("retrain", lambda e: f"policies{e['policies']}",
-             [("retrains_per_sec", "higher")], "wall_s"),
-            ("routing", lambda e: e["name"],
-             [("ns_per_op", "lower")], None),
-            ("cycle", lambda e: f"clients{e['clients']}",
-             [("requests_per_sec", "higher")], "wall_s"),
-        ],
-    },
 }
 
 
@@ -113,9 +96,10 @@ def load(path):
 
 
 def compare_file(name, baseline, fresh, tolerance, min_seconds):
-    """Returns (failures, skipped, compared) for one benchmark file."""
+    """Returns (failures, skipped, passed) for one benchmark file. Every
+    judged verdict lands in exactly one of failures and passed."""
     spec = GATE_SPEC[name]
-    failures, skipped, compared = [], [], []
+    failures, skipped, passed = [], [], []
 
     # Floors first: absolute, baseline-independent, and deliberately outside
     # the context gate (a self-relative ratio is comparable on any machine).
@@ -134,9 +118,10 @@ def compare_file(name, baseline, fresh, tolerance, min_seconds):
         value = entry[field]
         verdict = (f"{label}: {value:.4f} vs absolute floor {floor:.4f} "
                    f"(tolerance does not apply)")
-        compared.append(verdict)
         if value < floor:
             failures.append("FLOOR " + verdict)
+        else:
+            passed.append(verdict)
 
     for key in spec["context"]:
         base_ctx, fresh_ctx = baseline.get(key), fresh.get(key)
@@ -145,7 +130,7 @@ def compare_file(name, baseline, fresh, tolerance, min_seconds):
                 f"{name}: context {key!r} differs "
                 f"(baseline {base_ctx!r}, fresh {fresh_ctx!r}) — "
                 f"file skipped; refresh the baseline to re-arm the gate")
-            return failures, skipped, compared
+            return failures, skipped, passed
 
     for section, key_fn, metrics, seconds_field in spec["sections"]:
         base_entries = {key_fn(e): e for e in baseline.get(section, [])}
@@ -181,14 +166,15 @@ def compare_file(name, baseline, fresh, tolerance, min_seconds):
                 verdict = (f"{label}.{field}: baseline {base_v:.2f} -> "
                            f"fresh {fresh_v:.2f} ({ratio:.2f}x of baseline "
                            f"cost, tolerance {1.0 + tolerance:.2f}x)")
-                compared.append(verdict)
                 if regressed:
                     failures.append("REGRESSION " + verdict)
-    return failures, skipped, compared
+                else:
+                    passed.append(verdict)
+    return failures, skipped, passed
 
 
 def run_gate(baseline_dir, fresh_dir, tolerance, min_seconds, verbose=True):
-    failures, skipped, compared = [], [], []
+    failures, skipped, passed = [], [], []
     seen_any = False
     for name in GATE_SPEC:
         base_path = os.path.join(baseline_dir, name)
@@ -202,20 +188,20 @@ def run_gate(baseline_dir, fresh_dir, tolerance, min_seconds, verbose=True):
                 f"produce it (looked in {fresh_dir})")
             continue
         seen_any = True
-        f, s, c = compare_file(name, load(base_path), load(fresh_path),
+        f, s, p = compare_file(name, load(base_path), load(fresh_path),
                                tolerance, min_seconds)
         failures += f
         skipped += s
-        compared += c
+        passed += p
 
     if verbose:
-        for line in compared:
+        for line in passed:
             print("  ok " + line)
         for line in skipped:
             print("skip " + line)
         for line in failures:
             print("FAIL " + line, file=sys.stderr)
-        print(f"bench gate: {len(compared)} compared, {len(skipped)} "
+        print(f"bench gate: {len(passed)} ok, {len(skipped)} "
               f"skipped, {len(failures)} failures")
     if not seen_any and not failures:
         print("bench gate: nothing to compare (no baselines found)",
@@ -226,7 +212,9 @@ def run_gate(baseline_dir, fresh_dir, tolerance, min_seconds, verbose=True):
 def self_test():
     """Proves the gate trips on an injected regression and stays quiet on
     identical results, without touching real benchmark output."""
+    import contextlib
     import copy
+    import io
     import tempfile
 
     baseline = {
@@ -258,14 +246,6 @@ def self_test():
             "hardware_threads": 1,
             "smoke": False,
             "simd": "avx2",
-            "throughput": [
-                {"workers": 4, "clients": 8, "wall_s": 1.2,
-                 "requests_per_sec": 5000.0},
-            ],
-            "wire": [
-                {"shards": 2, "connections": 8, "wall_s": 0.8,
-                 "requests_per_sec": 20000.0},
-            ],
             "snapshot_load": [
                 {"format": "sparse-v2", "mode": "deserialize",
                  "items": 10000, "snapshot_bytes": 105906176,
@@ -288,26 +268,6 @@ def self_test():
                 {"name": "learn_synth10k/N100", "items": 10000,
                  "q_repr": "sparse", "seconds": 1.0,
                  "ops_per_sec": 100.0},
-            ],
-        },
-        "BENCH_fleet.json": {
-            "catalog_items": 114,
-            "hardware_threads": 1,
-            "smoke": False,
-            "simd": "avx2",
-            "retrain": [
-                {"policies": 4, "ticks": 6, "retrains": 24,
-                 "publishes": 24, "gate_failures": 0, "wall_s": 0.2,
-                 "retrains_per_sec": 150.0},
-            ],
-            "routing": [
-                {"name": "canary_split", "ops": 2000000, "wall_s": 0.16,
-                 "ns_per_op": 80.0},
-            ],
-            "cycle": [
-                {"clients": 4, "cycles": 12, "completed": 1200,
-                 "failed": 0, "dropped": 0, "stale_after_rollback": 0,
-                 "wall_s": 0.15, "requests_per_sec": 8000.0},
             ],
         },
     }
@@ -348,15 +308,6 @@ def self_test():
                        not run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                     verbose=False)))
 
-        # 3b. A wire (socket-path) throughput drop beyond tolerance fails.
-        wire_dropped = copy.deepcopy(baseline)
-        wire_dropped["BENCH_serve.json"]["wire"][0][
-            "requests_per_sec"] = 5000.0
-        write_tree(fresh_dir, wire_dropped)
-        checks.append(("wire throughput drop fails",
-                       not run_gate(base_dir, fresh_dir, 0.30, 0.05,
-                                    verbose=False)))
-
         # 3c. A slower snapshot load beyond tolerance fails (the mmap entry
         # sits below --min-seconds, so only the deserialize entry is armed).
         slow_load = copy.deepcopy(baseline)
@@ -385,24 +336,6 @@ def self_test():
         checks.append(("q_repr switch skips, never fails",
                        run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                 verbose=False)))
-
-        # 3f. A fleet retrain-throughput drop beyond tolerance fails.
-        fleet_dropped = copy.deepcopy(baseline)
-        fleet_dropped["BENCH_fleet.json"]["retrain"][0][
-            "retrains_per_sec"] = 50.0
-        write_tree(fresh_dir, fleet_dropped)
-        checks.append(("fleet retrain throughput drop fails",
-                       not run_gate(base_dir, fresh_dir, 0.30, 0.05,
-                                    verbose=False)))
-
-        # 3g. A slower canary route beyond tolerance fails — the serve hot
-        # path must not pay for the fleet's publication machinery.
-        route_slowed = copy.deepcopy(baseline)
-        route_slowed["BENCH_fleet.json"]["routing"][0]["ns_per_op"] = 160.0
-        write_tree(fresh_dir, route_slowed)
-        checks.append(("slower canary routing fails",
-                       not run_gate(base_dir, fresh_dir, 0.30, 0.05,
-                                    verbose=False)))
 
         # 3h. Profiler overhead past the 2% budget trips the absolute floor
         # even though 0.90 is well inside the 30% relative tolerance of the
@@ -459,7 +392,29 @@ def self_test():
                        run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                 verbose=False)))
 
-        # 7. A missing fresh file fails (the bench crashed or was skipped).
+        # 7. The report prints "ok" only for passes: a breached floor and a
+        # regressed kernel each appear once as FAIL and never as ok, while
+        # the entries that held still print ok.
+        for label, docs, entry in (
+                ("floor breach", slow_profiler,
+                 "profiler_overhead.on_off_ratio"),
+                ("regression", slowed,
+                 "popcount_words/16384b.simd_ns_per_op")):
+            write_tree(fresh_dir, docs)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                run_gate(base_dir, fresh_dir, 0.30, 0.05)
+            ok_lines = [line for line in out.getvalue().splitlines()
+                        if line.startswith("  ok ")]
+            fail_lines = [line for line in err.getvalue().splitlines()
+                          if line.startswith("FAIL ")]
+            checks.append((f"{label} reported as FAIL, never ok",
+                           bool(ok_lines)
+                           and not any(entry in line for line in ok_lines)
+                           and sum(entry in line for line in fail_lines) == 1))
+
+        # 8. A missing fresh file fails (the bench crashed or was skipped).
         os.remove(os.path.join(fresh_dir, "BENCH_serve.json"))
         checks.append(("missing fresh file fails",
                        not run_gate(base_dir, fresh_dir, 0.30, 0.05,

@@ -66,7 +66,7 @@ run_bench_gate() {
   # training, the ~100 MB snapshot fixture) push this to a couple minutes.
   (cd build/bench && ./micro_benchmarks > /dev/null \
     && ./train_bench > /dev/null && ./serve_bench > /dev/null \
-    && ./fleet_bench > /dev/null && ./fig2_scalability > /dev/null)
+    && ./fig2_scalability > /dev/null)
   python3 tools/bench_gate.py --baseline-dir . --fresh-dir build/bench
 }
 
