@@ -1025,6 +1025,65 @@ TEST(ObsFlightRecorderTest, ActiveTableTracksInFlight) {
   EXPECT_TRUE(after.value().Find("active")->AsArray().empty());
 }
 
+TEST(ObsFlightRecorderTest, ToJsonGoldenPinsRecordJson) {
+  // Timings that are exact in binary and no active entries (whose ages read
+  // the clock) make the whole page deterministic, so the golden pins the
+  // record layout /debug/tracez serves: field order, number formatting,
+  // escaping, and the order of both reservoirs.
+  FlightRecorderConfig config;
+  config.slo_ms = 10.0;
+  FlightRecorder recorder(config);
+  // Request 7: served by version 3 after a 0.25 ms queue wait.
+  RequestRecord served;
+  served.trace_id = 7;
+  served.policy_version = 3;
+  served.slot = "default";
+  served.status = "ok";
+  served.queue_ms = 0.25;
+  served.exec_ms = 12.5;
+  served.total_ms = 12.75;
+  served.spans.push_back({"serve_queue_wait", 0.0, 0.25});
+  served.spans.push_back({"serve_plan", 0.25, 12.5});
+  recorder.Complete(served);
+  // Request 8: under the SLO, so observed but not retained.
+  RequestRecord fast = served;
+  fast.trace_id = 8;
+  fast.exec_ms = 1.5;
+  fast.total_ms = 1.75;
+  fast.spans[1].duration_ms = 1.5;
+  recorder.Complete(fast);
+  // Request 9: expired after 20 ms in the queue; never planned.
+  RequestRecord expired;
+  expired.trace_id = 9;
+  expired.slot = "seg\"1";
+  expired.status = "deadline_exceeded";
+  expired.queue_ms = 20.0;
+  expired.total_ms = 20.0;
+  expired.spans.push_back({"serve_queue_wait", 0.0, 20.0});
+  recorder.Complete(expired);
+
+  const std::string served_json =
+      "{\"trace_id\": 7, \"policy_version\": 3, \"slot\": \"default\", "
+      "\"status\": \"ok\", \"queue_ms\": 0.25, \"exec_ms\": 12.5, "
+      "\"total_ms\": 12.75, \"spans\": ["
+      "{\"name\": \"serve_queue_wait\", \"start_ms\": 0, "
+      "\"duration_ms\": 0.25}, "
+      "{\"name\": \"serve_plan\", \"start_ms\": 0.25, "
+      "\"duration_ms\": 12.5}]}";
+  const std::string expired_json =
+      "{\"trace_id\": 9, \"policy_version\": 0, \"slot\": \"seg\\\"1\", "
+      "\"status\": \"deadline_exceeded\", \"queue_ms\": 20, \"exec_ms\": 0, "
+      "\"total_ms\": 20, \"spans\": ["
+      "{\"name\": \"serve_queue_wait\", \"start_ms\": 0, "
+      "\"duration_ms\": 20}]}";
+  const std::string expected =
+      "{\"enabled\": true, \"slo_ms\": 10, \"requests_observed\": 3, "
+      "\"slo_violations\": 2, \"active\": [], \"slowest\": [" +
+      expired_json + ", " + served_json + "], \"recent\": [" + expired_json +
+      ", " + served_json + "]}";
+  EXPECT_EQ(recorder.ToJson(), expected);
+}
+
 // ------------------------------------------------------- debugz pages --
 
 TEST(ObsDebugzTest, StatuszJsonShape) {
