@@ -5,10 +5,12 @@
 // runs) in three phases:
 //
 //  1. Profiler overhead: a closed-loop wire workload at Univ-1 scale (114
-//     items, 2 shards, 4 connections) three times — profiler off, on
-//     (SIGPROF sampling at 97 Hz), off again — reporting on-throughput /
-//     mean(off-throughputs). The gate's absolute floor (>= 0.98) enforces
-//     the <= 2% overhead budget.
+//     items, 2 shards, 4 connections) in five off → on → off triples
+//     (SIGPROF sampling at 97 Hz in the on window, which runs until it
+//     holds 50 samples; each off window runs the same request count),
+//     reporting each triple's on-throughput / mean(off-throughputs) and
+//     their median. The gate's absolute floor (>= 0.98) on the median
+//     enforces the <= 2% overhead budget.
 //  2. Snapshot-load latency: installing a policy from disk via the two
 //     load paths — v2 deserialize and v2 mmap (zero-copy) — timed against
 //     a 10k-item snapshot large enough (~100 MB full, ~15 MB smoke) that
@@ -21,7 +23,8 @@
 //     work, not a deserialize pass).
 //
 // Usage: serve_bench [--smoke]   (writes BENCH_serve.json to the cwd;
-// --smoke shrinks the request budgets for CI smoke lanes)
+// --smoke shrinks the request budgets for CI smoke lanes and keeps one
+// short profiler triple)
 
 #include <algorithm>
 #include <atomic>
@@ -29,6 +32,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -121,22 +125,20 @@ struct WireStack {
 
 struct WireResult {
   double wall_seconds = 0.0;
+  std::uint64_t requests = 0;
   double requests_per_sec = 0.0;
+  std::uint64_t samples = 0;  // profiler samples in the window (0 when off)
 };
 
 // Closed-loop HTTP clients over loopback: each connection keeps exactly one
-// request in flight, with keep-alive reuse. Any transport error or non-200
-// fails the bench (a healthy closed loop never fills the admission queue).
-WireResult RunWireThroughput(const rlplanner::model::TaskInstance& instance,
-                             const rlplanner::mdp::RewardWeights& weights,
-                             const rlplanner::serve::PolicyRegistry& registry,
-                             const Dataset& dataset, std::size_t shards,
-                             std::size_t connections,
-                             int requests_per_connection) {
-  WireStack stack(instance, weights, registry, /*workers=*/2, shards,
-                  /*max_queue=*/2 * connections + 8);
-  const std::uint16_t port = stack.server->port();
-
+// request in flight, with keep-alive reuse. The connections share one
+// budget: `requests` in all or, when it is 0, as many as they send before
+// `done()` holds. Any transport error or non-200 fails the bench (a healthy
+// closed loop never fills the admission queue).
+WireResult RunWireWindow(std::uint16_t port, const Dataset& dataset,
+                         std::size_t connections, std::uint64_t requests,
+                         const std::function<bool()>& done) {
+  std::atomic<std::uint64_t> tickets{0};
   const auto begin = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   threads.reserve(connections);
@@ -147,9 +149,10 @@ WireResult RunWireThroughput(const rlplanner::model::TaskInstance& instance,
         std::fprintf(stderr, "wire client connect failed\n");
         std::exit(1);
       }
-      for (int i = 0; i < requests_per_connection; ++i) {
-        const std::size_t start =
-            (c * 31 + static_cast<std::size_t>(i)) % dataset.catalog.size();
+      for (std::size_t i = 0;; ++i) {
+        const std::uint64_t ticket = tickets.fetch_add(1);
+        if (requests != 0 ? ticket >= requests : done()) break;
+        const std::size_t start = (c * 31 + i) % dataset.catalog.size();
         const std::string body =
             "{\"start_item\": " + std::to_string(start) + "}";
         auto response = client.Request("POST", "/v1/plan", body);
@@ -168,9 +171,40 @@ WireResult RunWireThroughput(const rlplanner::model::TaskInstance& instance,
 
   WireResult result;
   result.wall_seconds = std::chrono::duration<double>(end - begin).count();
+  // Each connection drew one ticket past the last request it sent.
+  result.requests = requests != 0 ? requests : tickets.load() - connections;
   result.requests_per_sec =
-      static_cast<double>(connections) *
-      static_cast<double>(requests_per_connection) / result.wall_seconds;
+      static_cast<double>(result.requests) / result.wall_seconds;
+  return result;
+}
+
+// One on window: SIGPROF sampling at 97 Hz while the clients plan, until
+// the profiler holds `min_samples` samples. Exits the bench if sampling
+// stalls, rather than hanging.
+WireResult RunProfiledWindow(std::uint16_t port, const Dataset& dataset,
+                             std::size_t connections,
+                             std::uint64_t min_samples) {
+  rlplanner::obs::ProfilerConfig profiler_config;
+  profiler_config.enabled = true;
+  rlplanner::obs::Profiler profiler(profiler_config);
+  if (!profiler.Start().ok()) {
+    std::fprintf(stderr, "profiler start failed\n");
+    std::exit(1);
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  WireResult result = RunWireWindow(port, dataset, connections, 0, [&] {
+    return profiler.samples_total() >= min_samples ||
+           std::chrono::steady_clock::now() > give_up;
+  });
+  profiler.Stop();
+  result.samples = profiler.samples_total();
+  if (result.samples < min_samples) {
+    std::fprintf(stderr, "profiler took %llu samples in 60 s, wanted %llu\n",
+                 static_cast<unsigned long long>(result.samples),
+                 static_cast<unsigned long long>(min_samples));
+    std::exit(1);
+  }
   return result;
 }
 
@@ -413,10 +447,9 @@ MmapWireSwapResult RunWireMmapHotSwap(
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Smoke runs keep every phase alive but shrink its budgets; the gate
+  // skips them via the "smoke" context key.
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  // Smoke runs keep every phase alive but shrink the request budgets; the
-  // gate skips them via the "smoke" context key.
-  const int wire_requests_per_connection = smoke ? 50 : 500;
 
   const Dataset dataset = MakeUniv1ScaleDataset();
   const rlplanner::model::TaskInstance instance = dataset.Instance();
@@ -424,13 +457,24 @@ int main(int argc, char** argv) {
   const rlplanner::core::PlannerConfig config = BenchConfig(dataset);
   const rlplanner::mdp::QTable policy = TrainPolicy(instance, config);
 
-  // Phase 1: profiler overhead on the wire path. Off → on → off, so the
-  // denominator (mean of the two off runs) absorbs machine drift across the
-  // three runs. The profiler is process-global (one ITIMER_PROF), so the
-  // wire stack needs no wiring — arming it profiles the epoll shards and
+  // Phase 1: profiler overhead on the wire path, judged on the median of
+  // several off → on → off triples; each triple's denominator (the mean of
+  // its two off windows) absorbs machine drift across it. An on window runs
+  // until the profiler holds min_samples samples, so the ratio rests on
+  // enough samples to judge, and each off window runs the request count of
+  // the latest on window (the first, of an unscored on window that also
+  // warms the stack). The profiler is process-global (one ITIMER_PROF), so
+  // the wire stack needs no wiring — arming it profiles the epoll shards and
   // plan workers alike.
-  WireResult profiler_off, profiler_on, profiler_off2;
-  std::uint64_t profiler_samples = 0;
+  constexpr std::size_t kConnections = 4;
+  const int overhead_triples = smoke ? 1 : 5;
+  const std::uint64_t min_samples = smoke ? 5 : 50;
+  struct OverheadTriple {
+    WireResult off, on, off2;
+    double ratio = 0.0;
+  };
+  std::vector<OverheadTriple> triples(
+      static_cast<std::size_t>(overhead_triples));
   {
     rlplanner::serve::PolicyRegistry overhead_registry(
         rlplanner::serve::CatalogFingerprint(dataset.catalog),
@@ -440,41 +484,51 @@ int main(int argc, char** argv) {
              .ok()) {
       return 1;
     }
-    const auto run = [&] {
-      return RunWireThroughput(instance, weights, overhead_registry, dataset,
-                               /*shards=*/2, /*connections=*/4,
-                               wire_requests_per_connection);
+    WireStack stack(instance, weights, overhead_registry, /*workers=*/2,
+                    /*shards=*/2, /*max_queue=*/2 * kConnections + 8);
+    const std::uint16_t port = stack.server->port();
+    const auto off_window = [&](std::uint64_t requests) {
+      return RunWireWindow(port, dataset, kConnections, requests, nullptr);
     };
-    profiler_off = run();
-    {
-      rlplanner::obs::ProfilerConfig profiler_config;
-      profiler_config.enabled = true;
-      rlplanner::obs::Profiler profiler(profiler_config);
-      if (!profiler.Start().ok()) {
-        std::fprintf(stderr, "profiler start failed\n");
-        return 1;
-      }
-      profiler_on = run();
-      profiler.Stop();
-      profiler_samples = profiler.samples_total();
+    std::uint64_t requests =
+        RunProfiledWindow(port, dataset, kConnections, min_samples).requests;
+    for (OverheadTriple& triple : triples) {
+      triple.off = off_window(requests);
+      triple.on =
+          RunProfiledWindow(port, dataset, kConnections, min_samples);
+      requests = triple.on.requests;
+      triple.off2 = off_window(requests);
+      triple.ratio = triple.on.requests_per_sec /
+                     (0.5 * (triple.off.requests_per_sec +
+                             triple.off2.requests_per_sec));
+      std::printf(
+          "profiler overhead: off %.0f / on %.0f / off %.0f req/s over %llu "
+          "requests (ratio %.4f, %llu samples)\n",
+          triple.off.requests_per_sec, triple.on.requests_per_sec,
+          triple.off2.requests_per_sec,
+          static_cast<unsigned long long>(requests), triple.ratio,
+          static_cast<unsigned long long>(triple.on.samples));
     }
-    profiler_off2 = run();
   }
-  const double profiler_off_rps = profiler_off.requests_per_sec;
-  const double profiler_on_rps = profiler_on.requests_per_sec;
-  const double profiler_off2_rps = profiler_off2.requests_per_sec;
+  std::vector<double> ratios;
+  std::uint64_t profiler_samples = triples.front().on.samples;
+  // The gate's floor check judges the ratio only when the shortest
+  // measurement window clears --min-seconds.
+  double profiler_window_s = triples.front().on.wall_seconds;
+  for (const OverheadTriple& triple : triples) {
+    ratios.push_back(triple.ratio);
+    profiler_samples = std::min(profiler_samples, triple.on.samples);
+    profiler_window_s =
+        std::min({profiler_window_s, triple.off.wall_seconds,
+                  triple.on.wall_seconds, triple.off2.wall_seconds});
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
   const double profiler_ratio =
-      profiler_on_rps / (0.5 * (profiler_off_rps + profiler_off2_rps));
-  // The gate's floor check judges the ratio only when the shortest of the
-  // three measurement windows clears --min-seconds.
-  const double profiler_window_s =
-      std::min({profiler_off.wall_seconds, profiler_on.wall_seconds,
-                profiler_off2.wall_seconds});
-  std::printf(
-      "profiler overhead: off %.0f / on %.0f / off %.0f req/s "
-      "(ratio %.4f, %llu samples)\n",
-      profiler_off_rps, profiler_on_rps, profiler_off2_rps, profiler_ratio,
-      static_cast<unsigned long long>(profiler_samples));
+      ratios.size() % 2 == 1 ? ratios[mid]
+                             : 0.5 * (ratios[mid - 1] + ratios[mid]);
+  std::printf("profiler overhead: median ratio %.4f over %zu triples\n",
+              profiler_ratio, triples.size());
 
   // Phase 2: snapshot-load latency across the two install paths, on the
   // 10k-item padded v2 fixture (~101 MB full, ~15 MB smoke).
@@ -544,11 +598,24 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"profiler_overhead\": {\n");
   std::fprintf(f, "    \"sample_hz\": 97,\n");
   std::fprintf(f, "    \"shards\": 2,\n");
-  std::fprintf(f, "    \"connections\": 4,\n");
-  std::fprintf(f, "    \"off_requests_per_sec\": %.1f,\n", profiler_off_rps);
-  std::fprintf(f, "    \"on_requests_per_sec\": %.1f,\n", profiler_on_rps);
-  std::fprintf(f, "    \"off2_requests_per_sec\": %.1f,\n",
-               profiler_off2_rps);
+  std::fprintf(f, "    \"connections\": %zu,\n", kConnections);
+  std::fprintf(f, "    \"min_samples\": %llu,\n",
+               static_cast<unsigned long long>(min_samples));
+  std::fprintf(f, "    \"triples\": [\n");
+  for (std::size_t i = 0; i < triples.size(); ++i) {
+    const OverheadTriple& t = triples[i];
+    std::fprintf(f,
+                 "      {\"requests\": %llu, \"off_requests_per_sec\": %.1f, "
+                 "\"on_requests_per_sec\": %.1f, "
+                 "\"off2_requests_per_sec\": %.1f, \"samples\": %llu, "
+                 "\"on_off_ratio\": %.4f}%s\n",
+                 static_cast<unsigned long long>(t.on.requests),
+                 t.off.requests_per_sec, t.on.requests_per_sec,
+                 t.off2.requests_per_sec,
+                 static_cast<unsigned long long>(t.on.samples), t.ratio,
+                 i + 1 == triples.size() ? "" : ",");
+  }
+  std::fprintf(f, "    ],\n");
   std::fprintf(f, "    \"samples\": %llu,\n",
                static_cast<unsigned long long>(profiler_samples));
   std::fprintf(f, "    \"wall_s\": %.3f,\n", profiler_window_s);

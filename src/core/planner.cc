@@ -48,7 +48,7 @@ util::Status RlPlanner::Train() {
   const auto start = std::chrono::steady_clock::now();
   // Root span of the whole training run: the `train_round` /
   // `train_shard` / `train_merge` spans the learners emit nest under it.
-  obs::ScopedSpan train_span(config_.metrics, "train", config_.trace);
+  obs::ScopedSpan train_span(config_.trace, "train");
   train_span.AddArg("episodes",
                     static_cast<std::uint64_t>(config_.sarsa.num_episodes));
   train_span.AddArg("q_repr",

@@ -214,7 +214,7 @@ FleetOrchestrator::RetrainResult FleetOrchestrator::Retrain(SpecState& state) {
   result.derived_seed =
       state.spec.seed + 0x9e3779b97f4a7c15ull * state.generation;
   ++state.generation;
-  obs::ScopedSpan span(config_.metrics, "fleet_retrain", config_.trace);
+  obs::ScopedSpan span(config_.trace, "fleet_retrain");
   span.AddArg("slot", state.spec.slot);
   span.AddArg("generation", state.generation);
   if (config_.hooks.on_retrain_start) {
@@ -270,8 +270,7 @@ void FleetOrchestrator::RecordFailure(SpecState& state,
   }
   state.phase = PolicyPhase::kBackoff;
   state.next_attempt_tick = tick_ + wait;
-  obs::ScopedSpan span(config_.metrics, "fleet_publish_failure",
-                       config_.trace);
+  obs::ScopedSpan span(config_.trace, "fleet_publish_failure");
   span.AddArg("slot", state.spec.slot);
   span.AddArg("kind", kind);
 }
@@ -292,7 +291,7 @@ void FleetOrchestrator::TryPublish(SpecState& state, RetrainResult result) {
                                state.spec.segment_id)) {
     c->Increment();
   }
-  obs::ScopedSpan span(config_.metrics, "fleet_publish", config_.trace);
+  obs::ScopedSpan span(config_.trace, "fleet_publish");
   span.AddArg("slot", state.spec.slot);
 
   // Publish pipeline: the candidate travels as v2 snapshot bytes, runs
@@ -404,8 +403,7 @@ void FleetOrchestrator::AdvanceCanary(SpecState& state) {
         config_.hooks.override_canary_verdict(state.spec);
     if (verdict.has_value()) promote = *verdict;
   }
-  obs::ScopedSpan span(config_.metrics, "fleet_canary_verdict",
-                       config_.trace);
+  obs::ScopedSpan span(config_.trace, "fleet_canary_verdict");
   span.AddArg("slot", state.spec.slot);
   if (promote) {
     const util::Status status = registry_->PromoteCanary(state.spec.slot);
@@ -440,7 +438,7 @@ void FleetOrchestrator::AdvanceCanary(SpecState& state) {
 
 void FleetOrchestrator::Tick() {
   std::lock_guard<std::mutex> lock(mutex_);
-  obs::ScopedSpan tick_span(config_.metrics, "fleet_tick", config_.trace);
+  obs::ScopedSpan tick_span(config_.trace, "fleet_tick");
   tick_span.AddArg("tick", static_cast<std::uint64_t>(tick_));
   DrainFeedback();
 

@@ -340,7 +340,9 @@ void PlanHandler::HandlePlan(const HttpRequest& request,
   // id chain with the service's queue-wait/plan/respond spans.
   const std::uint64_t trace_id =
       trace_ != nullptr ? service_->AllocateTraceId() : 0;
-  const auto parse_begin = std::chrono::steady_clock::now();
+  const auto parse_begin = trace_ != nullptr
+                               ? std::chrono::steady_clock::now()
+                               : std::chrono::steady_clock::time_point{};
   serve::PlanRequest plan_request;
   util::Status parse_status = util::Status::Ok();
   {
@@ -357,10 +359,11 @@ void PlanHandler::HandlePlan(const HttpRequest& request,
     }
   }
   if (trace_ != nullptr) {
-    trace_->EmitComplete("serve_parse", parse_begin,
-                         std::chrono::steady_clock::now(),
-                         {{"trace_id", std::to_string(trace_id)},
-                          {"status", parse_status.ok() ? "ok" : "error"}});
+    trace_->Emit(obs::TraceEvent{.name = "serve_parse",
+                                 .trace_id = trace_id,
+                                 .begin = parse_begin,
+                                 .end = std::chrono::steady_clock::now()}
+                     .AddArg("status", parse_status.ok() ? "ok" : "error"));
   }
   if (!parse_status.ok()) {
     responder.Send(HttpResponse{StatusToHttpCode(parse_status),

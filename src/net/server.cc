@@ -389,9 +389,10 @@ void HttpServer::AcceptReady(Shard& shard) {
     connections_active_->Add(1.0);
     if (config_.trace != nullptr) {
       const auto now = std::chrono::steady_clock::now();
-      config_.trace->EmitComplete("serve_accept", now, now,
-                                  {{"shard", std::to_string(shard.index)},
-                                   {"fd", std::to_string(fd)}});
+      config_.trace->Emit(
+          obs::TraceEvent{.name = "serve_accept", .begin = now, .end = now}
+              .AddArg("shard", std::uint64_t{shard.index})
+              .AddArg("fd", static_cast<std::uint64_t>(fd)));
     }
   }
 }

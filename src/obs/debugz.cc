@@ -1,6 +1,7 @@
 #include "obs/debugz.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <utility>
 
@@ -18,29 +19,43 @@ std::uint64_t SteadyNowNs() {
           .count());
 }
 
-std::string RecordJson(const RequestRecord& record) {
-  std::string out = "{\"trace_id\": " + std::to_string(record.trace_id) +
-                    ", \"policy_version\": " +
-                    std::to_string(record.policy_version) + ", \"slot\": \"" +
-                    JsonEscape(record.slot) + "\", \"status\": \"" +
-                    JsonEscape(record.status) + "\"";
-  out += ", \"queue_ms\": " + FormatMetricValue(record.queue_ms);
-  out += ", \"exec_ms\": " + FormatMetricValue(record.exec_ms);
-  out += ", \"total_ms\": " + FormatMetricValue(record.total_ms);
-  out += ", \"spans\": [";
-  bool first = true;
-  for (const RecordedSpan& span : record.spans) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"name\": \"" + JsonEscape(span.name) +
-           "\", \"start_ms\": " + FormatMetricValue(span.start_ms) +
-           ", \"duration_ms\": " + FormatMetricValue(span.duration_ms) + "}";
-  }
-  out += "]}";
-  return out;
+double MillisBetween(std::chrono::steady_clock::time_point from,
+                     std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
 }  // namespace
+
+std::string FlightRecorder::RecordJson(const Record& record) {
+  const TraceEvent& first = record.events.front();
+  std::uint64_t version = 0;
+  double queue_ms = 0.0;
+  double exec_ms = 0.0;
+  std::string spans;
+  for (const TraceEvent& event : record.events) {
+    const std::string_view name = event.name;
+    const double duration_ms = MillisBetween(event.begin, event.end);
+    if (name == "serve_queue_wait") queue_ms = duration_ms;
+    if (name == "serve_plan") exec_ms = duration_ms;
+    const std::string_view arg = event.Arg("version");
+    std::from_chars(arg.data(), arg.data() + arg.size(), version);
+    if (!spans.empty()) spans += ", ";
+    spans += "{\"name\": \"" + JsonEscape(event.name) + "\", \"start_ms\": " +
+             FormatMetricValue(MillisBetween(first.begin, event.begin)) +
+             ", \"duration_ms\": " + FormatMetricValue(duration_ms) + "}";
+  }
+  std::string out = "{\"trace_id\": " + std::to_string(first.trace_id) +
+                    ", \"policy_version\": " + std::to_string(version) +
+                    ", \"slot\": \"" + JsonEscape(record.slot) +
+                    "\", \"status\": \"" +
+                    JsonEscape(std::string(record.events.back().Arg("status"))) +
+                    "\"";
+  out += ", \"queue_ms\": " + FormatMetricValue(queue_ms);
+  out += ", \"exec_ms\": " + FormatMetricValue(exec_ms);
+  out += ", \"total_ms\": " + FormatMetricValue(record.total_ms);
+  out += ", \"spans\": [" + spans + "]}";
+  return out;
+}
 
 FlightRecorder::FlightRecorder(const FlightRecorderConfig& config)
     : config_(config) {}
@@ -53,27 +68,26 @@ void FlightRecorder::BeginActive(std::uint64_t trace_id,
   active_[trace_id] = Active{slot, start_ns};
 }
 
-void FlightRecorder::EndActive(std::uint64_t trace_id) {
-  if (!enabled()) return;
+void FlightRecorder::Complete(std::string_view slot,
+                              std::span<const TraceEvent> events) {
+  if (!enabled() || events.empty()) return;
+  const double total_ms =
+      MillisBetween(events.front().begin, events.back().end);
   std::lock_guard<std::mutex> lock(mutex_);
-  active_.erase(trace_id);
-}
-
-void FlightRecorder::Complete(RequestRecord record) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
+  active_.erase(events.front().trace_id);
   ++observed_;
-  if (record.total_ms < config_.slo_ms) return;
+  if (total_ms < config_.slo_ms) return;
   ++violations_;
+  Record record{std::string(slot), {events.begin(), events.end()}, total_ms};
   recent_.push_front(record);
   while (recent_.size() > kKeepRecent) recent_.pop_back();
   // slowest_ stays sorted descending; evict the fastest retained record
   // when full. trace_id breaks total_ms ties so insertion is deterministic.
   const auto position = std::upper_bound(
       slowest_.begin(), slowest_.end(), record,
-      [](const RequestRecord& a, const RequestRecord& b) {
+      [](const Record& a, const Record& b) {
         if (a.total_ms != b.total_ms) return a.total_ms > b.total_ms;
-        return a.trace_id < b.trace_id;
+        return a.events.front().trace_id < b.events.front().trace_id;
       });
   if (position == slowest_.end() &&
       slowest_.size() >= kKeepSlowest) {
@@ -116,14 +130,14 @@ std::string FlightRecorder::ToJson() const {
   }
   out += "], \"slowest\": [";
   first = true;
-  for (const RequestRecord& record : slowest_) {
+  for (const Record& record : slowest_) {
     if (!first) out += ", ";
     first = false;
     out += RecordJson(record);
   }
   out += "], \"recent\": [";
   first = true;
-  for (const RequestRecord& record : recent_) {
+  for (const Record& record : recent_) {
     if (!first) out += ", ";
     first = false;
     out += RecordJson(record);

@@ -5,10 +5,13 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/registry.h"
+#include "obs/trace.h"
 
 namespace rlplanner::obs {
 
@@ -21,33 +24,16 @@ struct FlightRecorderConfig {
   double slo_ms = 0.0;
 };
 
-/// One stage of a recorded request, relative to its enqueue time.
-struct RecordedSpan {
-  std::string name;
-  double start_ms = 0.0;
-  double duration_ms = 0.0;
-};
-
-/// The retained span tree of one SLO-violating request.
-struct RequestRecord {
-  std::uint64_t trace_id = 0;
-  std::uint64_t policy_version = 0;
-  std::string slot;
-  std::string status;  // "ok", "error", "deadline_exceeded"
-  double queue_ms = 0.0;
-  double exec_ms = 0.0;
-  double total_ms = 0.0;
-  std::vector<RecordedSpan> spans;
-};
-
-/// Flight recorder for tail latency: the serving workers report every
-/// request's lifecycle, and requests that blow the SLO keep their full span
-/// breakdown in two bounded reservoirs, served live at GET /debug/tracez.
-/// An active-requests table (Begin/End) shows what is in flight right now —
-/// the request that is *currently* hung appears there long before it
-/// completes. All methods are thread-safe; the recorder is mutex-based but
-/// touched at most twice per request, far off the ≤2% overhead budget, and
-/// not touched at all when disabled.
+/// Flight recorder for tail latency: a retention policy over the serving
+/// path's trace events. The serving workers hand it each request's stage
+/// events — the same events the trace collector gets — and requests that
+/// blow the SLO keep them in two bounded reservoirs, served live at
+/// GET /debug/tracez. An active-requests table (BeginActive/Complete, keyed
+/// by trace id) shows what is in flight right now — the request that is
+/// *currently* hung appears there long before it completes. All methods
+/// are thread-safe; the recorder is mutex-based but touched at most twice
+/// per request, far off the ≤2% overhead budget, and not touched at all
+/// when disabled.
 class FlightRecorder {
  public:
   /// Reservoir sizes: the kKeepSlowest slowest SLO violators ever seen,
@@ -68,11 +54,14 @@ class FlightRecorder {
   /// steady-clock reading so the export can compute live ages.
   void BeginActive(std::uint64_t trace_id, const std::string& slot,
                    std::uint64_t start_ns);
-  /// The request left the worker (any outcome).
-  void EndActive(std::uint64_t trace_id);
 
-  /// The request finished end to end; retained iff total_ms >= slo_ms.
-  void Complete(RequestRecord record);
+  /// The request on `slot` whose stage `events` these are (all carrying its
+  /// trace id, in stage order) is settled: it leaves the active table, and
+  /// it is retained iff its events span at least slo_ms. Its tracez record
+  /// is rendered from the events: the serve_queue_wait and serve_plan
+  /// stages give queue_ms and exec_ms, the version arg the policy version,
+  /// and the last event's status arg the status.
+  void Complete(std::string_view slot, std::span<const TraceEvent> events);
 
   std::uint64_t requests_observed() const;
   std::uint64_t slo_violations() const;
@@ -89,14 +78,23 @@ class FlightRecorder {
     std::string slot;
     std::uint64_t start_ns = 0;
   };
+  /// One retained request: its slot and stage events.
+  struct Record {
+    std::string slot;
+    std::vector<TraceEvent> events;
+    double total_ms = 0.0;
+  };
+
+  /// The /debug/tracez object of one retained request.
+  static std::string RecordJson(const Record& record);
 
   const FlightRecorderConfig config_;
   mutable std::mutex mutex_;
   std::uint64_t observed_ = 0;
   std::uint64_t violations_ = 0;
-  std::map<std::uint64_t, Active> active_;          // trace_id → in-flight
-  std::vector<RequestRecord> slowest_;              // sorted by total_ms desc
-  std::deque<RequestRecord> recent_;                // newest at the front
+  std::map<std::uint64_t, Active> active_;  // trace_id → in-flight
+  std::vector<Record> slowest_;             // sorted by total_ms desc
+  std::deque<Record> recent_;               // newest at the front
 };
 
 /// A pre-rendered JSON value a subsystem contributes to /debug/statusz

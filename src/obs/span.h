@@ -1,8 +1,6 @@
 #ifndef RLPLANNER_OBS_SPAN_H_
 #define RLPLANNER_OBS_SPAN_H_
 
-#include <array>
-#include <chrono>
 #include <cstdint>
 #include <string_view>
 
@@ -10,61 +8,36 @@
 
 namespace rlplanner::obs {
 
-class Registry;
-
-/// A lightweight RAII trace span: records its steady-clock elapsed time on
-/// destruction into the histogram `span_duration_us{span=<name>,
-/// parent=<enclosing span name or "">}` of the given registry, and links to
-/// the enclosing span on the same thread so nesting depth and parentage are
-/// visible in the exported metrics.
+/// A RAII trace span: on destruction it emits one complete event covering
+/// its lifetime (with any args added via `AddArg`) onto the calling
+/// thread's timeline of the attached collector.
 ///
-/// A span may additionally be attached to a `TraceCollector`: on destruction
-/// it then emits one complete Chrome-trace event (with any args added via
-/// `AddArg`) onto the calling thread's timeline. The two sinks are
-/// independent — either may be null.
-///
-/// Spans are for coarse-grained phases (a training round, a serve request),
-/// not per-step hot loops — each span costs two clock reads plus one
-/// registry lookup at destruction. With a null or disabled registry AND no
-/// attached collector the span skips the clock reads entirely: exactly one
-/// predictable branch each in the constructor and destructor.
+/// Spans are for coarse-grained phases (a training round, a fleet tick),
+/// not per-step hot loops — each costs two clock reads and one event copy.
+/// With a null collector the span reads no clock: exactly one predictable
+/// branch each in the constructor and destructor.
 ///
 /// `name` must be a string literal (or otherwise outlive the span); it is
 /// stored by pointer. Arg keys likewise.
 class ScopedSpan {
  public:
-  ScopedSpan(Registry* registry, const char* name,
-             TraceCollector* trace = nullptr);
+  ScopedSpan(TraceCollector* trace, const char* name);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  const char* name() const { return name_; }
-  const ScopedSpan* parent() const { return parent_; }
-  /// Nesting depth on this thread: 0 for a root span.
-  int depth() const { return depth_; }
   /// Whether destruction will emit a trace event.
   bool traced() const { return trace_ != nullptr; }
 
-  /// Annotates the trace event emitted at destruction. No-ops (one branch,
-  /// no copies) when no collector is attached; extra args beyond
-  /// kMaxTraceArgs are dropped.
+  /// Annotates the emitted event. No-ops (one branch, no copies) when no
+  /// collector is attached; extra args beyond kMaxTraceArgs are dropped.
   void AddArg(const char* key, std::string_view value);
   void AddArg(const char* key, std::uint64_t value);
 
-  /// The innermost live span on the calling thread, or nullptr.
-  static const ScopedSpan* Current();
-
  private:
-  Registry* const registry_;
   TraceCollector* const trace_;
-  const char* const name_;
-  ScopedSpan* const parent_;
-  const int depth_;
-  std::chrono::steady_clock::time_point start_;
-  std::array<TraceArg, kMaxTraceArgs> args_;
-  int num_args_ = 0;
+  TraceEvent event_;
 };
 
 }  // namespace rlplanner::obs

@@ -23,6 +23,28 @@ struct SlotCache {
 };
 thread_local SlotCache t_slot;
 
+/// Whole nanoseconds from `from` to `to`, 0 when `to` is not later.
+std::uint64_t NanosBetween(std::chrono::steady_clock::time_point from,
+                           std::chrono::steady_clock::time_point to) {
+  return to <= from ? 0
+                    : static_cast<std::uint64_t>(
+                          std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              to - from)
+                              .count());
+}
+
+/// The first unused slot of `args`, keyed `key`; null when all are taken.
+TraceArg* ClaimArg(std::array<TraceArg, kMaxTraceArgs>& args,
+                   const char* key) {
+  for (TraceArg& arg : args) {
+    if (arg.key == nullptr) {
+      arg.key = key;
+      return &arg;
+    }
+  }
+  return nullptr;
+}
+
 std::string FormatMicros(std::uint64_t ns) {
   // Chrome trace timestamps are microseconds; a double is exact here for
   // any trace shorter than ~104 days.
@@ -47,18 +69,27 @@ TraceCollector::TraceCollector(TraceCollectorConfig config)
 
 TraceCollector::~TraceCollector() = default;
 
-void TraceCollector::FillArg(TraceArg& arg, const char* key,
-                             std::string_view value) {
-  arg.key = key;
-  const std::size_t n = std::min(value.size(), kTraceArgValueCap - 1);
-  std::memcpy(arg.value, value.data(), n);
-  arg.value[n] = '\0';
+TraceEvent& TraceEvent::AddArg(const char* key, std::string_view value) {
+  if (TraceArg* arg = ClaimArg(args, key)) {
+    const std::size_t n = std::min(value.size(), kTraceArgValueCap - 1);
+    std::memcpy(arg->value, value.data(), n);
+    arg->value[n] = '\0';
+  }
+  return *this;
 }
 
-void TraceCollector::FillArg(TraceArg& arg, const char* key,
-                             std::uint64_t value) {
-  arg.key = key;
-  std::snprintf(arg.value, sizeof(arg.value), "%" PRIu64, value);
+TraceEvent& TraceEvent::AddArg(const char* key, std::uint64_t value) {
+  if (TraceArg* arg = ClaimArg(args, key)) {
+    std::snprintf(arg->value, sizeof(arg->value), "%" PRIu64, value);
+  }
+  return *this;
+}
+
+std::string_view TraceEvent::Arg(std::string_view key) const {
+  for (const TraceArg& arg : args) {
+    if (arg.key != nullptr && key == arg.key) return arg.value;
+  }
+  return {};
 }
 
 TraceCollector::ThreadBuffer* TraceCollector::CurrentBuffer() {
@@ -85,9 +116,7 @@ TraceCollector::ThreadBuffer* TraceCollector::CurrentBuffer() {
   return buffer;
 }
 
-void TraceCollector::Emit(const char* name, std::uint64_t begin_ns,
-                          std::uint64_t end_ns, const TraceArg* args,
-                          int num_args) {
+void TraceCollector::Emit(const TraceEvent& event) {
   ThreadBuffer* buffer = CurrentBuffer();
   const std::uint32_t n = buffer->size.load(std::memory_order_relaxed);
   if (static_cast<std::size_t>(n) >= buffer->events.size()) {
@@ -95,50 +124,8 @@ void TraceCollector::Emit(const char* name, std::uint64_t begin_ns,
     if (dropped_counter_ != nullptr) dropped_counter_->Increment();
     return;
   }
-  TraceEvent& event = buffer->events[n];
-  event.name = name;
-  event.begin_ns = begin_ns;
-  event.end_ns = end_ns < begin_ns ? begin_ns : end_ns;
-  const int count = std::min(num_args, kMaxTraceArgs);
-  for (int i = 0; i < count; ++i) event.args[static_cast<std::size_t>(i)] = args[i];
-  for (int i = count; i < kMaxTraceArgs; ++i) {
-    event.args[static_cast<std::size_t>(i)].key = nullptr;
-  }
+  buffer->events[n] = event;
   buffer->size.store(n + 1, std::memory_order_release);
-}
-
-void TraceCollector::EmitSpan(const char* name,
-                              std::chrono::steady_clock::time_point begin,
-                              std::chrono::steady_clock::time_point end,
-                              const TraceArg* args, int num_args) {
-  Emit(name, SinceEpochNs(begin), SinceEpochNs(end), args, num_args);
-}
-
-void TraceCollector::EmitComplete(
-    const char* name, std::chrono::steady_clock::time_point begin,
-    std::chrono::steady_clock::time_point end,
-    std::initializer_list<std::pair<const char*, std::string_view>> args) {
-  std::array<TraceArg, kMaxTraceArgs> storage;
-  int count = 0;
-  for (const auto& [key, value] : args) {
-    if (count >= kMaxTraceArgs) break;
-    FillArg(storage[static_cast<std::size_t>(count)], key, value);
-    ++count;
-  }
-  Emit(name, SinceEpochNs(begin), SinceEpochNs(end), storage.data(), count);
-}
-
-void TraceCollector::EmitAt(
-    const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
-    std::initializer_list<std::pair<const char*, std::string_view>> args) {
-  std::array<TraceArg, kMaxTraceArgs> storage;
-  int count = 0;
-  for (const auto& [key, value] : args) {
-    if (count >= kMaxTraceArgs) break;
-    FillArg(storage[static_cast<std::size_t>(count)], key, value);
-    ++count;
-  }
-  Emit(name, begin_ns, end_ns, storage.data(), count);
 }
 
 void TraceCollector::SetCurrentThreadName(std::string name) {
@@ -191,11 +178,11 @@ std::string TraceCollector::ToChromeTrace() const {
   std::sort(events.begin(), events.end(),
             [](const ExportEvent& a, const ExportEvent& b) {
               if (a.tid != b.tid) return a.tid < b.tid;
-              if (a.event->begin_ns != b.event->begin_ns) {
-                return a.event->begin_ns < b.event->begin_ns;
+              if (a.event->begin != b.event->begin) {
+                return a.event->begin < b.event->begin;
               }
-              if (a.event->end_ns != b.event->end_ns) {
-                return a.event->end_ns > b.event->end_ns;
+              if (a.event->end != b.event->end) {
+                return a.event->end > b.event->end;
               }
               return std::strcmp(a.event->name, b.event->name) < 0;
             });
@@ -212,13 +199,18 @@ std::string TraceCollector::ToChromeTrace() const {
            JsonEscape(name) + "\"}}";
   }
   for (const ExportEvent& e : events) {
-    out += ",\n{\"name\": \"" + JsonEscape(e.event->name) +
+    const TraceEvent& event = *e.event;
+    out += ",\n{\"name\": \"" + JsonEscape(event.name) +
            "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " + std::to_string(e.tid) +
-           ", \"ts\": " + FormatMicros(e.event->begin_ns) +
-           ", \"dur\": " + FormatMicros(e.event->end_ns - e.event->begin_ns) +
+           ", \"ts\": " + FormatMicros(NanosBetween(epoch_, event.begin)) +
+           ", \"dur\": " + FormatMicros(NanosBetween(event.begin, event.end)) +
            ", \"args\": {";
     bool first = true;
-    for (const TraceArg& arg : e.event->args) {
+    if (event.trace_id != 0) {
+      out += "\"trace_id\": \"" + std::to_string(event.trace_id) + "\"";
+      first = false;
+    }
+    for (const TraceArg& arg : event.args) {
       if (arg.key == nullptr) continue;
       if (!first) out += ", ";
       first = false;

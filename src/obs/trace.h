@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,14 +35,28 @@ struct TraceArg {
   char value[kTraceArgValueCap] = {};
 };
 
-/// One complete ("ph":"X") trace event: a named interval on the emitting
-/// thread's timeline, with timestamps in nanoseconds since the collector's
-/// epoch and up to kMaxTraceArgs annotations.
+/// One complete ("ph":"X") trace event: a named steady-clock interval with
+/// up to kMaxTraceArgs annotations. It is the one record of a timed stage:
+/// the collector's rings store it as is, and the flight recorder retains
+/// the same events for /debug/tracez.
 struct TraceEvent {
   const char* name = nullptr;  // string literal
-  std::uint64_t begin_ns = 0;
-  std::uint64_t end_ns = 0;
+  /// The request the stage belongs to, exported as the event's first arg
+  /// ("trace_id"); 0 for events outside any request.
+  std::uint64_t trace_id = 0;
+  std::chrono::steady_clock::time_point begin{};
+  std::chrono::steady_clock::time_point end{};
   std::array<TraceArg, kMaxTraceArgs> args{};
+
+  /// Annotates the event in the first unused arg slot: the key must be a
+  /// string literal, the value is copied (truncated to
+  /// kTraceArgValueCap - 1 chars, integers formatted without allocating).
+  /// Args beyond kMaxTraceArgs are dropped.
+  TraceEvent& AddArg(const char* key, std::string_view value);
+  TraceEvent& AddArg(const char* key, std::uint64_t value);
+
+  /// The value of the arg named `key`, or "" when the event has none.
+  std::string_view Arg(std::string_view key) const;
 };
 
 struct TraceCollectorConfig {
@@ -81,28 +94,10 @@ class TraceCollector {
 
   ~TraceCollector();
 
-  /// Emits one complete event with steady-clock endpoints (converted to
-  /// ns since the collector epoch) onto the calling thread's timeline.
-  /// `name` and arg keys must be string literals; arg values are copied
-  /// (and truncated to kTraceArgValueCap - 1 chars).
-  void EmitComplete(
-      const char* name, std::chrono::steady_clock::time_point begin,
-      std::chrono::steady_clock::time_point end,
-      std::initializer_list<std::pair<const char*, std::string_view>> args =
-          {});
-
-  /// ScopedSpan's emit path: pre-filled TraceArg slots, no conversions.
-  void EmitSpan(const char* name, std::chrono::steady_clock::time_point begin,
-                std::chrono::steady_clock::time_point end,
-                const TraceArg* args, int num_args);
-
-  /// Fixed-timestamp emit for tests and replay: `begin_ns`/`end_ns` are
-  /// taken verbatim as ns-since-epoch, making the exported JSON fully
-  /// deterministic.
-  void EmitAt(
-      const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
-      std::initializer_list<std::pair<const char*, std::string_view>> args =
-          {});
+  /// Stores `event` on the calling thread's timeline (its name and arg
+  /// keys must be string literals). The export renders its endpoints
+  /// relative to epoch().
+  void Emit(const TraceEvent& event);
 
   /// Names the calling thread's timeline in the exported metadata (default
   /// "thread-<tid>"). Registers the thread if it has not emitted yet.
@@ -124,11 +119,6 @@ class TraceCollector {
   /// it exports the events published so far.
   std::string ToChromeTrace() const;
 
-  /// Copies `value` into an arg slot (truncating); shared by ScopedSpan.
-  static void FillArg(TraceArg& arg, const char* key, std::string_view value);
-  /// Formats an integer into an arg slot without allocating.
-  static void FillArg(TraceArg& arg, const char* key, std::uint64_t value);
-
  private:
   /// One thread's event storage. `size` is published with release by the
   /// owning thread and read with acquire by the exporter; `events` never
@@ -147,18 +137,6 @@ class TraceCollector {
   /// of the memory budget) on first use. Never null — a budget-exhausted
   /// thread gets a zero-capacity buffer that counts drops.
   ThreadBuffer* CurrentBuffer();
-
-  void Emit(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
-            const TraceArg* args, int num_args);
-
-  std::uint64_t SinceEpochNs(std::chrono::steady_clock::time_point tp) const {
-    return tp <= epoch_
-               ? 0
-               : static_cast<std::uint64_t>(
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         tp - epoch_)
-                         .count());
-  }
 
   TraceCollectorConfig config_;
   const std::uint64_t id_;  // process-unique, keys the thread-local cache

@@ -98,8 +98,6 @@ QModel ParallelSarsaLearnerT<QModel>::LearnSharded() {
     masks.emplace_back(*reward_, horizon, config_.mask_type_overflow);
   }
 
-  obs::Registry* const span_registry =
-      metrics_ != nullptr ? metrics_->registry() : nullptr;
   const auto run_round = [&](QModel& q, int round, int count,
                              double explore) {
     // Deterministic shard sizes: floor(count / K) each, the remainder going
@@ -116,7 +114,7 @@ QModel ParallelSarsaLearnerT<QModel>::LearnSharded() {
     ForEachWorker(k, [&](std::size_t w) {
       // One span per shard on the emitting thread's own timeline — the
       // per-worker straggler picture the merge-wait histogram can't show.
-      obs::ScopedSpan shard_span(span_registry, "train_shard", trace_);
+      obs::ScopedSpan shard_span(trace_, "train_shard");
       shard_span.AddArg("round", static_cast<std::uint64_t>(round));
       shard_span.AddArg("worker", static_cast<std::uint64_t>(w));
       shard_span.AddArg("episodes", static_cast<std::uint64_t>(shard[w]));
@@ -146,7 +144,7 @@ QModel ParallelSarsaLearnerT<QModel>::LearnSharded() {
     // Round barrier: fold worker deltas in ascending worker order. Fixed
     // iteration and FP-evaluation order make the merged table — and thus
     // the whole run — bit-reproducible for a given (seed, K).
-    obs::ScopedSpan merge_span(span_registry, "train_merge", trace_);
+    obs::ScopedSpan merge_span(trace_, "train_merge");
     merge_span.AddArg("round", static_cast<std::uint64_t>(round));
     for (int w = 0; w < k; ++w) {
       q.AccumulateDelta(locals[static_cast<std::size_t>(w)], snapshot);

@@ -46,14 +46,12 @@ QModel RunPolicyIteration(const model::TaskInstance& instance,
         RecommendPlan(table, instance, reward, rollout_config));
   };
 
-  obs::Registry* const span_registry =
-      metrics != nullptr ? metrics->registry() : nullptr;
   std::optional<QModel> last_safe;
   int episodes_done = 0;
   for (int round = 0; episodes_done < config.num_episodes; ++round) {
     // Spans only read the clock: no RNG draws, no Q-table interaction, so
     // training stays bit-exact with tracing on.
-    obs::ScopedSpan round_span(span_registry, "train_round", trace);
+    obs::ScopedSpan round_span(trace, "train_round");
     round_span.AddArg("round", static_cast<std::uint64_t>(round));
     const auto round_start = Clock::now();
     const double round_epsilon = explore;
@@ -67,8 +65,7 @@ QModel RunPolicyIteration(const model::TaskInstance& instance,
 
     bool safe = true;  // single-round runs never roll out
     if (rounds > 1) {
-      obs::ScopedSpan rollout_span(span_registry, "train_safety_rollout",
-                                   trace);
+      obs::ScopedSpan rollout_span(trace, "train_safety_rollout");
       rollout_span.AddArg("round", static_cast<std::uint64_t>(round));
       safe = policy_is_safe(q);
     }

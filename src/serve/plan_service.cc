@@ -1,13 +1,14 @@
 #include "serve/plan_service.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 
 #include "core/scoring.h"
 #include "obs/debugz.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "rl/recommender.h"
 
@@ -105,17 +106,24 @@ util::Status PlanService::Enqueue(Pending pending) {
         "PlanService is not running (Start() not called or Stop() already "
         "requested)");
   }
-  const auto now = Clock::now();
+  pending.enqueued = Clock::now();
   // Trace ids are allocated only when tracing or the flight recorder is on,
   // so the plain path never touches the atomic; a caller-provided id (the
   // network front end's) wins so its spans share the chain.
-  const std::uint64_t trace_id =
-      trace_ == nullptr && recorder_ == nullptr ? 0
-      : pending.request.trace_id != 0           ? pending.request.trace_id
-                                                : AllocateTraceId();
+  pending.trace_id = trace_ == nullptr && recorder_ == nullptr ? 0
+                     : pending.request.trace_id != 0 ? pending.request.trace_id
+                                                     : AllocateTraceId();
   const double deadline_ms = pending.request.deadline_ms == 0.0
                                  ? config_.default_deadline_ms
                                  : pending.request.deadline_ms;
+  if (deadline_ms > 0.0) {
+    pending.has_deadline = true;
+    pending.deadline =
+        pending.enqueued +
+        std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double, std::milli>(deadline_ms));
+  }
+  bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ || draining_) {
@@ -123,33 +131,56 @@ util::Status PlanService::Enqueue(Pending pending) {
           draining_ ? "PlanService is draining" : "PlanService is stopping");
     }
     stats_.RecordSubmitted();
-    if (queue_.size() >= config_.max_queue) {
+    admitted = queue_.size() < config_.max_queue;
+    if (admitted) {
+      queue_.push_back(std::move(pending));
+      stats_.RecordAccepted();
+      stats_.SetQueueDepth(queue_.size());
+    } else {
       stats_.RecordRejectedQueueFull();
-      if (trace_ != nullptr) {
-        // Zero-width marker on the submitting thread's timeline: the
-        // request never entered the queue.
-        trace_->EmitComplete("serve_queue_wait", now, now,
-                             {{"trace_id", std::to_string(trace_id)},
-                              {"status", "queue_rejected"}});
-      }
-      return util::Status::ResourceExhausted(
-          "request queue full (" + std::to_string(config_.max_queue) +
-          " pending requests); retry later");
     }
-    pending.enqueued = now;
-    pending.trace_id = trace_id;
-    if (deadline_ms > 0.0) {
-      pending.has_deadline = true;
-      pending.deadline =
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::milli>(deadline_ms));
-    }
-    queue_.push_back(std::move(pending));
-    stats_.RecordAccepted();
-    stats_.SetQueueDepth(queue_.size());
+  }
+  if (!admitted) {
+    // Zero-width stages on the submitting thread's timeline: the request
+    // never entered the queue.
+    RecordStages(pending, pending.enqueued, pending.enqueued,
+                 "queue_rejected", /*ran=*/false, /*version=*/0);
+    return util::Status::ResourceExhausted(
+        "request queue full (" + std::to_string(config_.max_queue) +
+        " pending requests); retry later");
   }
   queue_cv_.notify_one();
   return util::Status::Ok();
+}
+
+void PlanService::RecordStages(const Pending& pending,
+                               Clock::time_point dequeued,
+                               Clock::time_point finished, const char* status,
+                               bool ran, std::uint64_t version) const {
+  if (trace_ == nullptr && recorder_ == nullptr) return;
+  std::array<obs::TraceEvent, 3> stages;
+  std::size_t count = 0;
+  const auto stage = [&](const char* name, Clock::time_point begin,
+                         Clock::time_point end,
+                         const char* stage_status) -> obs::TraceEvent& {
+    obs::TraceEvent& event = stages[count++];
+    event = {.name = name, .trace_id = pending.trace_id, .begin = begin,
+             .end = end};
+    return event.AddArg("status", stage_status);
+  };
+  stage("serve_queue_wait", pending.enqueued, dequeued, ran ? "ok" : status);
+  if (ran) {
+    obs::TraceEvent& plan = stage("serve_plan", dequeued, finished, status);
+    if (version != 0) plan.AddArg("version", version);
+  }
+  stage("serve_respond", finished, finished, status);
+  const std::span<const obs::TraceEvent> events(stages.data(), count);
+  if (trace_ != nullptr) {
+    for (const obs::TraceEvent& event : events) trace_->Emit(event);
+  }
+  if (recorder_ != nullptr) {
+    recorder_->Complete(pending.request.policy_name, events);
+  }
 }
 
 void PlanService::Deliver(Pending& pending,
@@ -184,14 +215,11 @@ util::Status PlanService::Drain(std::chrono::milliseconds timeout) {
     }
   }
   if (settled) return util::Status::Ok();
+  const auto now = Clock::now();
   for (Pending& pending : leftover) {
     stats_.RecordExpiredDeadline();
-    if (trace_ != nullptr) {
-      const auto now = Clock::now();
-      trace_->EmitComplete("serve_respond", now, now,
-                           {{"trace_id", std::to_string(pending.trace_id)},
-                            {"status", "drain_expired"}});
-    }
+    RecordStages(pending, now, now, "drain_expired", /*ran=*/false,
+                 /*version=*/0);
     if (pending.callback) {
       pending.callback(util::Status::DeadlineExceeded(
           "request still queued when the service drain timed out"));
@@ -218,33 +246,13 @@ void PlanService::WorkerLoop() {
       stats_.SetQueueDepth(queue_.size());
     }
     const auto dequeued = Clock::now();
-    const bool expired = pending.has_deadline && dequeued > pending.deadline;
-    if (trace_ != nullptr) {
-      // The queue-wait interval spans submission to dequeue; it renders on
-      // the worker's timeline since that is where the wait was observed.
-      trace_->EmitComplete(
-          "serve_queue_wait", pending.enqueued, dequeued,
-          {{"trace_id", std::to_string(pending.trace_id)},
-           {"status", expired ? "deadline_exceeded" : "ok"}});
-    }
-    if (expired) {
-      obs::ScopedSpan respond_span(config_.metrics, "serve_respond", trace_);
-      respond_span.AddArg("trace_id", pending.trace_id);
-      respond_span.AddArg("status", "deadline_exceeded");
+    const double queue_ms = MillisBetween(pending.enqueued, dequeued);
+    if (pending.has_deadline && dequeued > pending.deadline) {
       stats_.RecordExpiredDeadline();
-      const double queue_ms = MillisBetween(pending.enqueued, dequeued);
-      if (recorder_ != nullptr) {
-        // A request that died in the queue already blew its deadline; record
-        // it so /debug/tracez shows the queue wait that killed it.
-        obs::RequestRecord record;
-        record.trace_id = pending.trace_id;
-        record.slot = pending.request.policy_name;
-        record.status = "deadline_exceeded";
-        record.queue_ms = queue_ms;
-        record.total_ms = queue_ms;
-        record.spans.push_back({"serve_queue_wait", 0.0, queue_ms});
-        recorder_->Complete(std::move(record));
-      }
+      // Recorded like any request, so /debug/tracez shows the queue wait
+      // that killed it.
+      RecordStages(pending, dequeued, dequeued, "deadline_exceeded",
+                   /*ran=*/false, /*version=*/0);
       Deliver(pending,
               util::Status::DeadlineExceeded(
                   "request spent " + std::to_string(queue_ms) +
@@ -255,47 +263,23 @@ void PlanService::WorkerLoop() {
       recorder_->BeginActive(pending.trace_id, pending.request.policy_name,
                              SteadyNs(dequeued));
     }
-    auto result = [&]() -> util::Result<PlanResponse> {
-      obs::ScopedSpan plan_span(config_.metrics, "serve_plan", trace_);
-      plan_span.AddArg("trace_id", pending.trace_id);
-      auto executed = Execute(pending.request);
-      plan_span.AddArg("status", executed.ok() ? "ok" : "error");
-      if (executed.ok()) {
-        plan_span.AddArg("version", executed.value().policy_version);
-      }
-      return executed;
-    }();
+    auto result = Execute(pending.request);
     const auto finished = Clock::now();
-    if (recorder_ != nullptr) recorder_->EndActive(pending.trace_id);
-    obs::ScopedSpan respond_span(config_.metrics, "serve_respond", trace_);
-    respond_span.AddArg("trace_id", pending.trace_id);
-    respond_span.AddArg("status", result.ok() ? "ok" : "error");
-    const double queue_ms = MillisBetween(pending.enqueued, dequeued);
-    const double exec_ms = MillisBetween(dequeued, finished);
-    const double total_ms = MillisBetween(pending.enqueued, finished);
-    const std::uint64_t version =
-        result.ok() ? result.value().policy_version : 0;
+    std::uint64_t version = 0;
     if (result.ok()) {
+      version = result.value().policy_version;
       result.value().queue_ms = queue_ms;
-      result.value().exec_ms = exec_ms;
-      stats_.RecordCompleted(total_ms, pending.trace_id, version);
+      result.value().exec_ms = MillisBetween(dequeued, finished);
+      stats_.RecordCompleted(MillisBetween(pending.enqueued, finished),
+                             pending.trace_id, version);
       stats_.RecordResponseVersion(version);
     } else {
       stats_.RecordFailed();
     }
-    if (recorder_ != nullptr) {
-      obs::RequestRecord record;
-      record.trace_id = pending.trace_id;
-      record.policy_version = version;
-      record.slot = pending.request.policy_name;
-      record.status = result.ok() ? "ok" : "error";
-      record.queue_ms = queue_ms;
-      record.exec_ms = exec_ms;
-      record.total_ms = total_ms;
-      record.spans.push_back({"serve_queue_wait", 0.0, queue_ms});
-      record.spans.push_back({"serve_plan", queue_ms, exec_ms});
-      recorder_->Complete(std::move(record));
-    }
+    // The recorder holds the request's stages before the caller sees the
+    // response, so a client that reads /debug/tracez next finds it there.
+    RecordStages(pending, dequeued, finished, result.ok() ? "ok" : "error",
+                 /*ran=*/true, version);
     Deliver(pending, std::move(result));
   }
 }

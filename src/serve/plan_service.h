@@ -192,15 +192,26 @@ class PlanService {
     Clock::time_point enqueued;
     Clock::time_point deadline;
     bool has_deadline = false;
-    std::uint64_t trace_id = 0;  // assigned only when tracing is on
+    std::uint64_t trace_id = 0;  // assigned only when a trace sink is on
   };
 
   void WorkerLoop();
 
   /// Shared admission path behind Submit/SubmitAsync: deadline resolution,
-  /// queue-bound check, stats, trace marker. `pending.callback` decides the
-  /// delivery flavor.
+  /// queue-bound check, stats, and a rejected request's stages.
+  /// `pending.callback` decides the delivery flavor.
   util::Status Enqueue(Pending pending);
+
+  /// The one producer of a request's stage events. From the timestamps the
+  /// service read for the request it builds serve_queue_wait (admission to
+  /// `dequeued`), serve_plan (`dequeued` to `finished`, only when the
+  /// request `ran`, with the policy `version` when it has one) and the
+  /// zero-width serve_respond marker at `finished`, each carrying `status`
+  /// (a request that ran left the queue "ok"), and hands the same events to
+  /// the trace collector and the flight recorder. No-op without either.
+  void RecordStages(const Pending& pending, Clock::time_point dequeued,
+                    Clock::time_point finished, const char* status, bool ran,
+                    std::uint64_t version) const;
 
   /// Invokes the callback or fulfills the promise, then retires the request
   /// from the drain accounting.

@@ -1,8 +1,9 @@
 // Tests for the observability layer (src/obs/): exactness of the sharded
 // counters under concurrent writers, within-bucket-exact histograms, the
 // registry's validation and idempotent-registration contract, golden-file
-// checks for both exporters (metrics and Chrome traces), ScopedSpan
-// nesting, and the trace collector's exact-overflow accounting. The
+// checks for both exporters (metrics and Chrome traces) and the flight
+// recorder's tracez records, ScopedSpan emission, and the trace
+// collector's exact-overflow accounting. The
 // concurrency tests double as the sanitizer workload for the sharded cells
 // and the single-writer trace rings.
 
@@ -30,7 +31,6 @@
 #include "obs/training_metrics.h"
 #include "util/json.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace rlplanner::obs {
 namespace {
@@ -448,59 +448,16 @@ TEST(ObsExportTest, FormatMetricValueRoundTrips) {
 
 // --------------------------------------------------------------- spans --
 
-TEST(ObsSpanTest, NestingLinksParentsAndRecordsDurations) {
-  Registry registry;
-  EXPECT_EQ(ScopedSpan::Current(), nullptr);
-  {
-    ScopedSpan outer(&registry, "round");
-    EXPECT_EQ(outer.depth(), 0);
-    EXPECT_EQ(outer.parent(), nullptr);
-    EXPECT_EQ(ScopedSpan::Current(), &outer);
-    {
-      ScopedSpan inner(&registry, "merge");
-      EXPECT_EQ(inner.depth(), 1);
-      EXPECT_EQ(inner.parent(), &outer);
-      EXPECT_EQ(ScopedSpan::Current(), &inner);
-    }
-    EXPECT_EQ(ScopedSpan::Current(), &outer);
-  }
-  EXPECT_EQ(ScopedSpan::Current(), nullptr);
-
-  // Both spans recorded one observation each, linked by the parent label.
-  int seen = 0;
-  for (const MetricSnapshot& m : registry.Collect().metrics) {
-    if (m.name != "span_duration_us") continue;
-    ASSERT_EQ(m.labels.size(), 2u);  // parent, span (sorted by key)
-    EXPECT_EQ(m.labels[0].key, "parent");
-    EXPECT_EQ(m.labels[1].key, "span");
-    if (m.labels[1].value == "round") {
-      EXPECT_EQ(m.labels[0].value, "");
-    }
-    if (m.labels[1].value == "merge") {
-      EXPECT_EQ(m.labels[0].value, "round");
-    }
-    EXPECT_EQ(m.count, 1u);
-    ++seen;
-  }
-  EXPECT_EQ(seen, 2);
-}
-
-TEST(ObsSpanTest, NullAndDisabledRegistriesAreNoOps) {
-  {
-    ScopedSpan span(nullptr, "quiet");
-    EXPECT_EQ(span.depth(), 0);
-  }
-  Registry disabled(/*enabled=*/false);
-  {
-    ScopedSpan span(&disabled, "quiet");
-  }
-  EXPECT_TRUE(disabled.Collect().metrics.empty());
+TEST(ObsSpanTest, NullCollectorIsANoOp) {
+  ScopedSpan span(nullptr, "quiet");
+  EXPECT_FALSE(span.traced());
+  span.AddArg("status", "ok");  // dropped without a collector
 }
 
 TEST(ObsSpanTest, AttachedCollectorReceivesSpanEventWithArgs) {
   TraceCollector trace;
   {
-    ScopedSpan span(nullptr, "plan", &trace);
+    ScopedSpan span(&trace, "plan");
     EXPECT_TRUE(span.traced());
     span.AddArg("version", std::uint64_t{7});
     span.AddArg("status", "ok");
@@ -512,52 +469,30 @@ TEST(ObsSpanTest, AttachedCollectorReceivesSpanEventWithArgs) {
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
 }
 
-TEST(ObsSpanTest, PoolWorkersGetTheirOwnRootSpans) {
-  // The parent chain is thread-local: a span opened on a pool worker is a
-  // root even while the submitting thread holds a live span. Indices that
-  // run on the caller (ParallelFor callers participate) nest under it.
-  Registry registry;
-  util::ThreadPool pool(3);
-  constexpr std::size_t kTasks = 16;
-  struct Seen {
-    int depth = -1;
-    bool parent_is_outer = false;
-    std::thread::id tid;
-  };
-  std::vector<Seen> seen(kTasks);
-  const std::thread::id caller = std::this_thread::get_id();
-  {
-    ScopedSpan outer(&registry, "outer");
-    pool.ParallelFor(kTasks, [&](std::size_t i) {
-      ScopedSpan span(&registry, "task");
-      seen[i] = {span.depth(), span.parent() == &outer,
-                 std::this_thread::get_id()};
-    });
-  }
-  for (const Seen& s : seen) {
-    ASSERT_GE(s.depth, 0);
-    if (s.tid == caller) {
-      EXPECT_EQ(s.depth, 1);
-      EXPECT_TRUE(s.parent_is_outer);
-    } else {
-      EXPECT_EQ(s.depth, 0);
-      EXPECT_FALSE(s.parent_is_outer);
-    }
-  }
-}
-
 // --------------------------------------------------------------- traces --
 
+// An event at fixed nanosecond offsets from the collector's epoch, so the
+// export is fully deterministic.
+TraceEvent EventAt(const TraceCollector& trace, const char* name,
+                   std::uint64_t begin_ns, std::uint64_t end_ns) {
+  return TraceEvent{.name = name,
+                    .begin = trace.epoch() + std::chrono::nanoseconds(begin_ns),
+                    .end = trace.epoch() + std::chrono::nanoseconds(end_ns)};
+}
+
 TEST(ObsTraceTest, ChromeTraceGoldenPinsFullJson) {
-  // Fixed timestamps via EmitAt make the whole export deterministic, so the
-  // golden pins everything: the process/thread metadata records, event
-  // ordering, µs conversion, arg rendering, and JSON escaping in names and
-  // arg values.
+  // Fixed timestamps make the whole export deterministic, so the golden
+  // pins everything: the process/thread metadata records, event ordering,
+  // µs conversion, arg rendering, and JSON escaping in names and arg
+  // values.
   TraceCollector trace;
   trace.SetCurrentThreadName("main");
-  trace.EmitAt("train_round", 1000, 5000, {{"round", "0"}, {"safe", "true"}});
-  trace.EmitAt("train_merge", 2500, 3500, {{"round", "0"}});
-  trace.EmitAt("note \"q\"\\", 4000, 4000, {{"msg", "line\nbreak"}});
+  trace.Emit(EventAt(trace, "train_round", 1000, 5000)
+                 .AddArg("round", "0")
+                 .AddArg("safe", "true"));
+  trace.Emit(EventAt(trace, "train_merge", 2500, 3500).AddArg("round", "0"));
+  trace.Emit(
+      EventAt(trace, "note \"q\"\\", 4000, 4000).AddArg("msg", "line\nbreak"));
   const std::string expected =
       "{\"traceEvents\": [\n"
       "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
@@ -581,15 +516,30 @@ TEST(ObsTraceTest, ChromeTraceGoldenPinsFullJson) {
   EXPECT_EQ(trace.dropped_total(), 0u);
 }
 
+TEST(ObsTraceTest, TraceIdIsTheFirstArgAndArgsReadBack) {
+  TraceCollector trace;
+  TraceEvent event = EventAt(trace, "serve_plan", 0, 2000);
+  event.trace_id = 42;
+  event.AddArg("status", "ok").AddArg("version", std::uint64_t{3});
+  EXPECT_EQ(event.Arg("version"), "3");
+  EXPECT_EQ(event.Arg("status"), "ok");
+  EXPECT_EQ(event.Arg("absent"), "");
+  trace.Emit(event);
+  EXPECT_NE(trace.ToChromeTrace().find(
+                "\"args\": {\"trace_id\": \"42\", \"status\": \"ok\", "
+                "\"version\": \"3\"}"),
+            std::string::npos);
+}
+
 TEST(ObsTraceTest, ArgValuesTruncateAndExtraArgsAreDropped) {
   TraceCollector trace;
   const std::string long_value(3 * kTraceArgValueCap, 'x');
-  trace.EmitAt("ev", 0, 1,
-               {{"k", long_value},
-                {"a1", "1"},
-                {"a2", "2"},
-                {"a3", "3"},
-                {"beyond_cap", "dropped"}});
+  trace.Emit(EventAt(trace, "ev", 0, 1)
+                 .AddArg("k", long_value)
+                 .AddArg("a1", "1")
+                 .AddArg("a2", "2")
+                 .AddArg("a3", "3")
+                 .AddArg("beyond_cap", "dropped"));
   const std::string json = trace.ToChromeTrace();
   // Values are cut at the fixed cap (kTraceArgValueCap - 1 payload chars)...
   EXPECT_NE(json.find("\"k\": \"" + std::string(kTraceArgValueCap - 1, 'x') +
@@ -619,7 +569,7 @@ TEST(ObsTraceTest, OverflowAccountingIsExactAcrossThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&trace] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        trace.EmitAt("ev", i, i + 1, {{"i", "x"}});
+        trace.Emit(EventAt(trace, "ev", i, i + 1).AddArg("i", "x"));
       }
     });
   }
@@ -663,7 +613,7 @@ TEST(ObsTraceTest, ConcurrentEmitAndExportAreCoherent) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&trace] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        trace.EmitAt("ev", i, i + 1, {{"status", "ok"}});
+        trace.Emit(EventAt(trace, "ev", i, i + 1).AddArg("status", "ok"));
       }
     });
   }
@@ -942,24 +892,29 @@ TEST(ObsProfilerTest, SigprofSamplingCapturesBusyLoop) {
 
 // ---------------------------------------------------- flight recorder --
 
-RequestRecord MakeRecord(std::uint64_t trace_id, double total_ms) {
-  RequestRecord record;
-  record.trace_id = trace_id;
-  record.policy_version = 1;
-  record.slot = "default";
-  record.status = "ok";
-  record.queue_ms = 0.25;
-  record.exec_ms = total_ms - 0.25;
-  record.total_ms = total_ms;
-  record.spans.push_back({"serve_queue_wait", 0.0, 0.25});
-  record.spans.push_back({"serve_plan", 0.25, total_ms - 0.25});
-  return record;
+// A served request's stage events: a 0.25 ms queue wait, then a plan by
+// version 1 that ends `total_ms` after admission.
+std::vector<TraceEvent> ServedStages(std::uint64_t trace_id,
+                                     double total_ms) {
+  const auto at = [](double ms) {
+    return std::chrono::steady_clock::time_point{} +
+           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+               std::chrono::duration<double, std::milli>(ms));
+  };
+  std::vector<TraceEvent> events(2);
+  events[0] = {.name = "serve_queue_wait", .trace_id = trace_id,
+               .begin = at(0.0), .end = at(0.25)};
+  events[0].AddArg("status", "ok");
+  events[1] = {.name = "serve_plan", .trace_id = trace_id, .begin = at(0.25),
+               .end = at(total_ms)};
+  events[1].AddArg("status", "ok").AddArg("version", std::uint64_t{1});
+  return events;
 }
 
 TEST(ObsFlightRecorderTest, DisabledRecorderRetainsNothing) {
   FlightRecorder recorder(FlightRecorderConfig{});  // slo_ms = 0 → disabled
   EXPECT_FALSE(recorder.enabled());
-  recorder.Complete(MakeRecord(1, 100.0));  // whole hook is a no-op
+  recorder.Complete("default", ServedStages(1, 100.0));  // a no-op
   EXPECT_EQ(recorder.requests_observed(), 0u);
   EXPECT_EQ(recorder.slo_violations(), 0u);
 }
@@ -971,7 +926,7 @@ TEST(ObsFlightRecorderTest, ReservoirsKeepSlowestAndRecent) {
   config.slo_ms = 10.0;
   FlightRecorder recorder(config);
   ASSERT_TRUE(recorder.enabled());
-  recorder.Complete(MakeRecord(1, 5.0));  // under SLO: observed, not retained
+  recorder.Complete("default", ServedStages(1, 5.0));  // under SLO: kept out
   // Violators 2..last: even ids are slow and grow slower, odd ids sit just
   // over the SLO. Once "slowest" is full, an even arrival evicts its fastest
   // record and an odd one is turned away; both age through "recent".
@@ -980,7 +935,7 @@ TEST(ObsFlightRecorderTest, ReservoirsKeepSlowestAndRecent) {
   for (std::uint64_t id = 2; id <= last; ++id) {
     const double total_ms = id % 2 == 0 ? 100.0 + static_cast<double>(id)
                                         : 11.0;
-    recorder.Complete(MakeRecord(id, total_ms));
+    recorder.Complete("default", ServedStages(id, total_ms));
   }
   EXPECT_EQ(recorder.requests_observed(), last);
   EXPECT_EQ(recorder.slo_violations(), last - 1);
@@ -1017,9 +972,16 @@ TEST(ObsFlightRecorderTest, ActiveTableTracksInFlight) {
   auto during = util::json::Parse(recorder.ToJson());
   ASSERT_TRUE(during.ok());
   EXPECT_EQ(during.value().Find("active")->AsArray().size(), 2u);
-  recorder.EndActive(11);
-  recorder.EndActive(12);
-  recorder.EndActive(12);  // unknown/double end is harmless
+  // Completing a request ends its entry; completing one that never became
+  // active (a queue-rejected request) leaves the table alone.
+  recorder.Complete("default", ServedStages(11, 1.0));
+  recorder.Complete("default", ServedStages(13, 1.0));
+  auto one_left = util::json::Parse(recorder.ToJson());
+  ASSERT_TRUE(one_left.ok());
+  const auto& active = one_left.value().Find("active")->AsArray();
+  ASSERT_EQ(active.size(), 1u);
+  EXPECT_EQ(active[0].Find("trace_id")->AsNumber(), 12.0);
+  recorder.Complete("canary", ServedStages(12, 1.0));
   auto after = util::json::Parse(recorder.ToJson());
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.value().Find("active")->AsArray().empty());
@@ -1033,34 +995,30 @@ TEST(ObsFlightRecorderTest, ToJsonGoldenPinsRecordJson) {
   FlightRecorderConfig config;
   config.slo_ms = 10.0;
   FlightRecorder recorder(config);
+  const auto at = [](std::int64_t us) {
+    return std::chrono::steady_clock::time_point{} +
+           std::chrono::microseconds(us);
+  };
   // Request 7: served by version 3 after a 0.25 ms queue wait.
-  RequestRecord served;
-  served.trace_id = 7;
-  served.policy_version = 3;
-  served.slot = "default";
-  served.status = "ok";
-  served.queue_ms = 0.25;
-  served.exec_ms = 12.5;
-  served.total_ms = 12.75;
-  served.spans.push_back({"serve_queue_wait", 0.0, 0.25});
-  served.spans.push_back({"serve_plan", 0.25, 12.5});
-  recorder.Complete(served);
+  std::vector<TraceEvent> served(2);
+  served[0] = {.name = "serve_queue_wait", .trace_id = 7, .begin = at(0),
+               .end = at(250)};
+  served[0].AddArg("status", "ok");
+  served[1] = {.name = "serve_plan", .trace_id = 7, .begin = at(250),
+               .end = at(12750)};
+  served[1].AddArg("status", "ok").AddArg("version", std::uint64_t{3});
+  recorder.Complete("default", served);
   // Request 8: under the SLO, so observed but not retained.
-  RequestRecord fast = served;
-  fast.trace_id = 8;
-  fast.exec_ms = 1.5;
-  fast.total_ms = 1.75;
-  fast.spans[1].duration_ms = 1.5;
-  recorder.Complete(fast);
+  std::vector<TraceEvent> fast = served;
+  for (TraceEvent& event : fast) event.trace_id = 8;
+  fast[1].end = at(1750);
+  recorder.Complete("default", fast);
   // Request 9: expired after 20 ms in the queue; never planned.
-  RequestRecord expired;
-  expired.trace_id = 9;
-  expired.slot = "seg\"1";
-  expired.status = "deadline_exceeded";
-  expired.queue_ms = 20.0;
-  expired.total_ms = 20.0;
-  expired.spans.push_back({"serve_queue_wait", 0.0, 20.0});
-  recorder.Complete(expired);
+  const TraceEvent expired[] = {
+      TraceEvent{.name = "serve_queue_wait", .trace_id = 9, .begin = at(0),
+                 .end = at(20000)}
+          .AddArg("status", "deadline_exceeded")};
+  recorder.Complete("seg\"1", expired);
 
   const std::string served_json =
       "{\"trace_id\": 7, \"policy_version\": 3, \"slot\": \"default\", "
@@ -1117,7 +1075,7 @@ TEST(ObsDebugzTest, TracezJsonMergesExemplars) {
   FlightRecorderConfig config;
   config.slo_ms = 10.0;
   FlightRecorder recorder(config);
-  recorder.Complete(MakeRecord(42, 30.0));
+  recorder.Complete("default", ServedStages(42, 30.0));
 
   Registry registry;
   auto latency = registry.GetHistogram("serve_request_latency_us",

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -35,6 +36,7 @@
 #include "serve/policy_registry.h"
 #include "serve/policy_snapshot.h"
 #include "serve/stats.h"
+#include "util/json.h"
 #include "util/status.h"
 
 namespace rlplanner::serve {
@@ -1192,6 +1194,119 @@ TEST(PlanServiceTest, StalledRequestIsRecordedWithLatencyExemplar) {
   ASSERT_GT(exemplar_trace, 0u);
   EXPECT_NE(tracez.find("\"trace_id\": " + std::to_string(exemplar_trace)),
             std::string::npos);
+}
+
+TEST(PlanServiceTest, TracezSpansEqualTheTraceCollectorsEvents) {
+  // Both sinks read the same stage events, so a stalled request's tracez
+  // spans are its --trace-out events: same names, starts and durations.
+  ServingFixture fix;
+  fix.InstallTrained("default", 17);
+  obs::TraceCollector trace;
+  obs::FlightRecorderConfig recorder_config;
+  recorder_config.slo_ms = 5.0;
+  obs::FlightRecorder recorder(recorder_config);
+  PlanServiceConfig service_config;
+  service_config.num_workers = 1;
+  service_config.trace = &trace;
+  service_config.recorder = &recorder;
+  PlanService service(fix.instance, fix.config.reward, fix.registry,
+                      service_config);
+  service.Start();
+  PlanRequest stalled;
+  stalled.start_item = fix.dataset.default_start;
+  stalled.debug_stall_ms = 25.0;
+  auto submitted = service.Submit(stalled);
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(std::move(submitted).value().get().ok());
+  service.Stop();
+
+  auto tracez = util::json::Parse(recorder.ToJson());
+  ASSERT_TRUE(tracez.ok()) << tracez.status().ToString();
+  const auto& slowest = tracez.value().Find("slowest")->AsArray();
+  ASSERT_EQ(slowest.size(), 1u);
+  const std::string trace_id = std::to_string(
+      static_cast<std::uint64_t>(slowest[0].Find("trace_id")->AsNumber()));
+  auto chrome = util::json::Parse(trace.ToChromeTrace());
+  ASSERT_TRUE(chrome.ok()) << chrome.status().ToString();
+  std::vector<const util::json::Value*> events;  // export order: by begin
+  for (const util::json::Value& event :
+       chrome.value().Find("traceEvents")->AsArray()) {
+    const util::json::Value* id = event.Find("args")->Find("trace_id");
+    if (id != nullptr && id->AsString() == trace_id) events.push_back(&event);
+  }
+  const auto& spans = slowest[0].Find("spans")->AsArray();
+  ASSERT_EQ(spans.size(), events.size());
+  ASSERT_FALSE(spans.empty());
+  // Whole nanoseconds: tracez renders ms and the trace file µs of the same
+  // integer endpoints; starts are relative to the request's first event.
+  const auto ns = [](const util::json::Value& value, double per_unit) {
+    return std::llround(value.AsNumber() * per_unit);
+  };
+  const long long origin = ns(*events[0]->Find("ts"), 1e3);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].Find("name")->AsString(),
+              events[i]->Find("name")->AsString());
+    EXPECT_EQ(ns(*spans[i].Find("start_ms"), 1e6),
+              ns(*events[i]->Find("ts"), 1e3) - origin);
+    EXPECT_EQ(ns(*spans[i].Find("duration_ms"), 1e6),
+              ns(*events[i]->Find("dur"), 1e3));
+  }
+}
+
+TEST(PlanServiceTest, DrainExpiredRequestsReachTheFlightRecorder) {
+  // Requests a timed-out drain fails are recorded like the worker's
+  // deadline-expired ones, so /debug/tracez shows the queue wait that
+  // killed them.
+  ServingFixture fix;
+  fix.InstallTrained("default", 17);
+  obs::FlightRecorderConfig recorder_config;
+  recorder_config.slo_ms = 1.0;
+  obs::FlightRecorder recorder(recorder_config);
+  PlanServiceConfig service_config;
+  service_config.num_workers = 1;
+  service_config.recorder = &recorder;
+  PlanService service(fix.instance, fix.config.reward, fix.registry,
+                      service_config);
+  service.Start();
+
+  // Park the only worker in a stalled request, then queue three behind it.
+  PlanRequest stalled;
+  stalled.start_item = fix.dataset.default_start;
+  stalled.debug_stall_ms = 300.0;
+  auto parked = service.Submit(stalled);
+  ASSERT_TRUE(parked.ok());
+  while (service.queue_depth() != 0) std::this_thread::yield();
+  std::vector<std::future<util::Result<PlanResponse>>> queued;
+  for (int i = 0; i < 3; ++i) {
+    PlanRequest request;
+    request.start_item = fix.dataset.default_start;
+    auto submitted = service.Submit(std::move(request));
+    ASSERT_TRUE(submitted.ok());
+    queued.push_back(std::move(submitted).value());
+  }
+  EXPECT_EQ(service.Drain(std::chrono::milliseconds(50)).code(),
+            util::StatusCode::kDeadlineExceeded);
+  for (auto& future : queued) {
+    EXPECT_EQ(future.get().status().code(),
+              util::StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_TRUE(std::move(parked).value().get().ok());
+  service.Stop();
+
+  EXPECT_EQ(recorder.requests_observed(), 4u);
+  EXPECT_EQ(recorder.slo_violations(), 4u);
+  auto tracez = util::json::Parse(recorder.ToJson());
+  ASSERT_TRUE(tracez.ok()) << tracez.status().ToString();
+  int drained = 0;
+  for (const util::json::Value& record :
+       tracez.value().Find("recent")->AsArray()) {
+    if (record.Find("status")->AsString() != "drain_expired") continue;
+    ++drained;
+    EXPECT_GE(record.Find("queue_ms")->AsNumber(), 50.0);
+    EXPECT_EQ(record.Find("spans")->AsArray()[0].Find("name")->AsString(),
+              "serve_queue_wait");
+  }
+  EXPECT_EQ(drained, 3);
 }
 
 // --- Profiler neutrality --------------------------------------------------

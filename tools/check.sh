@@ -25,7 +25,8 @@
 # /debug/pprof collapsed profile, /metrics?exemplars=1 as OpenMetrics, and
 # /fleet/status as the wire view of the rollback drill), and SIGINTs the
 # server to prove the graceful drain exits 0 with a balanced, zero-loss
-# stats ledger.
+# stats ledger and writes a --trace-out file whose events for the stalled
+# request match /debug/tracez.
 # Set RLPLANNER_SANITIZE=thread to run only the TSan lane (the mode CI's
 # sanitizer matrix uses); any other value runs everything.
 # Usage: tools/check.sh  (from the repo root; build trees go to build/,
@@ -212,12 +213,14 @@ run_serve_smoke() {
   echo "==> Wire serving smoke run (live server + load_gen + introspection)"
   # Train a toy policy and put the epoll front end on an ephemeral port;
   # --duration-s is a watchdog in case the SIGINT below never lands. The
-  # profiler, the flight recorder, and a two-policy rollback-drill fleet
-  # are all on so every /debug endpoint has real content to serve.
-  rm -f build/serve-smoke.log
+  # profiler, the flight recorder, the trace collector and a two-policy
+  # rollback-drill fleet are all on so every /debug endpoint has real
+  # content to serve.
+  rm -f build/serve-smoke.log build/serve-trace.json
   ./build/tools/rlplanner_cli serve --dataset toy --listen 127.0.0.1:0 \
     --duration-s 60 --profile-hz 97 --slo-ms 5 \
     --fleet-policies 2 --fleet-ticks 3 --force-rollback \
+    --trace-out build/serve-trace.json \
     > build/serve-smoke.log &
   local server_pid=$!
   local target=""
@@ -237,6 +240,13 @@ run_serve_smoke() {
     kill "${server_pid}" 2>/dev/null || true
     return 1
   fi
+
+  # One forced-slow request (debug_stall_ms >> --slo-ms) so the flight
+  # recorder has a violation to retain. It goes first: a full per-thread
+  # trace ring keeps its earliest events and drops the rest, so the load
+  # below must not crowd the stalled request out of --trace-out.
+  ./build/bench/load_gen closed --target "${target}" --connections 1 \
+    --requests 1 --body '{"debug_stall_ms": 25}' > build/stall-smoke.json
 
   # ~2 s of closed-loop load over real sockets; load_gen exits non-zero on
   # any transport error or unexpected status, and its JSON is the artifact.
@@ -308,11 +318,7 @@ print(f"metrics-wire.txt OK ({len(typed)} typed families, "
       f"{len(names)} sample names)")
 EOF
 
-  # Inject one forced-slow request (debug_stall_ms >> --slo-ms) so the
-  # flight recorder has a violation to retain, then walk the introspection
-  # surface end to end.
-  ./build/bench/load_gen closed --target "${target}" --connections 1 \
-    --requests 1 --body '{"debug_stall_ms": 25}' > build/stall-smoke.json
+  # Walk the introspection surface end to end.
   ./build/bench/load_gen get --target "${target}" \
     --target-path /debug/statusz > build/statusz-smoke.json
   ./build/bench/load_gen get --target "${target}" \
@@ -388,11 +394,29 @@ EOF
   python3 - <<'EOF'
 import json
 with open("build/serve-smoke.log") as f:
-    stats = json.loads(f.read().splitlines()[-1])
+    stats = json.loads([line for line in f.read().splitlines()
+                        if line.startswith("{")][-1])
 assert stats["failed"] == 0, stats
 assert stats["accepted"] == stats["completed"] + stats["expired_deadline"], stats
 assert stats["queue_depth"] == 0, stats
 print(f"serve-smoke stats OK ({stats['completed']} completed, 0 failed)")
+
+# /debug/tracez and --trace-out read the same stage events: the stalled
+# request's queue wait and plan carry its trace id in the trace file, with
+# the durations tracez reported, to the microsecond.
+with open("build/tracez-smoke.json") as f:
+    stalled = json.load(f)["flight_recorder"]["slowest"][0]
+with open("build/serve-trace.json") as f:
+    trace = json.load(f)
+file_us = {e["name"]: e["dur"] for e in trace["traceEvents"]
+           if e["ph"] == "X"
+           and e["args"].get("trace_id") == str(stalled["trace_id"])}
+tracez_us = {s["name"]: 1000 * s["duration_ms"] for s in stalled["spans"]}
+for stage in ("serve_queue_wait", "serve_plan"):
+    assert stage in file_us and stage in tracez_us, (stage, file_us, stalled)
+    assert abs(file_us[stage] - tracez_us[stage]) < 1, (stage, file_us,
+                                                        tracez_us)
+print(f"serve-trace.json OK (trace {stalled['trace_id']} matches tracez)")
 EOF
 }
 
