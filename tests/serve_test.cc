@@ -24,6 +24,7 @@
 #include "core/planner.h"
 #include "core/scoring.h"
 #include "datagen/course_data.h"
+#include "datagen/synthetic.h"
 #include "datagen/trip_data.h"
 #include "mdp/q_table.h"
 #include "mdp/reward.h"
@@ -162,6 +163,26 @@ TEST(CatalogFingerprintTest, SensitiveToCatalogContent) {
             CatalogFingerprint(univ1.catalog));
   // Deterministic across calls.
   EXPECT_EQ(CatalogFingerprint(toy.catalog), CatalogFingerprint(toy.catalog));
+}
+
+// Every snapshot header stores the fingerprint and every install checks it,
+// so a change to the hash would orphan every policy file on disk. These
+// constants pin the value per catalog shape: two course catalogs, a trip
+// catalog (locations, popularity, themes) and the 10k-item synthetic
+// catalog the scale benchmark serves.
+TEST(CatalogFingerprintTest, GoldenValues) {
+  EXPECT_EQ(CatalogFingerprint(datagen::MakeTableIIToy().catalog),
+            0x0a683ca8968390e3ull);
+  EXPECT_EQ(CatalogFingerprint(datagen::MakeUniv1DsCt().catalog),
+            0xb5896e9321b9a7e2ull);
+  EXPECT_EQ(CatalogFingerprint(datagen::MakeNycTrip().catalog),
+            0xfdcf32c3fddf4103ull);
+  datagen::SyntheticSpec spec;
+  spec.num_items = 10000;
+  spec.vocab_size = 512;
+  spec.seed = 7;
+  EXPECT_EQ(CatalogFingerprint(datagen::GenerateSynthetic(spec).catalog),
+            0x6b92ec10bdaa1736ull);
 }
 
 TEST(PolicyRegistryTest, InstallValidatesFingerprintAndDimension) {
