@@ -5,6 +5,8 @@
 #include <cmath>
 #include <utility>
 
+#include "util/simd.h"
+
 namespace rlplanner::mdp {
 
 SparseQTable::SparseQTable(std::size_t num_items)
@@ -94,26 +96,17 @@ model::ItemId SparseQTable::ArgmaxAction(
   assert(allowed.size() == num_items_);
   const Row& row = rows_[static_cast<std::size_t>(state)];
 
-  // Pass 1: max over stored ∩ allowed, lowest id on ties. The hash row is
-  // unordered, so the lowest winning id needs an explicit comparison.
-  std::uint32_t best_stored = kEmptyKey;
-  double best_value = 0.0;
-  std::size_t stored_allowed = 0;
-  for (std::size_t i = 0; i < row.keys.size(); ++i) {
-    const std::uint32_t key = row.keys[i];
-    if (key == kEmptyKey || !allowed.Test(key)) continue;
-    const double value = row.values[i];
-    if (stored_allowed++ == 0 || value > best_value ||
-        (value == best_value && key < best_stored)) {
-      best_stored = key;
-      best_value = value;
-    }
-  }
+  // Pass 1: max over stored ∩ allowed, lowest id on ties. kEmptyKey slots
+  // lie past every item id, so the kernel never counts them.
+  const util::simd::KeyedArgmax stored = util::simd::Active().argmax_keyed_f64(
+      row.keys.data(), row.values.data(), row.keys.size(),
+      allowed.word_data(), allowed.size());
+  const auto best = static_cast<std::size_t>(stored.index);
   // A strictly positive stored max beats every missing entry (0.0), and
   // when every allowed id is stored no missing entry takes part at all.
-  if ((stored_allowed > 0 && best_value > 0.0) ||
-      stored_allowed == allowed.Count()) {
-    return stored_allowed > 0 ? static_cast<model::ItemId>(best_stored) : -1;
+  if ((stored.count > 0 && row.values[best] > 0.0) ||
+      stored.count == allowed.Count()) {
+    return stored.count > 0 ? static_cast<model::ItemId>(row.keys[best]) : -1;
   }
 
   // Some allowed id is missing and no stored value is positive, so the max

@@ -13,8 +13,12 @@
 #include <utility>
 #include <vector>
 
+#include "util/simd.h"
+
 namespace rlplanner::serve {
 namespace {
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 // Feeds one scalar into a running FNV-1a hash.
 template <typename T>
@@ -28,16 +32,30 @@ std::uint64_t HashString(std::uint64_t hash, const std::string& text) {
   return Fnv1a64(text.data(), text.size(), hash);
 }
 
+// HashString of bits.ToString() (one '0'/'1' byte per bit, independent of
+// the word layout), streamed from the words without building the string.
+std::uint64_t HashBitString(std::uint64_t hash,
+                            const util::DynamicBitset& bits) {
+  hash = HashScalar(hash, static_cast<std::uint64_t>(bits.size()));
+  for (std::size_t w = 0; w < bits.word_count(); ++w) {
+    std::uint64_t word = bits.word_data()[w];
+    const std::size_t width = std::min<std::size_t>(64, bits.size() - w * 64);
+    for (std::size_t b = 0; b < width; ++b, word >>= 1) {
+      hash = (hash ^ ('0' + (word & 1))) * kFnvPrime;
+    }
+  }
+  return hash;
+}
+
 }  // namespace
 
 std::uint64_t Fnv1a64(const void* bytes, std::size_t size,
                       std::uint64_t seed) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
   const auto* p = static_cast<const unsigned char*>(bytes);
   std::uint64_t hash = seed;
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= p[i];
-    hash *= kPrime;
+    hash *= kFnvPrime;
   }
   return hash;
 }
@@ -63,9 +81,7 @@ std::uint64_t CatalogFingerprint(const model::Catalog& catalog) {
         h = HashScalar(h, static_cast<std::int32_t>(id));
       }
     }
-    // Topic bits via the canonical 0/1 rendering (independent of the bitset
-    // word layout).
-    h = HashString(h, item.topics.ToString());
+    h = HashBitString(h, item.topics);
     h = HashScalar(h, item.location.lat);
     h = HashScalar(h, item.location.lng);
     h = HashScalar(h, item.popularity);
@@ -386,11 +402,12 @@ util::Status ValidateRowSpans(const SnapshotV2RowSpan* rows,
 // Validates the packed-keys section against the (already validated) row
 // index: within every row, keys strictly ascending and < num_items. One
 // O(entry_count) pass over the 4-byte keys section — it never faults in
-// the larger values section. This is what lets the serving hot loops
-// (Get's binary search, ArgmaxAction's bitset Test) index by mapped key
-// bytes without per-access bounds checks: after this, a corrupted key can
-// only misdirect a read inside the table, never out of bounds. Shared by
-// Map() and Deserialize().
+// the larger values section. This is what lets Get's binary search and
+// ArgmaxAction's zero-max merge walk trust mapped key bytes without
+// per-access checks (pass 1's keyed kernel bounds every key against the
+// allowed set itself): after this, a corrupted key can only misdirect a
+// read inside the table, never out of bounds. Shared by Map() and
+// Deserialize().
 util::Status ValidateRowKeys(const SnapshotV2RowSpan* rows,
                              const std::uint32_t* keys,
                              std::uint64_t num_items) {
@@ -642,11 +659,11 @@ util::Result<MappedPolicy> MappedPolicy::Map(const std::string& path) {
   // Eagerly validate every row span (O(num_items) over the row index) and
   // every packed key (O(entry_count) over the 4-byte keys section), so
   // corrupt spans or keys can never send a later Get()/ArgmaxAction() out
-  // of bounds — the serving hot loops index the Q row and the allowed
-  // bitset by these raw mapped bytes without per-access checks. The
-  // payload checksum is deliberately NOT verified here (that would fault
-  // in the far larger values section and defeat the zero-copy swap); a
-  // flipped *value* bit yields a wrong Q read, never an OOB access.
+  // of bounds — the serving hot loops index the Q row by these raw mapped
+  // bytes without per-access checks. The payload checksum is deliberately
+  // NOT verified here (that would fault in the far larger values section
+  // and defeat the zero-copy swap); a flipped *value* bit yields a wrong Q
+  // read, even NaN or +-inf, never an OOB access or an inadmissible action.
   const auto* rows = reinterpret_cast<const SnapshotV2RowSpan*>(
       data + h.sections[0].offset);
   const auto* keys =
@@ -692,23 +709,16 @@ model::ItemId MappedPolicy::ArgmaxAction(
   const std::uint32_t* keys = keys_ + span.begin_entry;
   const double* values = values_ + span.begin_entry;
 
-  // Pass 1: stored ∩ allowed. Keys are ascending, so the dense tie-break
-  // (lowest id at the max) is exactly "replace only on strictly greater".
-  model::ItemId best = -1;
-  double best_value = 0.0;
-  std::size_t stored_allowed = 0;
-  for (std::uint64_t i = 0; i < span.count; ++i) {
-    if (!allowed.Test(keys[i])) continue;
-    ++stored_allowed;
-    if (best < 0 || values[i] > best_value) {
-      best = static_cast<model::ItemId>(keys[i]);
-      best_value = values[i];
-    }
-  }
+  // Pass 1: stored ∩ allowed, the lowest id at the max (the dense
+  // tie-break).
+  const util::simd::KeyedArgmax stored = util::simd::Active().argmax_keyed_f64(
+      keys, values, span.count, allowed.word_data(), allowed.size());
+  const auto best = static_cast<std::size_t>(stored.index);
   // A positive stored max beats every missing (0.0) cell, and when every
   // allowed id is stored no missing cell takes part at all.
-  if ((best >= 0 && best_value > 0.0) || stored_allowed == allowed.Count()) {
-    return best;
+  if ((stored.count > 0 && values[best] > 0.0) ||
+      stored.count == allowed.Count()) {
+    return stored.count > 0 ? static_cast<model::ItemId>(keys[best]) : -1;
   }
 
   // Some allowed id is missing and no stored value is positive, so the max

@@ -119,6 +119,28 @@ std::ptrdiff_t ScalarArgmaxMaskedF64(const double* values, std::size_t n,
   return best;
 }
 
+KeyedArgmax ScalarArgmaxKeyedF64(const std::uint32_t* keys,
+                                 const double* values, std::size_t n,
+                                 const std::uint64_t* allowed,
+                                 std::size_t allowed_size) {
+  // The first allowed entry is adopted unconditionally and replaced only by
+  // a greater value or an equal one under a lower key, so a NaN there holds
+  // and a later NaN never compares in.
+  KeyedArgmax result;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t key = keys[i];
+    if (key >= allowed_size || ((allowed[key / 64] >> (key % 64)) & 1) == 0) {
+      continue;
+    }
+    const auto best = static_cast<std::size_t>(result.index);
+    if (result.count++ == 0 || values[i] > values[best] ||
+        (values[i] == values[best] && key < keys[best])) {
+      result.index = static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  return result;
+}
+
 constexpr Kernels kScalarKernels = {
     Level::kScalar,
     &ScalarPopcountWords,
@@ -135,6 +157,7 @@ constexpr Kernels kScalarKernels = {
     &ScalarMaxAbsF64,
     &ScalarCountNonZeroF64,
     &ScalarArgmaxMaskedF64,
+    &ScalarArgmaxKeyedF64,
 };
 
 }  // namespace

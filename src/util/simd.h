@@ -36,14 +36,22 @@ Level DetectBestLevel();
 /// anything else (caller treats unknown values as "auto" with a warning).
 bool ParseLevel(std::string_view text, Level* level, bool* auto_detect);
 
+/// Result of `Kernels::argmax_keyed_f64`.
+struct KeyedArgmax {
+  std::size_t count = 0;      // row entries whose key is allowed
+  std::ptrdiff_t index = -1;  // row position of the winner; -1 when count == 0
+};
+
 /// One-time-dispatched kernel table. Every kernel is defined to produce a
 /// result *bitwise identical* to the scalar implementation for the same
 /// inputs (integer kernels trivially; the f64 kernels are elementwise or
 /// order-independent reductions, and the translation units are compiled with
 /// -ffp-contract=off so no path fuses a mul+add the other does not). This is
 /// what lets the deterministic trainer run on any level without perturbing
-/// the (seed, K) -> policy guarantee. NaN payloads are the one exception:
-/// callers must not feed NaNs to the f64 kernels (Q values never are).
+/// the (seed, K) -> policy guarantee. The dense-table f64 kernels assume no
+/// NaN input (trained Q values are finite). `argmax_keyed_f64` cannot: it
+/// reads mapped snapshot values, whose payload checksum `MappedPolicy::Map`
+/// does not verify, so it fixes its own NaN rule and every level keeps it.
 struct Kernels {
   Level level;
 
@@ -91,6 +99,20 @@ struct Kernels {
   std::ptrdiff_t (*argmax_masked_f64)(const double* values, std::size_t n,
                                       const std::uint64_t* mask,
                                       std::size_t num_words);
+  // --- keyed-row kernel (snapshot v2 rows, SparseQTable hash rows) --------
+  // Masked argmax over a keyed row: entry i holds values[i] for action
+  // keys[i], and keys are distinct within the row (ascending or unordered).
+  // An entry is allowed when keys[i] < allowed_size and bit keys[i] of
+  // `allowed` (ceil(allowed_size / 64) words) is set; any other key, such as
+  // a hash row's 0xFFFFFFFF empty slot, is skipped without indexing
+  // `allowed`. Returns the allowed count and the winner among them: the
+  // first allowed entry in row order if its value is NaN, otherwise the
+  // lowest key attaining the maximum, where later NaNs never win, +0.0 and
+  // -0.0 tie, and +-inf are ordinary values.
+  KeyedArgmax (*argmax_keyed_f64)(const std::uint32_t* keys,
+                                  const double* values, std::size_t n,
+                                  const std::uint64_t* allowed,
+                                  std::size_t allowed_size);
 };
 
 /// Kernel table for `level`, falling back to scalar when the level is not

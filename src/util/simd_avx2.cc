@@ -6,8 +6,10 @@
 // Every kernel here is bit-exact against its scalar counterpart in simd.cc:
 // the integer kernels trivially, the f64 elementwise kernels because they
 // perform the identical per-element operations (separate mul + add, never
-// FMA), the max/argmax reductions because max is order-independent, and the
-// dot product because both paths use the same fixed 4-accumulator order.
+// FMA), the max/argmax reductions because max is order-independent and
+// each lane carries the first index of its maximum into the merge, and the
+// keyed argmax because its vector part only screens out entries that
+// cannot win and the scalar rule decides among the rest.
 
 #include "util/simd.h"
 
@@ -15,6 +17,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -377,6 +380,97 @@ std::ptrdiff_t Avx2ArgmaxMaskedF64(const double* values, std::size_t n,
   return -1;
 }
 
+// ---------------------------------------------------------------------------
+// keyed-row kernel
+// ---------------------------------------------------------------------------
+
+// Allowed mask of entries [i, i + 8): bit j is set when keys[i + j] is at
+// most `last` (the highest in-range key) and its bit is set. The gather
+// reads the bitset as 32-bit words (little-endian, so word key / 32 holds
+// the key's bit); an out-of-range key gathers word 0 instead of its own,
+// so no gather index leaves `allowed`.
+inline unsigned KeyedAllowedMask(const std::uint32_t* keys, std::size_t i,
+                                 const std::uint64_t* allowed, __m256i last) {
+  const __m256i k =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
+  const __m256i in_range = _mm256_cmpeq_epi32(_mm256_min_epu32(k, last), k);
+  const __m256i word_index =
+      _mm256_and_si256(_mm256_srli_epi32(k, 5), in_range);
+  const __m256i words = _mm256_i32gather_epi32(
+      reinterpret_cast<const int*>(allowed), word_index, 4);
+  // words << (31 - key % 32) puts each key's bit in its lane's sign bit.
+  const __m256i low5 = _mm256_set1_epi32(31);
+  const __m256i shift = _mm256_sub_epi32(low5, _mm256_and_si256(k, low5));
+  const __m256i bits =
+      _mm256_and_si256(_mm256_sllv_epi32(words, shift), in_range);
+  return static_cast<unsigned>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(bits)));
+}
+
+// Lanes of entries [i, i + 4) whose value is >= `floor`; a NaN never is.
+inline unsigned KeyedAtLeastMask(const double* values, std::size_t i,
+                                 __m256d floor) {
+  return static_cast<unsigned>(_mm256_movemask_pd(
+      _mm256_cmp_pd(_mm256_loadu_pd(values + i), floor, _CMP_GE_OQ)));
+}
+
+KeyedArgmax Avx2ArgmaxKeyedF64(const std::uint32_t* keys,
+                               const double* values, std::size_t n,
+                               const std::uint64_t* allowed,
+                               std::size_t allowed_size) {
+  KeyedArgmax result;
+  // With no bits there is no word 0 to fall back on, and no key is allowed.
+  if (allowed_size == 0) return result;
+  const auto last = static_cast<std::uint32_t>(
+      std::min<std::size_t>(allowed_size - 1, 0xFFFFFFFFu));
+  const __m256i vlast = _mm256_set1_epi32(static_cast<int>(last));
+  std::ptrdiff_t first = -1;  // first allowed entry in row order
+  double best = -std::numeric_limits<double>::infinity();
+  // The scalar rule, for an allowed entry j.
+  auto offer = [&](std::size_t j) {
+    if (result.index < 0 || values[j] > best ||
+        (values[j] == best &&
+         keys[j] < keys[static_cast<std::size_t>(result.index)])) {
+      result.index = static_cast<std::ptrdiff_t>(j);
+      best = values[j];
+    }
+  };
+  // Counts the allowed lanes of `mask` (bit j: entry base + j) and offers
+  // those whose value passed the screen.
+  auto visit = [&](unsigned mask, unsigned at_least, std::size_t base) {
+    if (first < 0 && mask != 0) {
+      first = static_cast<std::ptrdiff_t>(base + std::countr_zero(mask));
+    }
+    result.count += static_cast<std::size_t>(std::popcount(mask));
+    for (unsigned offers = mask & at_least; offers != 0;
+         offers &= offers - 1) {
+      offer(base + std::countr_zero(offers));
+    }
+  };
+  // Only a value >= the running best can displace it, so two compares per
+  // 8 entries screen them and the scalar rule runs on the few that pass.
+  // The screen drops NaNs; a NaN first entry is restored below.
+  __m256d screen = _mm256_set1_pd(best);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const unsigned mask = KeyedAllowedMask(keys, i, allowed, vlast);
+    const unsigned at_least = KeyedAtLeastMask(values, i, screen) |
+                              (KeyedAtLeastMask(values, i + 4, screen) << 4);
+    visit(mask, at_least, i);
+    if ((mask & at_least) != 0) screen = _mm256_set1_pd(best);
+  }
+  for (; i < n; ++i) {
+    const std::uint32_t key = keys[i];
+    if (key < allowed_size && ((allowed[key / 64] >> (key % 64)) & 1) != 0) {
+      visit(1, 1, i);
+    }
+  }
+  // A NaN first entry holds against every later value (see the scalar
+  // kernel).
+  if (result.count > 0 && std::isnan(values[first])) result.index = first;
+  return result;
+}
+
 constexpr Kernels kAvx2Kernels = {
     Level::kAvx2,
     &Avx2PopcountWords,
@@ -393,6 +487,7 @@ constexpr Kernels kAvx2Kernels = {
     &Avx2MaxAbsF64,
     &Avx2CountNonZeroF64,
     &Avx2ArgmaxMaskedF64,
+    &Avx2ArgmaxKeyedF64,
 };
 
 }  // namespace

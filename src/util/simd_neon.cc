@@ -6,7 +6,8 @@
 // degenerates to a null accessor.
 //
 // Bit-exactness contract: identical to scalar by construction — integer
-// kernels only, the f64 entries *are* the scalar functions.
+// kernels only, the f64 entries (the keyed-row argmax too) *are* the scalar
+// functions.
 
 #include "util/simd.h"
 

@@ -13,9 +13,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "datagen/course_data.h"
@@ -417,6 +419,217 @@ TEST_F(ArgmaxTest, MaxInRaggedTail) {
                                                        mask.data(), 2),
               113)
         << LevelName(level);
+  }
+}
+
+// ------------------------------------------------- keyed-row argmax --
+
+// What the pass-1 loops the keyed kernel replaced returned: the stored ∩
+// allowed count and the winning action id (-1 when none).
+struct KeyedReference {
+  std::size_t count = 0;
+  std::int64_t best = -1;
+};
+
+// MappedPolicy::ArgmaxAction's pass 1 over a sorted snapshot v2 row, as it
+// read before the keyed kernel.
+KeyedReference SortedRowReference(const std::vector<std::uint32_t>& keys,
+                                  const std::vector<double>& values,
+                                  const DynamicBitset& allowed) {
+  std::int64_t best = -1;
+  double best_value = 0.0;
+  std::size_t stored_allowed = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (!allowed.Test(keys[i])) continue;
+    ++stored_allowed;
+    if (best < 0 || values[i] > best_value) {
+      best = keys[i];
+      best_value = values[i];
+    }
+  }
+  return {stored_allowed, best};
+}
+
+constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+
+// SparseQTable::ArgmaxAction's pass 1 over an unordered hash row with
+// empty slots, as it read before the keyed kernel.
+KeyedReference HashRowReference(const std::vector<std::uint32_t>& keys,
+                                const std::vector<double>& values,
+                                const DynamicBitset& allowed) {
+  std::uint32_t best_stored = kEmptySlot;
+  double best_value = 0.0;
+  std::size_t stored_allowed = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint32_t key = keys[i];
+    if (key == kEmptySlot || !allowed.Test(key)) continue;
+    const double value = values[i];
+    if (stored_allowed++ == 0 || value > best_value ||
+        (value == best_value && key < best_stored)) {
+      best_stored = key;
+      best_value = value;
+    }
+  }
+  return {stored_allowed,
+          stored_allowed > 0 ? std::int64_t{best_stored} : std::int64_t{-1}};
+}
+
+::testing::AssertionResult KeyedMatches(const Kernels& table,
+                                        const std::vector<std::uint32_t>& keys,
+                                        const std::vector<double>& values,
+                                        const DynamicBitset& allowed,
+                                        const KeyedReference& want) {
+  const KeyedArgmax got = table.argmax_keyed_f64(
+      keys.data(), values.data(), keys.size(), allowed.word_data(),
+      allowed.size());
+  if (got.index >= static_cast<std::ptrdiff_t>(keys.size())) {
+    return ::testing::AssertionFailure()
+           << LevelName(table.level) << " index " << got.index
+           << " past the row";
+  }
+  const std::int64_t got_key =
+      got.index < 0 ? -1 : std::int64_t{keys[static_cast<std::size_t>(
+                               got.index)]};
+  if (got.count != want.count || got_key != want.best) {
+    return ::testing::AssertionFailure()
+           << LevelName(table.level) << " count " << got.count << " (want "
+           << want.count << "), key " << got_key << " (want " << want.best
+           << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+enum class KeyedValues { kTies, kInfinities, kNanFirst, kNanLater };
+
+// Sets `values[i]` to NaN at the first allowed entry in row order (the one
+// whose NaN decides) or only after it.
+void PlantNans(KeyedValues mode, const std::vector<std::uint32_t>& keys,
+               const DynamicBitset& allowed, Rng& rng,
+               std::vector<double>* values) {
+  if (mode != KeyedValues::kNanFirst && mode != KeyedValues::kNanLater) return;
+  bool seen_first = false;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const bool is_allowed = keys[i] < allowed.size() && allowed.Test(keys[i]);
+    if (is_allowed && !seen_first) {
+      seen_first = true;
+      if (mode == KeyedValues::kNanFirst) {
+        (*values)[i] = std::numeric_limits<double>::quiet_NaN();
+      }
+      continue;
+    }
+    if (rng.NextBernoulli(0.2)) {
+      (*values)[i] = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+}
+
+using KeyedArgmaxTest = SimdTestBase;
+
+// Scalar and the dispatched table against the two loops the kernel
+// replaced, on sorted rows and on unordered hash rows with empty slots.
+TEST_F(KeyedArgmaxTest, MatchesBothReplacedLoops) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Few distinct values, so ties (+0.0 against -0.0 included) are common.
+  constexpr double kTieValues[] = {-1.0, -0.5, -0.0, 0.0, 0.5, 1.0};
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 67; ++length) lengths.push_back(length);
+  lengths.push_back(880);  // a scale10k_wire row
+  const Kernels* tables[] = {&KernelsForLevel(Level::kScalar), &Active()};
+  std::size_t cases = 0;
+  for (std::size_t length : lengths) {
+    const std::size_t num_items = length > 67 ? 10000 : 200;
+    for (double density : {0.0, 1.0 / 64, 0.25, 0.5, 1.0}) {
+      for (KeyedValues mode :
+           {KeyedValues::kTies, KeyedValues::kInfinities,
+            KeyedValues::kNanFirst, KeyedValues::kNanLater}) {
+        for (std::uint64_t seed : {1u, 2u}) {
+          Rng rng(seed * 1000003 + length * 31 + static_cast<int>(mode));
+          // Keys straddling word edges and the last id, then random ones.
+          std::set<std::uint32_t> key_set;
+          for (std::size_t edge : {std::size_t{63}, std::size_t{64},
+                                   std::size_t{127}, std::size_t{128},
+                                   num_items - 1}) {
+            if (key_set.size() < length) {
+              key_set.insert(static_cast<std::uint32_t>(edge));
+            }
+          }
+          while (key_set.size() < length) {
+            key_set.insert(static_cast<std::uint32_t>(rng.NextIndex(num_items)));
+          }
+          const std::vector<std::uint32_t> sorted_keys(key_set.begin(),
+                                                       key_set.end());
+          std::vector<double> sorted_values(length);
+          for (double& value : sorted_values) {
+            value = kTieValues[rng.NextIndex(std::size(kTieValues))];
+            if (mode == KeyedValues::kInfinities && rng.NextBernoulli(0.2)) {
+              value = rng.NextBernoulli(0.5) ? kInf : -kInf;
+            }
+          }
+          DynamicBitset allowed(num_items);
+          for (std::size_t a = 0; a < num_items; ++a) {
+            if (rng.NextBernoulli(density)) allowed.Set(a);
+          }
+          // The same entries scattered over a SparseQTable-sized hash row
+          // (load <= 0.7, at least 8 slots).
+          std::size_t capacity = 8;
+          while (length * 10 > capacity * 7) capacity *= 2;
+          std::vector<std::size_t> slots(capacity);
+          for (std::size_t i = 0; i < capacity; ++i) slots[i] = i;
+          for (std::size_t i = capacity; i > 1; --i) {
+            std::swap(slots[i - 1], slots[rng.NextIndex(i)]);
+          }
+          std::vector<std::uint32_t> hash_keys(capacity, kEmptySlot);
+          std::vector<double> hash_values(capacity, 0.0);
+          for (std::size_t i = 0; i < length; ++i) {
+            hash_keys[slots[i]] = sorted_keys[i];
+            hash_values[slots[i]] = sorted_values[i];
+          }
+          PlantNans(mode, sorted_keys, allowed, rng, &sorted_values);
+          PlantNans(mode, hash_keys, allowed, rng, &hash_values);
+
+          const KeyedReference sorted_want =
+              SortedRowReference(sorted_keys, sorted_values, allowed);
+          const KeyedReference hash_want =
+              HashRowReference(hash_keys, hash_values, allowed);
+          for (const Kernels* table : tables) {
+            ASSERT_TRUE(KeyedMatches(*table, sorted_keys, sorted_values,
+                                     allowed, sorted_want))
+                << "sorted row, length " << length << " density " << density
+                << " mode " << static_cast<int>(mode) << " seed " << seed;
+            ASSERT_TRUE(KeyedMatches(*table, hash_keys, hash_values, allowed,
+                                     hash_want))
+                << "hash row, length " << length << " density " << density
+                << " mode " << static_cast<int>(mode) << " seed " << seed;
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, lengths.size() * 5 * 4 * 2);
+}
+
+TEST_F(KeyedArgmaxTest, KeysPastTheAllowedSizeAreNeverAllowed) {
+  // 130 allowed bits in 3 words whose tail bits 130..191 are set too: keys
+  // there, and far past the words (up to the empty-slot marker), must
+  // neither count nor win, in vector lanes and in the ragged tail alike.
+  const std::vector<std::uint64_t> words(3, ~std::uint64_t{0});
+  const std::vector<std::uint32_t> keys = {
+      5,  130, 0x80000000u, 191, 129, kEmptySlot, 192, 0x7FFFFFFFu,  // vector
+      64, 131, 1000,        kEmptySlot, 7, 150};                     // tail
+  const std::vector<double> values = {1.0, 9.0, 9.0, 9.0, 2.0, 9.0, 9.0,
+                                      9.0, 2.0, 9.0, 9.0, 9.0, 0.5, 9.0};
+  for (const Kernels* table : {&KernelsForLevel(Level::kScalar), &Active()}) {
+    SCOPED_TRACE(LevelName(table->level));
+    const KeyedArgmax got = table->argmax_keyed_f64(
+        keys.data(), values.data(), keys.size(), words.data(), 130);
+    EXPECT_EQ(got.count, 4u);  // keys 5, 129, 64 and 7
+    EXPECT_EQ(got.index, 8);   // 2.0 ties at keys 129 and 64: 64 wins
+    // No bits at all: nothing is allowed and `allowed` is never read.
+    const KeyedArgmax none = table->argmax_keyed_f64(
+        keys.data(), values.data(), keys.size(), nullptr, 0);
+    EXPECT_EQ(none.count, 0u);
+    EXPECT_EQ(none.index, -1);
   }
 }
 

@@ -3,14 +3,18 @@
 // the strict-validation matrix (truncation, corrupted section tables,
 // checksum mismatches, non-zero padding, every single-bit flip, fingerprint
 // drift), rejection of non-v2 files at every entry point,
-// mmap-vs-deserialize install parity, and snapshot-file inspection.
+// mmap-vs-deserialize install parity, serving from mapped NaN/+-inf values,
+// and snapshot-file inspection.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,11 +25,13 @@
 #include "mdp/q_table.h"
 #include "mdp/sparse_q_table.h"
 #include "random_tables.h"
+#include "rl/recommender.h"
 #include "serve/plan_service.h"
 #include "serve/policy_registry.h"
 #include "serve/policy_snapshot.h"
 #include "util/bitset.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/status.h"
 
 namespace rlplanner::serve {
@@ -274,6 +280,93 @@ TEST(SnapshotV2Test, MappedArgmaxZeroMaxEdgeCases) {
   expect(1, {0, 3}, 0);
   expect(2, {}, -1);     // empty row
   expect(2, {7, 8}, 7);
+}
+
+// Restores the environment's dispatch level after a test that forces one.
+class SnapshotV2LevelTest : public ::testing::Test {
+ protected:
+  void TearDown() override { util::simd::ResetDispatchForTesting(); }
+};
+
+TEST_F(SnapshotV2LevelTest, NonFiniteMappedValuesServeOnlyAllowedActions) {
+  // Map() does not verify the payload checksum, so a values section
+  // rewritten to NaN and +-inf behind an intact header still maps. Serving
+  // from it must still pick allowed actions only, at every kernel level.
+  const Dataset dataset = datagen::MakeUniv1DsCt();
+  const model::TaskInstance instance = dataset.Instance();
+  const std::size_t n = dataset.catalog.size();
+  // Rows of ~25 entries reach the vector kernel's lanes, and the missing
+  // cells let the zero-max walk run.
+  mdp::SparseQTable table(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t a = 0; a < n; ++a) {
+      if ((s + a) % 5 != 0) {
+        table.Set(static_cast<model::ItemId>(s), static_cast<model::ItemId>(a),
+                  1.0);
+      }
+    }
+  }
+  SparsePolicySnapshotV2 snapshot;
+  snapshot.table = table;
+  std::string bytes = snapshot.Serialize();
+  std::uint64_t entry_count = 0, values_offset = 0;
+  std::memcpy(&entry_count, bytes.data() + 40, sizeof(entry_count));
+  std::memcpy(&values_offset, bytes.data() + 112 + 48 + 8,
+              sizeof(values_offset));
+  ASSERT_EQ(entry_count, NonZeroCount(table));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kValues[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                            -kInf, 0.5, -0.0, -1.0};
+  util::Rng rng(5);
+  for (std::uint64_t i = 0; i < entry_count; ++i) {
+    const double value = kValues[rng.NextIndex(std::size(kValues))];
+    std::memcpy(bytes.data() + values_offset + 8 * i, &value, sizeof(value));
+  }
+  // The payload no longer matches its checksum: only Map() takes the file.
+  EXPECT_FALSE(SparsePolicySnapshotV2::Deserialize(bytes).ok());
+  const std::string path = testing::TempDir() + "/non_finite_v2.snap";
+  WriteFileBytes(path, bytes);
+  auto mapped = MappedPolicy::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  const core::PlannerConfig config = core::DefaultUniv1Config();
+  const mdp::RewardFunction reward(instance, config.reward);
+  for (util::simd::Level level :
+       {util::simd::Level::kScalar, util::simd::DetectBestLevel()}) {
+    SCOPED_TRACE(util::simd::LevelName(level));
+    util::simd::ForceLevelForTesting(level);
+    util::Rng mask_rng(11);
+    for (int trial = 0; trial < 400; ++trial) {
+      const double density = trial % 4 == 0 ? 0.0 : mask_rng.NextDouble();
+      util::DynamicBitset allowed(n);
+      for (std::size_t a = 0; a < n; ++a) {
+        if (trial % 8 == 1 || mask_rng.NextDouble() < density) allowed.Set(a);
+      }
+      const auto state = static_cast<model::ItemId>(mask_rng.NextIndex(n));
+      const model::ItemId got = mapped.value().ArgmaxAction(state, allowed);
+      if (allowed.Count() == 0) {
+        EXPECT_EQ(got, -1) << "trial " << trial;
+        continue;
+      }
+      ASSERT_GE(got, 0) << "trial " << trial;
+      ASSERT_LT(static_cast<std::size_t>(got), n) << "trial " << trial;
+      EXPECT_TRUE(allowed.Test(static_cast<std::size_t>(got)))
+          << "trial " << trial << " state " << state << " action " << got;
+    }
+    for (std::size_t start = 0; start < n; ++start) {
+      rl::RecommendConfig recommend;
+      recommend.start_item = static_cast<model::ItemId>(start);
+      const model::Plan plan =
+          rl::RecommendPlan(mapped.value(), instance, reward, recommend);
+      std::set<model::ItemId> seen;
+      for (const model::ItemId id : plan.items()) {
+        ASSERT_GE(id, 0) << "start " << start;
+        ASSERT_LT(static_cast<std::size_t>(id), n) << "start " << start;
+        EXPECT_TRUE(seen.insert(id).second)
+            << "start " << start << " repeats " << id;
+      }
+    }
+  }
 }
 
 TEST(SnapshotV2Test, TruncatedBytesAreRejected) {
