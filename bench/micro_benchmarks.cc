@@ -3,7 +3,7 @@
 // episode generation.
 //
 // Run with no arguments, the binary times a full Learn() on a
-// Univ-1-scale synthetic catalog and every dispatched SIMD kernel (scalar
+// Univ-1-scale synthetic catalog and the counting SIMD word kernels (scalar
 // vs. the best level the host supports), and writes the results to
 // BENCH_micro.json. Run with any google-benchmark argument (e.g.
 // --benchmark_filter=.) it runs the registered gbench suite instead.
@@ -217,33 +217,23 @@ struct KernelBench {
   double speedup() const { return simd_ns > 0.0 ? scalar_ns / simd_ns : 0.0; }
 };
 
-// Benchmarks every dispatched kernel at the 10k-item recommender-catalog
-// scale the SIMD pass targets (large enough that DynamicBitset routes
-// through the kernel table rather than its inline loops). `scalar_ns` uses
+// Benchmarks the three counting word kernels at the 10k-item
+// recommender-catalog scale the SIMD pass targets (large enough that
+// DynamicBitset routes through the kernel table rather than its inline
+// loops). `scalar_ns` uses
 // the scalar table; `simd_ns` uses the best level the host supports, so on
 // scalar-only machines the two columns time the same code.
 std::vector<KernelBench> RunKernelBenchmarks() {
   namespace simd = rlplanner::util::simd;
   constexpr std::size_t kBits = 16384;  // 256 words
   constexpr std::size_t kWords = kBits / 64;
-  constexpr std::size_t kFloats = 10000;
 
   rlplanner::util::Rng rng(7);
-  std::vector<std::uint64_t> a(kWords), b(kWords), c(kWords), mask_words;
+  std::vector<std::uint64_t> a(kWords), b(kWords), c(kWords);
   for (std::size_t w = 0; w < kWords; ++w) {
     a[w] = rng.NextU64();
     b[w] = rng.NextU64();
     c[w] = rng.NextU64();
-  }
-  std::vector<double> x(kFloats), y(kFloats), base(kFloats), scratch(kFloats);
-  mask_words.resize((kFloats + 63) / 64);
-  for (std::size_t i = 0; i < kFloats; ++i) {
-    x[i] = rng.NextDouble() - 0.5;
-    y[i] = rng.NextDouble() - 0.5;
-    base[i] = rng.NextDouble() - 0.5;
-    if (rng.NextBernoulli(0.5)) {
-      mask_words[i / 64] |= std::uint64_t{1} << (i % 64);
-    }
   }
 
   const simd::Kernels& scalar = simd::KernelsForLevel(simd::Level::kScalar);
@@ -274,23 +264,6 @@ std::vector<KernelBench> RunKernelBenchmarks() {
               benchmark::DoNotOptimize(k.andnot_intersect_count_words(
                   a.data(), b.data(), c.data(), kWords));
             }));
-  rows.push_back(
-      bench("argmax_masked_f64/10000", [&](const simd::Kernels& k) {
-        benchmark::DoNotOptimize(k.argmax_masked_f64(
-            x.data(), kFloats, mask_words.data(), mask_words.size()));
-      }));
-  // Accumulates in place across iterations (x - base is bounded, so a 30ms
-  // window cannot overflow): copying a fresh destination inside the timed
-  // op would swamp the kernel with memcpy.
-  scratch = y;
-  rows.push_back(
-      bench("accumulate_delta_f64/10000", [&](const simd::Kernels& k) {
-        k.accumulate_delta_f64(scratch.data(), x.data(), base.data(), kFloats);
-        benchmark::DoNotOptimize(scratch.data());
-      }));
-  rows.push_back(bench("max_abs_f64/10000", [&](const simd::Kernels& k) {
-    benchmark::DoNotOptimize(k.max_abs_f64(x.data(), kFloats));
-  }));
   return rows;
 }
 

@@ -1,6 +1,6 @@
 #include "core/scoring.h"
 
-#include "core/validation.h"
+#include "mdp/cmdp.h"
 #include "mdp/similarity.h"
 #include "model/topic_vector.h"
 
@@ -21,7 +21,7 @@ double IdealTopicCoverage(const model::TaskInstance& instance,
 double ScorePlan(const model::TaskInstance& instance,
                  const model::Plan& plan) {
   if (plan.empty()) return 0.0;
-  if (!ValidatePlan(instance, plan).valid) return 0.0;
+  if (!mdp::CmdpSpec::FromInstance(instance).Satisfied(plan)) return 0.0;
   if (instance.catalog->domain() == model::Domain::kTrip) {
     return plan.MeanPopularity(*instance.catalog);
   }

@@ -13,11 +13,15 @@ ValidationReport ValidatePlan(const model::TaskInstance& instance,
                               const model::Plan& plan) {
   const mdp::CmdpSpec spec = mdp::CmdpSpec::FromInstance(instance);
   ValidationReport report;
+  // Each constraint's closure runs once; its violation is read off its cost.
   report.costs = spec.Evaluate(plan);
-  for (const auto& constraint : spec.constraints()) {
+  for (std::size_t i = 0; i < report.costs.size(); ++i) {
+    const mdp::ConstraintFunctional& constraint = spec.constraints()[i];
     report.constraint_names.push_back(constraint.name);
+    if (constraint.Violated(report.costs[i])) {
+      report.violations.push_back(constraint.name);
+    }
   }
-  report.violations = spec.Violations(plan);
   report.valid = report.violations.empty();
   return report;
 }

@@ -1,46 +1,18 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
 
+#include "obs/export.h"
 #include "obs/span.h"
 #include "rl/sarsa.h"
 #include "rl/transfer.h"
 #include "serve/policy_snapshot.h"
 
 namespace rlplanner::fleet {
-namespace {
-
-/// Minimal JSON string escaping for slot/segment names and error messages
-/// (quotes, backslashes, control characters).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* PolicyPhaseName(PolicyPhase phase) {
   switch (phase) {
@@ -535,8 +507,8 @@ std::string FleetOrchestrator::StatusJson() const {
   for (const PolicyStatus& s : statuses) {
     if (!first) out << ", ";
     first = false;
-    out << "{\"slot\": \"" << JsonEscape(s.slot) << "\""
-        << ", \"segment\": \"" << JsonEscape(s.segment_id) << "\""
+    out << "{\"slot\": \"" << obs::JsonEscape(s.slot) << "\""
+        << ", \"segment\": \"" << obs::JsonEscape(s.segment_id) << "\""
         << ", \"phase\": \"" << PolicyPhaseName(s.phase) << "\""
         << ", \"generation\": " << s.generation
         << ", \"last_published_tick\": " << s.last_published_tick
@@ -552,7 +524,7 @@ std::string FleetOrchestrator::StatusJson() const {
         << ", \"candidate_rejections\": " << s.candidate_rejections
         << ", \"feedback_events\": " << s.feedback_events
         << ", \"consecutive_failures\": " << s.consecutive_failures
-        << ", \"last_error\": \"" << JsonEscape(s.last_error) << "\"}";
+        << ", \"last_error\": \"" << obs::JsonEscape(s.last_error) << "\"}";
   }
   out << "]}";
   return out.str();

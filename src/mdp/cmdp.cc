@@ -144,7 +144,7 @@ std::vector<double> CmdpSpec::Evaluate(const model::Plan& plan) const {
 
 bool CmdpSpec::Satisfied(const model::Plan& plan) const {
   for (const auto& constraint : constraints_) {
-    if (constraint.cost(plan) > constraint.bound + 1e-9) return false;
+    if (constraint.Violated(constraint.cost(plan))) return false;
   }
   return true;
 }
@@ -152,7 +152,7 @@ bool CmdpSpec::Satisfied(const model::Plan& plan) const {
 std::vector<std::string> CmdpSpec::Violations(const model::Plan& plan) const {
   std::vector<std::string> names;
   for (const auto& constraint : constraints_) {
-    if (constraint.cost(plan) > constraint.bound + 1e-9) {
+    if (constraint.Violated(constraint.cost(plan))) {
       names.push_back(constraint.name);
     }
   }

@@ -20,6 +20,9 @@ struct ConstraintFunctional {
   std::string name;
   std::function<double(const model::Plan&)> cost;
   double bound = 0.0;
+
+  /// True when `value`, a cost of this functional, exceeds its bound.
+  bool Violated(double value) const { return value > bound + 1e-9; }
 };
 
 /// The CMDP view of a task instance: the item graph is complete

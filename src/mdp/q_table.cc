@@ -1,8 +1,8 @@
 #include "mdp/q_table.h"
 
+#include <algorithm>
 #include <cassert>
-
-#include "util/simd.h"
+#include <cmath>
 
 namespace rlplanner::mdp {
 
@@ -39,21 +39,26 @@ model::ItemId QTable::ArgmaxAction(model::ItemId state,
   assert(allowed.size() == num_items_);
   const double* row =
       values_.data() + static_cast<std::size_t>(state) * num_items_;
-  return static_cast<model::ItemId>(util::simd::Active().argmax_masked_f64(
-      row, num_items_, allowed.word_data(), allowed.word_count()));
+  model::ItemId best = -1;
+  double best_value = 0.0;
+  allowed.ForEachSetBit([&](std::size_t action) {
+    if (best < 0 || row[action] > best_value) {
+      best = static_cast<model::ItemId>(action);
+      best_value = row[action];
+    }
+  });
+  return best;
 }
 
 void QTable::AccumulateDelta(const QTable& local, const QTable& base) {
   assert(num_items_ == local.num_items_ && num_items_ == base.num_items_);
-  // The elementwise kernel is bit-exact across dispatch levels, so the
-  // deterministic shard merge stays bit-reproducible on any hardware.
-  util::simd::Active().accumulate_delta_f64(
-      values_.data(), local.values_.data(), base.values_.data(),
-      values_.size());
+  for (std::size_t i = 0; i < values_.size(); ++i) {
+    values_[i] += local.values_[i] - base.values_[i];
+  }
 }
 
 void QTable::Scale(double factor) {
-  util::simd::Active().scale_f64(values_.data(), factor, values_.size());
+  for (double& v : values_) v *= factor;
 }
 
 void QTable::AddNoise(util::Rng& rng, double magnitude) {
@@ -62,13 +67,15 @@ void QTable::AddNoise(util::Rng& rng, double magnitude) {
 }
 
 double QTable::MaxAbsValue() const {
-  return util::simd::Active().max_abs_f64(values_.data(), values_.size());
+  double best = 0.0;
+  for (double v : values_) best = std::max(best, std::abs(v));
+  return best;
 }
 
 double QTable::NonZeroFraction() const {
   if (values_.empty()) return 0.0;
-  const std::size_t non_zero =
-      util::simd::Active().count_nonzero_f64(values_.data(), values_.size());
+  const auto non_zero = static_cast<std::size_t>(std::count_if(
+      values_.begin(), values_.end(), [](double v) { return v != 0.0; }));
   return static_cast<double>(non_zero) / static_cast<double>(values_.size());
 }
 

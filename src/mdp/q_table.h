@@ -43,11 +43,10 @@ class QTable {
   /// This overload scans the full O(|I|) row with one predicate call per
   /// action, however small the allowed set — any caller that has (or can
   /// materialize) a DynamicBitset must use the word-scan overload below,
-  /// which skips disallowed actions 64 at a time and dispatches to the SIMD
-  /// kernel. The remaining callers are exactly the parity harnesses:
-  /// tests/qtable_test.cc and tests/simd_test.cc pin the two overloads
-  /// equivalent, and bench/micro_benchmarks.cc measures the gap between
-  /// them. No production path scans via callback.
+  /// which skips disallowed actions 64 at a time. The remaining callers are
+  /// exactly the parity harnesses: tests/qtable_test.cc pins the two
+  /// overloads equivalent, and bench/micro_benchmarks.cc measures the gap
+  /// between them. No production path scans via callback.
   template <typename AllowedFn>
   model::ItemId ArgmaxAction(model::ItemId state, AllowedFn allowed) const {
     model::ItemId best = -1;
@@ -64,12 +63,11 @@ class QTable {
     return best;
   }
 
-  /// Word-scan variant: the admissible set is a bitset over action ids,
-  /// handed as packed words to the dispatched util/simd.h masked-argmax
-  /// kernel (AVX2 scans the row four doubles at a time; the scalar level
-  /// skips disallowed actions 64 at a time). Identical result and tie-break
-  /// semantics (lowest allowed id wins ties) to the callback overload —
-  /// pinned by a randomized equivalence test.
+  /// Word-scan variant: the admissible set is a bitset over action ids, and
+  /// the scan visits only its set bits, skipping disallowed actions 64 at a
+  /// time. Identical result and tie-break semantics (lowest allowed id wins
+  /// ties) to the callback overload — pinned by a randomized equivalence
+  /// test.
   model::ItemId ArgmaxAction(model::ItemId state,
                              const util::DynamicBitset& allowed) const;
 

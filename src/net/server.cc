@@ -13,6 +13,7 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/export.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
@@ -36,32 +37,8 @@ obs::Histogram* FallbackHistogram() {
   return &histogram;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string ErrorBody(std::string_view message) {
-  return "{\"error\":\"" + JsonEscape(message) + "\"}\n";
+  return "{\"error\":\"" + obs::JsonEscape(message) + "\"}\n";
 }
 
 HttpResponse DroppedResponse() {

@@ -48,7 +48,7 @@ std::string FlightRecorder::RecordJson(const Record& record) {
                     ", \"policy_version\": " + std::to_string(version) +
                     ", \"slot\": \"" + JsonEscape(record.slot) +
                     "\", \"status\": \"" +
-                    JsonEscape(std::string(record.events.back().Arg("status"))) +
+                    JsonEscape(record.events.back().Arg("status")) +
                     "\"";
   out += ", \"queue_ms\": " + FormatMetricValue(queue_ms);
   out += ", \"exec_ms\": " + FormatMetricValue(exec_ms);

@@ -114,7 +114,7 @@ std::string FormatMetricValue(double value) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& text) {
+std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (char c : text) {

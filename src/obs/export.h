@@ -2,6 +2,7 @@
 #define RLPLANNER_OBS_EXPORT_H_
 
 #include <string>
+#include <string_view>
 
 #include "obs/registry.h"
 
@@ -41,7 +42,7 @@ std::string FormatMetricValue(double value);
 
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslashes, and control characters).
-std::string JsonEscape(const std::string& text);
+std::string JsonEscape(std::string_view text);
 
 }  // namespace rlplanner::obs
 

@@ -78,7 +78,7 @@ class DynamicBitset {
 
   /// The packed 64-bit words backing the bitset (tail bits past `size()`
   /// are always zero). For handing rows to the util/simd.h kernels — e.g.
-  /// QTable's masked argmax — without per-bit extraction.
+  /// the keyed-row argmax — without per-bit extraction.
   const std::uint64_t* word_data() const { return words_.data(); }
   std::size_t word_count() const { return words_.size(); }
 

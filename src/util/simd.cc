@@ -2,15 +2,13 @@
 
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdlib>
 
 namespace rlplanner::util::simd {
 
 // ---------------------------------------------------------------------------
 // Scalar kernels. These define the semantics every other level must match
-// bit-for-bit; this translation unit is compiled with -ffp-contract=off so
-// the compiler cannot fuse the mul+add pairs the vector paths keep separate.
+// bit-for-bit.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -74,51 +72,6 @@ void ScalarComplementWords(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] = ~src[i];
 }
 
-void ScalarScaleF64(double* v, double factor, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) v[i] *= factor;
-}
-
-void ScalarAccumulateDeltaF64(double* q, const double* local,
-                              const double* base, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) q[i] += local[i] - base[i];
-}
-
-double ScalarMaxAbsF64(const double* v, std::size_t n) {
-  double best = 0.0;
-  for (std::size_t i = 0; i < n; ++i) best = std::max(best, std::abs(v[i]));
-  return best;
-}
-
-std::size_t ScalarCountNonZeroF64(const double* v, std::size_t n) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (v[i] != 0.0) ++count;
-  }
-  return count;
-}
-
-std::ptrdiff_t ScalarArgmaxMaskedF64(const double* values, std::size_t n,
-                                     const std::uint64_t* mask,
-                                     std::size_t num_words) {
-  std::ptrdiff_t best = -1;
-  double best_value = 0.0;
-  for (std::size_t w = 0; w < num_words; ++w) {
-    std::uint64_t word = mask[w];
-    while (word != 0) {
-      const std::size_t i =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      if (i >= n) return best;  // defensive: tail bits should be zero
-      const double value = values[i];
-      if (best < 0 || value > best_value) {
-        best = static_cast<std::ptrdiff_t>(i);
-        best_value = value;
-      }
-    }
-  }
-  return best;
-}
-
 KeyedArgmax ScalarArgmaxKeyedF64(const std::uint32_t* keys,
                                  const double* values, std::size_t n,
                                  const std::uint64_t* allowed,
@@ -152,26 +105,18 @@ constexpr Kernels kScalarKernels = {
     &ScalarOrAssignWords,
     &ScalarAndNotAssignWords,
     &ScalarComplementWords,
-    &ScalarScaleF64,
-    &ScalarAccumulateDeltaF64,
-    &ScalarMaxAbsF64,
-    &ScalarCountNonZeroF64,
-    &ScalarArgmaxMaskedF64,
     &ScalarArgmaxKeyedF64,
 };
 
 }  // namespace
 
-// Implemented in simd_avx2.cc / simd_neon.cc; null when not compiled in.
+// Implemented in simd_avx2.cc; null when not compiled in.
 const Kernels* GetAvx2Kernels();
-const Kernels* GetNeonKernels();
 
 const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kNeon:
-      return "neon";
     case Level::kAvx2:
       return "avx2";
   }
@@ -182,8 +127,6 @@ bool LevelCompiled(Level level) {
   switch (level) {
     case Level::kScalar:
       return true;
-    case Level::kNeon:
-      return GetNeonKernels() != nullptr;
     case Level::kAvx2:
       return GetAvx2Kernels() != nullptr;
   }
@@ -195,10 +138,6 @@ namespace {
 bool CpuSupports(Level level) {
   switch (level) {
     case Level::kScalar:
-      return true;
-    case Level::kNeon:
-      // The NEON kernels are only compiled on aarch64, where ASIMD is part
-      // of the baseline ISA: compiled-in implies supported.
       return true;
     case Level::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
@@ -217,19 +156,13 @@ bool LevelSupported(Level level) {
 }
 
 Level DetectBestLevel() {
-  if (LevelSupported(Level::kAvx2)) return Level::kAvx2;
-  if (LevelSupported(Level::kNeon)) return Level::kNeon;
-  return Level::kScalar;
+  return LevelSupported(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 }
 
 bool ParseLevel(std::string_view text, Level* level, bool* auto_detect) {
   *auto_detect = false;
   if (text == "off" || text == "scalar") {
     *level = Level::kScalar;
-    return true;
-  }
-  if (text == "neon") {
-    *level = Level::kNeon;
     return true;
   }
   if (text == "avx2") {
@@ -245,15 +178,8 @@ bool ParseLevel(std::string_view text, Level* level, bool* auto_detect) {
 }
 
 const Kernels& KernelsForLevel(Level level) {
-  if (LevelSupported(level)) {
-    switch (level) {
-      case Level::kScalar:
-        break;
-      case Level::kNeon:
-        return *GetNeonKernels();
-      case Level::kAvx2:
-        return *GetAvx2Kernels();
-    }
+  if (level == Level::kAvx2 && LevelSupported(level)) {
+    return *GetAvx2Kernels();
   }
   return kScalarKernels;
 }

@@ -7,22 +7,18 @@
 
 namespace rlplanner::util::simd {
 
-/// Instruction-set level of a kernel table. The numeric order is the
-/// preference order of `DetectBestLevel()`; every level is a strict superset
-/// of the scalar semantics (all kernels are bit-exact across levels, see
-/// below), so falling back is always safe.
+/// Instruction-set level of a kernel table. Every kernel is bit-exact across
+/// levels (see below), so falling back to scalar is always safe.
 enum class Level {
   kScalar = 0,  // portable C++, always available
-  kNeon = 1,    // aarch64 ASIMD (the u64 word kernels; f64 stays scalar)
-  kAvx2 = 2,    // x86-64 AVX2
+  kAvx2 = 1,    // x86-64 AVX2; other targets run the scalar table
 };
 
-/// Lower-case level name ("scalar", "neon", "avx2") for bench JSON and logs.
+/// Lower-case level name ("scalar", "avx2") for bench JSON and logs.
 const char* LevelName(Level level);
 
 /// True when this binary contains an implementation for `level` (compile-time
-/// gate: the AVX2 translation unit is only built on x86 with -mavx2 support,
-/// the NEON one only on aarch64).
+/// gate: the AVX2 translation unit is only built on x86 with -mavx2 support).
 bool LevelCompiled(Level level);
 
 /// True when `level` is compiled in *and* the running CPU supports it.
@@ -31,9 +27,9 @@ bool LevelSupported(Level level);
 /// Best supported level on this machine (kScalar when nothing else is).
 Level DetectBestLevel();
 
-/// Parses an RLPLANNER_SIMD value: "off"/"scalar" -> kScalar, "neon" ->
-/// kNeon, "avx2" -> kAvx2, "auto"/"" -> sets *auto_detect. Returns false on
-/// anything else (caller treats unknown values as "auto" with a warning).
+/// Parses an RLPLANNER_SIMD value: "off"/"scalar" -> kScalar, "avx2" ->
+/// kAvx2, "auto"/"" -> sets *auto_detect. Returns false on anything else
+/// (the caller treats unknown values as "auto").
 bool ParseLevel(std::string_view text, Level* level, bool* auto_detect);
 
 /// Result of `Kernels::argmax_keyed_f64`.
@@ -44,14 +40,12 @@ struct KeyedArgmax {
 
 /// One-time-dispatched kernel table. Every kernel is defined to produce a
 /// result *bitwise identical* to the scalar implementation for the same
-/// inputs (integer kernels trivially; the f64 kernels are elementwise or
-/// order-independent reductions, and the translation units are compiled with
-/// -ffp-contract=off so no path fuses a mul+add the other does not). This is
-/// what lets the deterministic trainer run on any level without perturbing
-/// the (seed, K) -> policy guarantee. The dense-table f64 kernels assume no
-/// NaN input (trained Q values are finite). `argmax_keyed_f64` cannot: it
-/// reads mapped snapshot values, whose payload checksum `MappedPolicy::Map`
-/// does not verify, so it fixes its own NaN rule and every level keeps it.
+/// inputs: the word kernels are integer operations, and `argmax_keyed_f64`
+/// only compares values, never computes them. This is what lets the
+/// deterministic trainer run on any level without perturbing the (seed, K)
+/// -> policy guarantee. `argmax_keyed_f64` reads mapped snapshot values,
+/// whose payload checksum `MappedPolicy::Map` does not verify, so it fixes
+/// its own NaN rule and every level keeps it.
 struct Kernels {
   Level level;
 
@@ -82,23 +76,6 @@ struct Kernels {
                               std::size_t n);
   void (*complement_words)(std::uint64_t* dst, const std::uint64_t* src,
                            std::size_t n);
-  // --- f64 kernels (QTable / reward substrate) ----------------------------
-  // v[i] *= factor.
-  void (*scale_f64)(double* v, double factor, std::size_t n);
-  // q[i] += local[i] - base[i]: the deterministic shard-merge kernel.
-  void (*accumulate_delta_f64)(double* q, const double* local,
-                               const double* base, std::size_t n);
-  // max_i |v[i]| (0.0 when n == 0). Max is order-independent, so bit-exact.
-  double (*max_abs_f64)(const double* v, std::size_t n);
-  // Number of entries with v[i] != 0.0 (NaN counts, matching scalar !=).
-  std::size_t (*count_nonzero_f64)(const double* v, std::size_t n);
-  // Lowest index i < n with mask bit i set attaining max{values[j] : bit j
-  // set}; -1 when the mask is empty. `mask` has ceil(n/64) words and its
-  // tail bits past n must be zero (DynamicBitset guarantees this). Exactly
-  // the tie-break of QTable::ArgmaxAction: the first allowed index wins.
-  std::ptrdiff_t (*argmax_masked_f64)(const double* values, std::size_t n,
-                                      const std::uint64_t* mask,
-                                      std::size_t num_words);
   // --- keyed-row kernel (snapshot v2 rows, SparseQTable hash rows) --------
   // Masked argmax over a keyed row: entry i holds values[i] for action
   // keys[i], and keys are distinct within the row (ascending or unordered).
@@ -120,7 +97,7 @@ struct Kernels {
 const Kernels& KernelsForLevel(Level level);
 
 /// The process-wide active table: resolved once, on first use, from the
-/// RLPLANNER_SIMD environment variable (off|scalar|neon|avx2|auto; unset or
+/// RLPLANNER_SIMD environment variable (off|scalar|avx2|auto; unset or
 /// unknown values mean auto-detect). Forcing an unsupported level falls back
 /// to scalar.
 const Kernels& Active();

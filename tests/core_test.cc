@@ -1,14 +1,21 @@
-// Tests for the public facade: PlannerConfig validation, plan scoring, and
-// the RlPlanner train/recommend/score/adopt lifecycle.
+// Tests for the public facade: PlannerConfig validation, plan validation
+// and scoring, and the RlPlanner train/recommend/score/adopt lifecycle.
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "baselines/gold.h"
 #include "core/config.h"
-#include "geo/latlng.h"
 #include "core/planner.h"
 #include "core/scoring.h"
+#include "core/validation.h"
 #include "datagen/course_data.h"
 #include "datagen/trip_data.h"
+#include "geo/latlng.h"
+#include "mdp/cmdp.h"
+#include "util/rng.h"
 
 namespace rlplanner::core {
 namespace {
@@ -110,6 +117,73 @@ TEST(ScoringTest, IdealTopicCoverageFractional) {
   const model::TaskInstance instance = dataset.Instance();
   // m2 covers classification + clustering = 2 of the 4 ideal topics.
   EXPECT_DOUBLE_EQ(IdealTopicCoverage(instance, model::Plan({1})), 0.5);
+}
+
+// ------------------------------------------------------------- Validation --
+
+// ValidatePlan evaluates each constraint once and reads the violations off
+// those costs; ScorePlan gates on CmdpSpec::Satisfied. Both must agree with
+// the spec's own per-call answers on valid plans (gold standards), near
+// misses (gold plans with one edit) and random item sequences, on course
+// and trip catalogs.
+TEST(ValidationTest, ReportMatchesCmdpSpecOnRandomPlans) {
+  const std::vector<datagen::Dataset> datasets = {
+      datagen::MakeUniv1DsCt(), datagen::MakeUniv1Cs(),
+      datagen::MakeUniv2Ds(), datagen::MakeNycTrip(),
+      datagen::MakeParisTrip()};
+  util::Rng rng(20261019);
+  for (const datagen::Dataset& dataset : datasets) {
+    SCOPED_TRACE(dataset.name);
+    const model::TaskInstance instance = dataset.Instance();
+    const mdp::CmdpSpec spec = mdp::CmdpSpec::FromInstance(instance);
+    const auto gold = baselines::BuildGoldStandard(instance);
+    ASSERT_TRUE(gold.ok()) << gold.status().ToString();
+    const std::size_t items = dataset.catalog.size();
+    const auto random_item = [&] {
+      return static_cast<model::ItemId>(rng.NextIndex(items));
+    };
+
+    std::vector<model::Plan> plans = {gold.value(), model::Plan()};
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<model::ItemId> edited = gold.value().items();
+      const std::size_t at = rng.NextIndex(edited.size());
+      switch (trial % 4) {
+        case 0:  // swap two positions (may break a prerequisite gap)
+          std::swap(edited[at], edited[rng.NextIndex(edited.size())]);
+          break;
+        case 1:  // drop one item
+          edited.erase(edited.begin() + static_cast<std::ptrdiff_t>(at));
+          break;
+        case 2:  // replace one item (may duplicate another)
+          edited[at] = random_item();
+          break;
+        default: {  // a random sequence of a random length
+          edited.assign(1 + rng.NextIndex(2 * edited.size()), 0);
+          for (model::ItemId& item : edited) item = random_item();
+        }
+      }
+      plans.emplace_back(std::move(edited));
+    }
+
+    int valid = 0;
+    for (const model::Plan& plan : plans) {
+      const ValidationReport report = ValidatePlan(instance, plan);
+      ASSERT_EQ(report.costs, spec.Evaluate(plan));
+      ASSERT_EQ(report.violations, spec.Violations(plan));
+      ASSERT_EQ(report.valid, spec.Satisfied(plan));
+      ASSERT_EQ(report.constraint_names.size(), spec.constraints().size());
+      double score = 0.0;  // an empty or invalid plan scores 0
+      if (report.valid && !plan.empty()) {
+        score = instance.catalog->domain() == model::Domain::kTrip
+                    ? plan.MeanPopularity(*instance.catalog)
+                    : TemplateScore(instance, plan);
+      }
+      EXPECT_EQ(ScorePlan(instance, plan), score);
+      valid += report.valid ? 1 : 0;
+    }
+    EXPECT_GE(valid, 1);  // the gold plan
+    EXPECT_LT(valid, static_cast<int>(plans.size()));
+  }
 }
 
 // ---------------------------------------------------------------- Planner --

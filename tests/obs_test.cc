@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -444,6 +445,23 @@ TEST(ObsExportTest, FormatMetricValueRoundTrips) {
   const double awkward = 1.0 / 3.0;
   EXPECT_EQ(std::strtod(FormatMetricValue(awkward).c_str(), nullptr),
             awkward);
+}
+
+// Every branch of the one JSON string escaper the exporters, the wire
+// error bodies and the fleet status document share.
+TEST(ObsExportTest, JsonEscapePinsEveryBranch) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(JsonEscape("a\rb"), "a\\rb");
+  EXPECT_EQ(JsonEscape("a\tb"), "a\\tb");
+  EXPECT_EQ(JsonEscape("\x01"), "\\u0001");
+  EXPECT_EQ(JsonEscape("\x1f"), "\\u001f");
+  EXPECT_EQ(JsonEscape(std::string_view("a\0b", 3)), "a\\u0000b");
+  EXPECT_EQ(JsonEscape(" "), " ");  // 0x20 is the first byte left as is
+  // UTF-8 bytes (here U+00E9, 0xC3 0xA9) pass through unchanged.
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9"), "caf\xc3\xa9");
 }
 
 // --------------------------------------------------------------- spans --

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+
 #include "mdp/q_table.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace rlplanner::mdp {
@@ -88,6 +93,66 @@ TEST(QTableTest, BitsetArgmaxMatchesCallbackOverload) {
       EXPECT_EQ(q.ArgmaxAction(state, allowed), via_callback)
           << "n=" << n << " state=" << state;
     }
+  }
+}
+
+TEST(QTableTest, BitsetArgmaxMatchesCallbackOverloadAcrossDensities) {
+  constexpr std::size_t kItems = 300;
+  QTable q(kItems);
+  util::Rng rng(2024);
+  for (std::size_t s = 0; s < kItems; ++s) {
+    for (std::size_t a = 0; a < kItems; ++a) {
+      // Quantized values force frequent exact ties.
+      q.Set(static_cast<int>(s), static_cast<int>(a),
+            std::floor(rng.NextDouble() * 8.0) / 8.0);
+    }
+  }
+  for (double density : {0.0, 0.03, 0.5, 1.0}) {
+    util::Rng mask_rng(static_cast<std::uint64_t>(density * 1000) + 1);
+    util::DynamicBitset allowed(kItems);
+    for (std::size_t i = 0; i < kItems; ++i) {
+      if (mask_rng.NextBernoulli(density)) allowed.Set(i);
+    }
+    for (int state = 0; state < 50; ++state) {
+      const auto want = q.ArgmaxAction(state, [&](model::ItemId id) {
+        return allowed.Test(static_cast<std::size_t>(id));
+      });
+      ASSERT_EQ(q.ArgmaxAction(state, allowed), want)
+          << "state " << state << " density " << density;
+    }
+  }
+}
+
+// The word scan's edge cases: an empty set, a full tie across words, an
+// all-negative row, and the maximum at the last id of a ragged final word.
+TEST(QTableTest, BitsetArgmaxEdgeCases) {
+  {
+    QTable q(130);
+    for (int a = 0; a < 130; ++a) q.Set(0, a, 1.0);
+    EXPECT_EQ(q.ArgmaxAction(0, util::DynamicBitset(130)), -1);
+  }
+  {
+    QTable q(200);
+    for (int a = 0; a < 200; ++a) q.Set(0, a, 3.25);
+    util::DynamicBitset allowed(200);
+    allowed.Set(69);
+    allowed.Set(188);
+    EXPECT_EQ(q.ArgmaxAction(0, allowed), 69);
+  }
+  {
+    QTable q(100);
+    for (int a = 0; a < 100; ++a) q.Set(0, a, -7.5);
+    util::DynamicBitset allowed(100);
+    allowed.Set(40);
+    allowed.Set(65);
+    EXPECT_EQ(q.ArgmaxAction(0, allowed), 40);
+  }
+  {
+    QTable q(114);
+    q.Set(0, 113, 9.0);
+    util::DynamicBitset allowed(114);
+    allowed.SetAll();
+    EXPECT_EQ(q.ArgmaxAction(0, allowed), 113);
   }
 }
 

@@ -1,15 +1,13 @@
 // Tests for the util/simd.h kernel layer: the dispatch machinery (CPU
 // detection, RLPLANNER_SIMD env override, per-level tables) and randomized
-// scalar-vs-vector bit-exact equivalence for every kernel, organized as a
-// parameterized matrix (bit pattern x size x seed) in the same idiom as the
-// mask/argmax old-vs-new equivalence tests of the parallel-training PR.
+// scalar-vs-vector bit-exact equivalence for every kernel: the word kernels
+// as a parameterized matrix (bit pattern x size x seed), the keyed-row
+// argmax against the loops it replaced, and sparse training end to end.
 
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -20,9 +18,9 @@
 #include <utility>
 #include <vector>
 
-#include "datagen/course_data.h"
-#include "mdp/q_table.h"
+#include "datagen/synthetic.h"
 #include "rl/parallel_sarsa.h"
+#include "rl/recommender.h"
 #include "rl/sarsa.h"
 #include "util/bitset.h"
 #include "util/rng.h"
@@ -43,7 +41,6 @@ using DispatchTest = SimdTestBase;
 
 TEST_F(DispatchTest, LevelNames) {
   EXPECT_STREQ(LevelName(Level::kScalar), "scalar");
-  EXPECT_STREQ(LevelName(Level::kNeon), "neon");
   EXPECT_STREQ(LevelName(Level::kAvx2), "avx2");
 }
 
@@ -57,8 +54,6 @@ TEST_F(DispatchTest, ParseLevel) {
   EXPECT_EQ(level, Level::kScalar);
   EXPECT_TRUE(ParseLevel("avx2", &level, &auto_detect));
   EXPECT_EQ(level, Level::kAvx2);
-  EXPECT_TRUE(ParseLevel("neon", &level, &auto_detect));
-  EXPECT_EQ(level, Level::kNeon);
   EXPECT_TRUE(ParseLevel("auto", &level, &auto_detect));
   EXPECT_TRUE(auto_detect);
   EXPECT_EQ(level, DetectBestLevel());
@@ -66,6 +61,9 @@ TEST_F(DispatchTest, ParseLevel) {
   EXPECT_TRUE(auto_detect);
   EXPECT_FALSE(ParseLevel("sse9", &level, &auto_detect));
   EXPECT_FALSE(ParseLevel("AVX2", &level, &auto_detect));
+  // No NEON table: "neon" is an unknown value, which Active() resolves by
+  // auto-detect like any other.
+  EXPECT_FALSE(ParseLevel("neon", &level, &auto_detect));
 }
 
 TEST_F(DispatchTest, ScalarAlwaysAvailable) {
@@ -75,13 +73,11 @@ TEST_F(DispatchTest, ScalarAlwaysAvailable) {
 }
 
 TEST_F(DispatchTest, UnsupportedLevelFallsBackToScalar) {
-  for (Level level : {Level::kNeon, Level::kAvx2}) {
-    const Kernels& table = KernelsForLevel(level);
-    if (LevelSupported(level)) {
-      EXPECT_EQ(table.level, level);
-    } else {
-      EXPECT_EQ(table.level, Level::kScalar);
-    }
+  const Kernels& table = KernelsForLevel(Level::kAvx2);
+  if (LevelSupported(Level::kAvx2)) {
+    EXPECT_EQ(table.level, Level::kAvx2);
+  } else {
+    EXPECT_EQ(table.level, Level::kScalar);
   }
 }
 
@@ -128,9 +124,8 @@ TEST_F(DispatchTest, ConcurrentFirstUseResolvesOneTable) {
 // --------------------------------------------- word-kernel equivalence --
 
 // Bit patterns the matrix crosses with sizes and seeds; the density
-// extremes matter because the AVX2 argmax skips zero words/nibbles and the
-// scalar one extracts set bits, so sparse and dense inputs take different
-// internal paths.
+// extremes reach the early exits of the any/intersects kernels and the
+// all-zero and all-ones words of the others.
 enum class Pattern { kRandom, kSparse, kDense, kAllZero, kAllOnes, kBlocky };
 
 const char* PatternName(Pattern p) {
@@ -218,17 +213,6 @@ class WordKernelMatrixTest : public SimdTestBase,
                              public ::testing::WithParamInterface<MatrixParam> {
 };
 
-// Every vector level compiled into this binary and supported here, plus
-// scalar-vs-scalar as a degenerate sanity row on machines with neither.
-std::vector<Level> LevelsUnderTest() {
-  std::vector<Level> levels;
-  for (Level level : {Level::kNeon, Level::kAvx2}) {
-    if (LevelSupported(level)) levels.push_back(level);
-  }
-  if (levels.empty()) levels.push_back(Level::kScalar);
-  return levels;
-}
-
 TEST_P(WordKernelMatrixTest, AllWordKernelsMatchScalar) {
   const MatrixParam& param = GetParam();
   Rng rng(param.seed);
@@ -240,42 +224,42 @@ TEST_P(WordKernelMatrixTest, AllWordKernelsMatchScalar) {
   const std::size_t n = a.size();
   const Kernels& scalar = KernelsForLevel(Level::kScalar);
 
-  for (Level level : LevelsUnderTest()) {
-    SCOPED_TRACE(LevelName(level));
-    const Kernels& vec = KernelsForLevel(level);
+  // The vector level when the host supports it, else scalar-vs-scalar as a
+  // degenerate sanity row.
+  const Kernels& vec = KernelsForLevel(DetectBestLevel());
+  SCOPED_TRACE(LevelName(vec.level));
 
-    EXPECT_EQ(vec.popcount_words(a.data(), n),
-              scalar.popcount_words(a.data(), n));
-    EXPECT_EQ(vec.intersect_count_words(a.data(), b.data(), n),
-              scalar.intersect_count_words(a.data(), b.data(), n));
-    EXPECT_EQ(
-        vec.andnot_intersect_count_words(a.data(), b.data(), c.data(), n),
-        scalar.andnot_intersect_count_words(a.data(), b.data(), c.data(), n));
-    EXPECT_EQ(vec.intersects_words(a.data(), b.data(), n),
-              scalar.intersects_words(a.data(), b.data(), n));
-    EXPECT_EQ(vec.any_words(a.data(), n), scalar.any_words(a.data(), n));
+  EXPECT_EQ(vec.popcount_words(a.data(), n),
+            scalar.popcount_words(a.data(), n));
+  EXPECT_EQ(vec.intersect_count_words(a.data(), b.data(), n),
+            scalar.intersect_count_words(a.data(), b.data(), n));
+  EXPECT_EQ(
+      vec.andnot_intersect_count_words(a.data(), b.data(), c.data(), n),
+      scalar.andnot_intersect_count_words(a.data(), b.data(), c.data(), n));
+  EXPECT_EQ(vec.intersects_words(a.data(), b.data(), n),
+            scalar.intersects_words(a.data(), b.data(), n));
+  EXPECT_EQ(vec.any_words(a.data(), n), scalar.any_words(a.data(), n));
 
-    // Mutating kernels: run both paths on copies, compare the full arrays.
-    using MutatingKernel = void (*)(std::uint64_t*, const std::uint64_t*,
-                                    std::size_t);
-    const struct {
-      const char* name;
-      MutatingKernel scalar_fn;
-      MutatingKernel vector_fn;
-    } mutating[] = {
-        {"and_assign", scalar.and_assign_words, vec.and_assign_words},
-        {"or_assign", scalar.or_assign_words, vec.or_assign_words},
-        {"andnot_assign", scalar.andnot_assign_words, vec.andnot_assign_words},
-        {"complement", scalar.complement_words, vec.complement_words},
-    };
-    for (const auto& kernel : mutating) {
-      SCOPED_TRACE(kernel.name);
-      std::vector<std::uint64_t> want = a;
-      std::vector<std::uint64_t> got = a;
-      kernel.scalar_fn(want.data(), b.data(), n);
-      kernel.vector_fn(got.data(), b.data(), n);
-      EXPECT_EQ(got, want);
-    }
+  // Mutating kernels: run both paths on copies, compare the full arrays.
+  using MutatingKernel = void (*)(std::uint64_t*, const std::uint64_t*,
+                                  std::size_t);
+  const struct {
+    const char* name;
+    MutatingKernel scalar_fn;
+    MutatingKernel vector_fn;
+  } mutating[] = {
+      {"and_assign", scalar.and_assign_words, vec.and_assign_words},
+      {"or_assign", scalar.or_assign_words, vec.or_assign_words},
+      {"andnot_assign", scalar.andnot_assign_words, vec.andnot_assign_words},
+      {"complement", scalar.complement_words, vec.complement_words},
+  };
+  for (const auto& kernel : mutating) {
+    SCOPED_TRACE(kernel.name);
+    std::vector<std::uint64_t> want = a;
+    std::vector<std::uint64_t> got = a;
+    kernel.scalar_fn(want.data(), b.data(), n);
+    kernel.vector_fn(got.data(), b.data(), n);
+    EXPECT_EQ(got, want);
   }
 }
 
@@ -291,136 +275,6 @@ INSTANTIATE_TEST_SUITE_P(
          4099},
         {7, 99, 20260807})),
     MatrixParamName);
-
-// ---------------------------------------------- f64-kernel equivalence --
-
-std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-class F64KernelMatrixTest : public SimdTestBase,
-                            public ::testing::WithParamInterface<MatrixParam> {
-};
-
-TEST_P(F64KernelMatrixTest, AllF64KernelsMatchScalarBitExact) {
-  const MatrixParam& param = GetParam();
-  const std::size_t n = param.bits;  // reused as the element count
-  Rng rng(param.seed);
-  std::vector<double> x(n), y(n), base(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Mix of magnitudes, exact zeros (for count_nonzero), negative zeros,
-    // and duplicated values (for argmax ties).
-    const double quantized =
-        std::floor(rng.NextDouble() * 16.0) / 16.0 - 0.5;
-    x[i] = rng.NextBernoulli(0.1) ? 0.0 : quantized * 1e3;
-    if (rng.NextBernoulli(0.05)) x[i] = -0.0;
-    y[i] = (rng.NextDouble() - 0.5) * 1e-3;
-    base[i] = (rng.NextDouble() - 0.5) * 1e-3;
-  }
-  const std::vector<std::uint64_t> mask =
-      MakeWords(param.pattern, n, rng);
-  const Kernels& scalar = KernelsForLevel(Level::kScalar);
-
-  for (Level level : LevelsUnderTest()) {
-    SCOPED_TRACE(LevelName(level));
-    const Kernels& vec = KernelsForLevel(level);
-
-    EXPECT_EQ(Bits(vec.max_abs_f64(x.data(), n)),
-              Bits(scalar.max_abs_f64(x.data(), n)));
-    EXPECT_EQ(vec.count_nonzero_f64(x.data(), n),
-              scalar.count_nonzero_f64(x.data(), n));
-    EXPECT_EQ(vec.argmax_masked_f64(x.data(), n, mask.data(), mask.size()),
-              scalar.argmax_masked_f64(x.data(), n, mask.data(), mask.size()));
-
-    {
-      std::vector<double> want = x;
-      std::vector<double> got = x;
-      scalar.scale_f64(want.data(), 0.9361, n);
-      vec.scale_f64(got.data(), 0.9361, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "scale index " << i;
-      }
-    }
-    {
-      std::vector<double> want = y;
-      std::vector<double> got = y;
-      scalar.accumulate_delta_f64(want.data(), x.data(), base.data(), n);
-      vec.accumulate_delta_f64(got.data(), x.data(), base.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "accumulate index " << i;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, F64KernelMatrixTest,
-    // The mask pattern drives argmax coverage: sparse/dense/empty admissible
-    // sets over the same value arrays. Element counts straddle the 4-lane
-    // width and ragged tails.
-    ::testing::ValuesIn(MakeMatrix(
-        {Pattern::kRandom, Pattern::kSparse, Pattern::kDense,
-         Pattern::kAllZero, Pattern::kAllOnes},
-        {0, 1, 3, 4, 5, 7, 8, 31, 100, 114, 500, 1023, 1024, 4097},
-        {11, 42, 20260807})),
-    MatrixParamName);
-
-// ------------------------------------------------- argmax edge cases --
-
-using ArgmaxTest = SimdTestBase;
-
-TEST_F(ArgmaxTest, EmptyMaskReturnsMinusOne) {
-  const std::vector<double> values(130, 1.0);
-  const std::vector<std::uint64_t> mask(3, 0);
-  for (Level level : LevelsUnderTest()) {
-    EXPECT_EQ(KernelsForLevel(level).argmax_masked_f64(values.data(), 130,
-                                                       mask.data(), 3),
-              -1)
-        << LevelName(level);
-  }
-}
-
-TEST_F(ArgmaxTest, TiesResolveToLowestAllowedIndex) {
-  // All values equal: the first allowed index must win, exactly like the
-  // callback overload's strictly-greater replacement rule.
-  std::vector<double> values(200, 3.25);
-  std::vector<std::uint64_t> mask(4, 0);
-  mask[1] |= std::uint64_t{1} << 5;   // bit 69
-  mask[2] |= std::uint64_t{1} << 60;  // bit 188
-  for (Level level : LevelsUnderTest()) {
-    EXPECT_EQ(KernelsForLevel(level).argmax_masked_f64(values.data(), 200,
-                                                       mask.data(), 4),
-              69)
-        << LevelName(level);
-  }
-}
-
-TEST_F(ArgmaxTest, AllNegativeValuesStillReturnFirstAllowed) {
-  std::vector<double> values(100, -7.5);
-  values[40] = -7.5;
-  std::vector<std::uint64_t> mask(2, 0);
-  mask[0] |= std::uint64_t{1} << 40;
-  mask[1] |= std::uint64_t{1} << 1;  // bit 65
-  for (Level level : LevelsUnderTest()) {
-    EXPECT_EQ(KernelsForLevel(level).argmax_masked_f64(values.data(), 100,
-                                                       mask.data(), 2),
-              40)
-        << LevelName(level);
-  }
-}
-
-TEST_F(ArgmaxTest, MaxInRaggedTail) {
-  // 114 values (Univ-1 scale): the maximum sits past the last full 4-lane
-  // group, exercising the vector kernel's scalar tail.
-  std::vector<double> values(114, 0.0);
-  values[113] = 9.0;
-  std::vector<std::uint64_t> mask(2, ~std::uint64_t{0});
-  mask[1] &= (std::uint64_t{1} << (114 - 64)) - 1;  // trim tail bits
-  for (Level level : LevelsUnderTest()) {
-    EXPECT_EQ(KernelsForLevel(level).argmax_masked_f64(values.data(), 114,
-                                                       mask.data(), 2),
-              113)
-        << LevelName(level);
-  }
-}
 
 // ------------------------------------------------- keyed-row argmax --
 
@@ -633,7 +487,7 @@ TEST_F(KeyedArgmaxTest, KeysPastTheAllowedSizeAreNeverAllowed) {
   }
 }
 
-// ------------------------------------------- bitset + QTable plumbing --
+// ------------------------------------------------- bitset plumbing --
 
 using BitsetSimdTest = SimdTestBase;
 
@@ -691,79 +545,72 @@ TEST_F(BitsetSimdTest, BitsetOpsMatchOracleAcrossInlineCutoff) {
   }
 }
 
-TEST_F(BitsetSimdTest, QTableBitsetArgmaxMatchesCallbackOverload) {
-  constexpr std::size_t kItems = 300;
-  mdp::QTable q(kItems);
-  Rng rng(2024);
-  for (std::size_t s = 0; s < kItems; ++s) {
-    for (std::size_t a = 0; a < kItems; ++a) {
-      // Quantized values force frequent exact ties.
-      q.Set(static_cast<int>(s), static_cast<int>(a),
-            std::floor(rng.NextDouble() * 8.0) / 8.0);
-    }
-  }
-  for (Level level : LevelsUnderTest()) {
-    SCOPED_TRACE(LevelName(level));
-    ForceLevelForTesting(level);
-    for (double density : {0.0, 0.03, 0.5, 1.0}) {
-      Rng mask_rng(static_cast<std::uint64_t>(density * 1000) + 1);
-      DynamicBitset allowed(kItems);
-      for (std::size_t i = 0; i < kItems; ++i) {
-        if (mask_rng.NextBernoulli(density)) allowed.Set(i);
-      }
-      for (int state = 0; state < 50; ++state) {
-        const auto want = q.ArgmaxAction(
-            state, [&](model::ItemId id) {
-              return allowed.Test(static_cast<std::size_t>(id));
-            });
-        const auto got = q.ArgmaxAction(state, allowed);
-        ASSERT_EQ(got, want) << "state " << state << " density " << density;
-      }
-    }
-  }
-}
-
 // --------------------------------------- cross-level training identity --
 
 using TrainingDeterminismTest = SimdTestBase;
 
 // The contract that lets dispatch vary freely across machines: training on
 // the scalar table and on the best vector table must produce bit-identical
-// policies for the same (seed, K).
-TEST_F(TrainingDeterminismTest, ScalarAndVectorTrainingAreBitIdentical) {
+// policies for the same (seed, K), and those policies the same greedy
+// plans. At 600 items every action bitset spans 10 words and every topic
+// bitset 19, past DynamicBitset's 8-word inline cutoff, so the word kernels
+// run; the sparse table's greedy steps run the keyed-row argmax.
+TEST_F(TrainingDeterminismTest,
+       ScalarAndVectorSparseTrainingAndPlansAreBitIdentical) {
   const Level best = DetectBestLevel();
   if (best == Level::kScalar) {
     GTEST_SKIP() << "no vector level supported on this machine";
   }
-  datagen::Dataset dataset = datagen::MakeUniv1DsCt();
+  datagen::SyntheticSpec spec;
+  spec.num_items = 600;
+  spec.vocab_size = 1200;
+  const datagen::Dataset dataset = datagen::GenerateSynthetic(spec);
   const model::TaskInstance instance = dataset.Instance();
   const mdp::RewardWeights weights;
   const mdp::RewardFunction reward(instance, weights);
 
-  rl::SarsaConfig serial_config;
-  serial_config.num_episodes = 120;
+  rl::SarsaConfig serial_config;  // default policy_rounds
+  serial_config.num_episodes = 60;
   serial_config.start_item = dataset.default_start;
 
   rl::SarsaConfig parallel_config = serial_config;
   parallel_config.num_workers = 3;
 
   ForceLevelForTesting(Level::kScalar);
-  rl::SarsaLearner scalar_serial(instance, reward, serial_config, 77);
-  const mdp::QTable scalar_serial_q = scalar_serial.Learn();
-  rl::ParallelSarsaLearner scalar_parallel(instance, reward, parallel_config,
-                                           77);
-  const mdp::QTable scalar_parallel_q = scalar_parallel.Learn();
+  rl::SparseSarsaLearner scalar_serial(instance, reward, serial_config, 77);
+  const mdp::SparseQTable scalar_serial_q = scalar_serial.Learn();
+  rl::SparseParallelSarsaLearner scalar_parallel(instance, reward,
+                                                 parallel_config, 77);
+  const mdp::SparseQTable scalar_parallel_q = scalar_parallel.Learn();
 
   ForceLevelForTesting(best);
-  rl::SarsaLearner vector_serial(instance, reward, serial_config, 77);
-  const mdp::QTable vector_serial_q = vector_serial.Learn();
-  rl::ParallelSarsaLearner vector_parallel(instance, reward, parallel_config,
-                                           77);
-  const mdp::QTable vector_parallel_q = vector_parallel.Learn();
+  rl::SparseSarsaLearner vector_serial(instance, reward, serial_config, 77);
+  const mdp::SparseQTable vector_serial_q = vector_serial.Learn();
+  rl::SparseParallelSarsaLearner vector_parallel(instance, reward,
+                                                 parallel_config, 77);
+  const mdp::SparseQTable vector_parallel_q = vector_parallel.Learn();
 
+  EXPECT_GT(scalar_serial_q.entry_count(), 0u);
   EXPECT_TRUE(scalar_serial_q == vector_serial_q);
   EXPECT_TRUE(scalar_parallel_q == vector_parallel_q);
   EXPECT_EQ(scalar_serial.episode_returns(), vector_serial.episode_returns());
+
+  // Training ranks its steps by reward and reads the Q argmax only in the
+  // safety rollouts, so a keyed-kernel difference that flips no safety
+  // verdict would not show above. A greedy plan runs the kernel at every
+  // step's in-class tie-break.
+  rl::RecommendConfig recommend;
+  for (std::size_t start = 0; start < dataset.catalog.size(); ++start) {
+    recommend.start_item = static_cast<model::ItemId>(start);
+    ForceLevelForTesting(Level::kScalar);
+    const model::Plan want =
+        rl::RecommendPlan(scalar_serial_q, instance, reward, recommend);
+    ForceLevelForTesting(best);
+    ASSERT_EQ(
+        rl::RecommendPlan(vector_serial_q, instance, reward, recommend).items(),
+        want.items())
+        << "start " << start;
+  }
 }
 
 }  // namespace

@@ -29,8 +29,12 @@
 # request match /debug/tracez.
 # Set RLPLANNER_SANITIZE=thread to run only the TSan lane (the mode CI's
 # sanitizer matrix uses); any other value runs everything.
-# Usage: tools/check.sh  (from the repo root; build trees go to build/,
-# build-sanitize/, and build-tsan/).
+# `tools/check.sh smoke` runs only the Release smoke lanes and their
+# validators (train_bench, fig2_scalability, --metrics-out, --trace-out,
+# the fleet drill and the wire server) against an existing Release build/;
+# CI's release job runs exactly that, so each validator has one copy.
+# Usage: tools/check.sh [smoke]  (from the repo root; build trees go to
+# build/, build-sanitize/, and build-tsan/).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -420,6 +424,28 @@ print(f"serve-trace.json OK (trace {stalled['trace_id']} matches tracez)")
 EOF
 }
 
+run_smoke_lanes() {
+  run_bench_smoke
+  run_scalability_smoke
+  run_metrics_smoke
+  run_trace_smoke
+  run_fleet_smoke
+  run_serve_smoke
+}
+
+case "${1:-}" in
+  smoke)
+    run_smoke_lanes
+    echo "==> Smoke lanes passed"
+    exit 0
+    ;;
+  "") ;;
+  *)
+    echo "usage: tools/check.sh [smoke]" >&2
+    exit 2
+    ;;
+esac
+
 if [ "${MODE}" = "thread" ]; then
   run_tsan_lane
   echo "==> TSan checks passed"
@@ -431,13 +457,8 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-run_bench_smoke
-run_scalability_smoke
 run_bench_gate
-run_metrics_smoke
-run_trace_smoke
-run_fleet_smoke
-run_serve_smoke
+run_smoke_lanes
 
 echo "==> ASan/UBSan build + tests"
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
