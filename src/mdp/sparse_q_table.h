@@ -1,6 +1,8 @@
 #ifndef RLPLANNER_MDP_SPARSE_Q_TABLE_H_
 #define RLPLANNER_MDP_SPARSE_Q_TABLE_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -12,11 +14,39 @@
 
 namespace rlplanner::mdp {
 
-/// A sparse drop-in for QTable: one open-addressing (linear-probe) hash row
-/// per state over a row index, keyed by action id. Under the prerequisite
-/// DAG and the ActionMask most (state, action) pairs are never visited, so
-/// at 10k-100k items the dense O(|I|^2) payload (~80 GB at 100k) collapses
-/// to the visited set — typically well under 1% of the cells.
+/// Read-only view of one sparse Q row in the one sparse row format: `size`
+/// u32 action keys, strictly ascending, beside their f64 values. Missing
+/// keys read as +0.0, the dense initial value. SparseQTable rows and the
+/// rows of a mapped v2 snapshot (serve::MappedPolicy) are both stored this
+/// way, and both answer `Get` and `ArgmaxAction` through this one reader.
+struct KeyedRow {
+  const std::uint32_t* keys = nullptr;
+  const double* values = nullptr;
+  std::size_t size = 0;
+
+  /// The value stored for `action` by binary search; 0.0 when absent.
+  double Get(model::ItemId action) const {
+    const auto key = static_cast<std::uint32_t>(action);
+    const std::uint32_t* it = std::lower_bound(keys, keys + size, key);
+    return it != keys + size && *it == key ? values[it - keys] : 0.0;
+  }
+
+  /// Result-identical to QTable::ArgmaxAction(state, allowed) on a dense row
+  /// holding these values: the lowest allowed id at the row maximum, -1 when
+  /// nothing is allowed. One keyed-kernel scan of the stored entries decides
+  /// when the stored-and-allowed maximum is positive (it beats every missing
+  /// 0.0) or every allowed id is stored. Otherwise the maximum is exactly
+  /// 0.0, and a merge of the allowed bits against the keys stops at the
+  /// first allowed id that is missing or stores +-0.0.
+  model::ItemId ArgmaxAction(const util::DynamicBitset& allowed) const;
+};
+
+/// A sparse drop-in for QTable: one row per state in the KeyedRow format
+/// (ascending action keys beside their values, the row layout of a v2
+/// snapshot). Under the prerequisite DAG and the ActionMask most (state,
+/// action) pairs are never visited, so at 10k-100k items the dense
+/// O(|I|^2) payload (~80 GB at 100k) collapses to the visited set —
+/// typically well under 1% of the cells.
 ///
 /// Semantic contract: every operation is *bit-identical* to the same
 /// operation on a dense QTable whose cells equal `Get()` everywhere.
@@ -42,8 +72,16 @@ class SparseQTable {
 
   std::size_t num_items() const { return num_items_; }
 
-  double Get(model::ItemId state, model::ItemId action) const;
-  void Set(model::ItemId state, model::ItemId action, double value);
+  double Get(model::ItemId state, model::ItemId action) const {
+    assert(action >= 0 && static_cast<std::size_t>(action) < num_items_);
+    return View(state).Get(action);
+  }
+
+  /// Stores `value`, inserting the key in order when it is new: an append
+  /// when keys arrive ascending (FromDense, the snapshot loader).
+  void Set(model::ItemId state, model::ItemId action, double value) {
+    Slot(state, action) = value;
+  }
 
   /// SARSA update (Eq. 9), arithmetic identical to QTable::SarsaUpdate:
   ///   Q(s,e) += alpha * (r + gamma * Q(s', e') - Q(s,e)).
@@ -51,41 +89,19 @@ class SparseQTable {
                    model::ItemId next_state, model::ItemId next_action,
                    double alpha, double gamma);
 
-  /// Callback overload with QTable's exact semantics and tie-break (the
-  /// first allowed action is adopted, replaced only on strictly greater
-  /// value, so the lowest allowed id attaining the row max wins; missing
-  /// entries read as 0.0). O(|I|) probes — parity/diagnostic path only;
-  /// hot callers hold a DynamicBitset and use the overload below.
-  template <typename AllowedFn>
-  model::ItemId ArgmaxAction(model::ItemId state, AllowedFn allowed) const {
-    model::ItemId best = -1;
-    double best_value = 0.0;
-    for (std::size_t a = 0; a < num_items_; ++a) {
-      const model::ItemId action = static_cast<model::ItemId>(a);
-      if (!allowed(action)) continue;
-      const double value = Get(state, action);
-      if (best < 0 || value > best_value) {
-        best = action;
-        best_value = value;
-      }
-    }
-    return best;
+  /// Result-identical to QTable::ArgmaxAction(state, bitset); see
+  /// KeyedRow::ArgmaxAction.
+  model::ItemId ArgmaxAction(model::ItemId state,
+                             const util::DynamicBitset& allowed) const {
+    assert(allowed.size() == num_items_);
+    return View(state).ArgmaxAction(allowed);
   }
 
-  /// Bitset overload, result-identical to QTable::ArgmaxAction(state,
-  /// bitset). One O(row entries) scan decides when the stored-and-allowed
-  /// maximum is positive (it beats every missing 0.0 entry) or every
-  /// allowed id is stored. Otherwise the maximum is exactly 0.0, and an
-  /// ascending walk over the allowed set probes the row only until the
-  /// first id that is missing or stores +-0.0.
-  model::ItemId ArgmaxAction(model::ItemId state,
-                             const util::DynamicBitset& allowed) const;
-
-  /// Adds `local - base` entrywise (the deterministic shard merge),
-  /// applied over the sorted union of the two tables' stored keys row by
-  /// row — a fixed iteration order, so (seed, K) runs stay
-  /// bit-reproducible. Cells stored in neither table contribute an exact
-  /// dense delta of +0.0 and are skipped (see the class contract).
+  /// Adds `local - base` entrywise (the deterministic shard merge): one
+  /// ascending merge per row of this row with the key union of the other
+  /// two — a fixed iteration order, so (seed, K) runs stay bit-reproducible.
+  /// Cells stored in neither `local` nor `base` contribute an exact dense
+  /// delta of +0.0 and are skipped (see the class contract).
   void AccumulateDelta(const SparseQTable& local, const SparseQTable& base);
 
   /// Multiplies every stored entry by `factor`. Missing entries are 0.0 and
@@ -96,12 +112,13 @@ class SparseQTable {
   /// Adds independent uniform noise in [0, magnitude) to every entry.
   /// Dense AddNoise consumes one RNG draw per cell in row-major order and
   /// leaves every cell non-zero, so the only bit-identical implementation
-  /// *materializes all |I|^2 entries*. That is fine at paper scale (the
-  /// restart path only fires when a safety rollout fails); large-catalog
-  /// configurations must train with policy_rounds == 1, which never calls
-  /// this — enforced by RlPlanner::Train(), which rejects sparse-resolved
-  /// configs above kSparseAutoThreshold items with policy_rounds > 1
-  /// (documented in DESIGN.md).
+  /// *materializes all |I|^2 entries*: each row is rebuilt full in one
+  /// ascending pass. That is fine at paper scale (the restart path only
+  /// fires when a safety rollout fails); large-catalog configurations must
+  /// train with policy_rounds == 1, which never calls this — enforced by
+  /// RlPlanner::Train(), which rejects sparse-resolved configs above
+  /// kSparseAutoThreshold items with policy_rounds > 1 (documented in
+  /// DESIGN.md).
   void AddNoise(util::Rng& rng, double magnitude);
 
   /// Largest absolute stored entry; 0.0 for an empty table (dense rows of
@@ -121,17 +138,16 @@ class SparseQTable {
 
   /// Invokes `fn(state, action, value)` for every stored *non-zero* entry
   /// in ascending (state, action) order — the canonical traversal the
-  /// snapshot writer and equality share (QTable offers the same one).
-  /// Sorting is per row on a scratch copy; the hash rows themselves stay
-  /// unordered.
+  /// snapshot writer and equality share (QTable offers the same one). The
+  /// rows are stored in that order, so this is a plain walk.
   template <typename Fn>
   void ForEachNonZeroEntrySorted(Fn&& fn) const {
-    std::vector<std::pair<std::uint32_t, double>> scratch;
     for (std::size_t s = 0; s < num_items_; ++s) {
-      SortedRowEntries(s, &scratch);
-      for (const auto& [action, value] : scratch) {
-        fn(static_cast<model::ItemId>(s), static_cast<model::ItemId>(action),
-           value);
+      const Row& row = rows_[s];
+      for (std::size_t i = 0; i < row.keys.size(); ++i) {
+        if (row.values[i] == 0.0) continue;
+        fn(static_cast<model::ItemId>(s),
+           static_cast<model::ItemId>(row.keys[i]), row.values[i]);
       }
     }
   }
@@ -144,36 +160,21 @@ class SparseQTable {
   QTable ToDense() const;
 
  private:
-  // One open-addressing row: parallel key/value arrays, power-of-two
-  // capacity, linear probing, kEmptyKey marking free slots. Rows allocate
-  // lazily on first insert, so untouched states cost two empty vectors.
+  // One row: ascending keys beside their values. Rows allocate on first
+  // insert, so untouched states cost two empty vectors.
   struct Row {
     std::vector<std::uint32_t> keys;
     std::vector<double> values;
-    std::size_t size = 0;
   };
 
-  static constexpr std::uint32_t kEmptyKey = 0xFFFFFFFFu;
-  static constexpr std::size_t kInitialCapacity = 8;
+  // The stored value of (state, action), inserted as 0.0 when missing.
+  double& Slot(model::ItemId state, model::ItemId action);
 
-  // Fibonacci-hash slot for `key` in a capacity-`mask + 1` row.
-  static std::size_t HomeSlot(std::uint32_t key, std::size_t mask) {
-    return (static_cast<std::size_t>(key) * 0x9E3779B9u) & mask;
+  KeyedRow View(model::ItemId state) const {
+    assert(state >= 0 && static_cast<std::size_t>(state) < num_items_);
+    const Row& row = rows_[static_cast<std::size_t>(state)];
+    return {row.keys.data(), row.values.data(), row.keys.size()};
   }
-
-  // Pointer to the stored value of (row, key), or nullptr when absent.
-  const double* Find(const Row& row, std::uint32_t key) const;
-
-  // Value slot of (row, key), inserting (and growing) as needed.
-  double* FindOrInsert(Row& row, std::uint32_t key);
-
-  void Grow(Row& row);
-
-  // Fills `out` with the row's stored (key, value) pairs sorted by key,
-  // including explicit zeros when `include_zeros` is set.
-  void SortedRowEntries(std::size_t state,
-                        std::vector<std::pair<std::uint32_t, double>>* out,
-                        bool include_zeros = false) const;
 
   std::size_t num_items_;
   std::vector<Row> rows_;

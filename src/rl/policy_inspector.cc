@@ -8,70 +8,49 @@
 
 namespace rlplanner::rl {
 
-PolicyInspector::PolicyInspector(const mdp::QTable& q,
-                                 const model::Catalog& catalog)
-    : q_(&q), catalog_(&catalog) {}
+namespace {
+
+// `edges` by descending Q value, cut to the first `k` (all when k < 0).
+std::vector<PolicyEdge> Strongest(std::vector<PolicyEdge> edges, int k) {
+  std::sort(edges.begin(), edges.end(),
+            [](const PolicyEdge& a, const PolicyEdge& b) {
+              return a.q_value > b.q_value;
+            });
+  if (k >= 0 && edges.size() > static_cast<std::size_t>(k)) {
+    edges.resize(static_cast<std::size_t>(k));
+  }
+  return edges;
+}
+
+}  // namespace
 
 std::vector<PolicyEdge> PolicyInspector::TopActions(model::ItemId state,
                                                     int k) const {
-  std::vector<PolicyEdge> edges;
-  if (state < 0 || static_cast<std::size_t>(state) >= q_->num_items()) {
-    return edges;
-  }
-  for (std::size_t a = 0; a < q_->num_items(); ++a) {
-    const auto action = static_cast<model::ItemId>(a);
-    if (action == state) continue;
-    const double value = q_->Get(state, action);
-    if (value != 0.0) edges.push_back({state, action, value});
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const PolicyEdge& a, const PolicyEdge& b) {
-              return a.q_value > b.q_value;
-            });
-  if (k >= 0 && edges.size() > static_cast<std::size_t>(k)) {
-    edges.resize(static_cast<std::size_t>(k));
-  }
-  return edges;
+  if (state < 0 || static_cast<std::size_t>(state) >= num_items_) return {};
+  const auto [begin, end] = std::equal_range(
+      edges_.begin(), edges_.end(), PolicyEdge{state, -1, 0.0},
+      [](const PolicyEdge& a, const PolicyEdge& b) { return a.from < b.from; });
+  return Strongest({begin, end}, k);
 }
 
 std::vector<PolicyEdge> PolicyInspector::TopTransitions(int k) const {
-  std::vector<PolicyEdge> edges;
-  for (std::size_t s = 0; s < q_->num_items(); ++s) {
-    for (std::size_t a = 0; a < q_->num_items(); ++a) {
-      if (s == a) continue;
-      const double value = q_->Get(static_cast<model::ItemId>(s),
-                                   static_cast<model::ItemId>(a));
-      if (value != 0.0) {
-        edges.push_back({static_cast<model::ItemId>(s),
-                         static_cast<model::ItemId>(a), value});
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const PolicyEdge& a, const PolicyEdge& b) {
-              return a.q_value > b.q_value;
-            });
-  if (k >= 0 && edges.size() > static_cast<std::size_t>(k)) {
-    edges.resize(static_cast<std::size_t>(k));
-  }
-  return edges;
+  return Strongest(edges_, k);
 }
 
 std::vector<model::ItemId> PolicyInspector::GreedySuccessors() const {
-  std::vector<model::ItemId> successors(q_->num_items(), -1);
-  for (std::size_t s = 0; s < q_->num_items(); ++s) {
-    const auto state = static_cast<model::ItemId>(s);
-    model::ItemId best = -1;
-    double best_value = 0.0;
-    for (std::size_t a = 0; a < q_->num_items(); ++a) {
-      if (s == a) continue;
-      const double value = q_->Get(state, static_cast<model::ItemId>(a));
-      if (value > best_value) {
-        best = static_cast<model::ItemId>(a);
-        best_value = value;
-      }
+  // Per row, the first action whose value beats every earlier one and 0.0.
+  std::vector<model::ItemId> successors(num_items_, -1);
+  model::ItemId row = -1;
+  double best_value = 0.0;
+  for (const PolicyEdge& edge : edges_) {
+    if (edge.from != row) {
+      row = edge.from;
+      best_value = 0.0;
     }
-    successors[s] = best;
+    if (edge.q_value > best_value) {
+      successors[static_cast<std::size_t>(row)] = edge.to;
+      best_value = edge.q_value;
+    }
   }
   return successors;
 }

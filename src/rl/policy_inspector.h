@@ -1,10 +1,10 @@
 #ifndef RLPLANNER_RL_POLICY_INSPECTOR_H_
 #define RLPLANNER_RL_POLICY_INSPECTOR_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "mdp/q_table.h"
 #include "model/catalog.h"
 
 namespace rlplanner::rl {
@@ -22,8 +22,18 @@ struct PolicyEdge {
 /// Learning the policy most values Deep Learning").
 class PolicyInspector {
  public:
-  /// Both references must outlive the inspector.
-  PolicyInspector(const mdp::QTable& q, const model::Catalog& catalog);
+  /// Copies the non-zero off-diagonal cells of `q` — any table that offers
+  /// `ForEachNonZeroEntrySorted`, dense or sparse — in ascending (state,
+  /// action) order; every query reads only those. `catalog` must outlive
+  /// the inspector.
+  template <typename Table>
+  PolicyInspector(const Table& q, const model::Catalog& catalog)
+      : num_items_(q.num_items()), catalog_(&catalog) {
+    q.ForEachNonZeroEntrySorted(
+        [&](model::ItemId s, model::ItemId a, double value) {
+          if (s != a) edges_.push_back({s, a, value});
+        });
+  }
 
   /// The `k` highest-valued actions out of `state`, descending.
   std::vector<PolicyEdge> TopActions(model::ItemId state, int k) const;
@@ -40,8 +50,9 @@ class PolicyInspector {
   std::string ToDot(int k) const;
 
  private:
-  const mdp::QTable* q_;
+  std::size_t num_items_;
   const model::Catalog* catalog_;
+  std::vector<PolicyEdge> edges_;  // ascending (from, to)
 };
 
 }  // namespace rlplanner::rl

@@ -36,7 +36,7 @@ enum class QRepresentation {
   kAuto = 0,
   /// Row-major |I| x |I| mdp::QTable — fastest per access, O(|I|^2) memory.
   kDense = 1,
-  /// Open-addressing mdp::SparseQTable — memory proportional to visited
+  /// mdp::SparseQTable, ascending keyed rows — memory proportional to visited
   /// (state, action) pairs; the only option at 10k-100k items. Trains
   /// bit-identical to dense for every worker count (pinned by test).
   kSparse = 2,

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/simd.h"
 
 namespace rlplanner::serve {
 namespace {
@@ -687,64 +686,6 @@ util::Result<MappedPolicy> MappedPolicy::Map(const std::string& path) {
   policy.values_ =
       reinterpret_cast<const double*>(data + h.sections[2].offset);
   return policy;
-}
-
-const SnapshotV2RowSpan& MappedPolicy::RowSpan(model::ItemId state) const {
-  return rows_[static_cast<std::size_t>(state)];
-}
-
-double MappedPolicy::Get(model::ItemId state, model::ItemId action) const {
-  const SnapshotV2RowSpan& span = RowSpan(state);
-  const std::uint32_t* begin = keys_ + span.begin_entry;
-  const std::uint32_t* end = begin + span.count;
-  const auto key = static_cast<std::uint32_t>(action);
-  const std::uint32_t* it = std::lower_bound(begin, end, key);
-  if (it == end || *it != key) return 0.0;
-  return values_[span.begin_entry + static_cast<std::size_t>(it - begin)];
-}
-
-model::ItemId MappedPolicy::ArgmaxAction(
-    model::ItemId state, const util::DynamicBitset& allowed) const {
-  const SnapshotV2RowSpan& span = RowSpan(state);
-  const std::uint32_t* keys = keys_ + span.begin_entry;
-  const double* values = values_ + span.begin_entry;
-
-  // Pass 1: stored ∩ allowed, the lowest id at the max (the dense
-  // tie-break).
-  const util::simd::KeyedArgmax stored = util::simd::Active().argmax_keyed_f64(
-      keys, values, span.count, allowed.word_data(), allowed.size());
-  const auto best = static_cast<std::size_t>(stored.index);
-  // A positive stored max beats every missing (0.0) cell, and when every
-  // allowed id is stored no missing cell takes part at all.
-  if ((stored.count > 0 && values[best] > 0.0) ||
-      stored.count == allowed.Count()) {
-    return stored.count > 0 ? static_cast<model::ItemId>(keys[best]) : -1;
-  }
-
-  // Some allowed id is missing and no stored value is positive, so the max
-  // is exactly 0.0: the answer is the lowest allowed id that is missing or
-  // stores +-0.0. Merge the allowed bits against the sorted keys and stop
-  // at the first.
-  std::uint64_t k = 0;
-  for (std::size_t a = allowed.FindNext(0); a < allowed.size();
-       a = allowed.FindNext(a + 1)) {
-    while (k < span.count && keys[k] < a) ++k;
-    if (k == span.count || keys[k] != a || values[k] == 0.0) {
-      return static_cast<model::ItemId>(a);
-    }
-  }
-  return -1;  // unreachable: a missing allowed id ends the walk
-}
-
-double MappedPolicy::NonZeroFraction() const {
-  if (meta_.num_items == 0) return 0.0;
-  std::uint64_t non_zero = 0;
-  for (std::uint64_t i = 0; i < meta_.entry_count; ++i) {
-    if (values_[i] != 0.0) ++non_zero;
-  }
-  return static_cast<double>(non_zero) /
-         (static_cast<double>(meta_.num_items) *
-          static_cast<double>(meta_.num_items));
 }
 
 // --- snapshot-info ---------------------------------------------------------

@@ -188,31 +188,30 @@ class MappedPolicy {
     return static_cast<std::size_t>(meta_.num_items);
   }
 
-  /// Q(state, action) by binary search over the row's sorted keys; missing
-  /// entries read as 0.0, exactly like the in-memory tables.
-  double Get(model::ItemId state, model::ItemId action) const;
-
-  /// Result-identical to QTable/SparseQTable ArgmaxAction(state, bitset).
-  /// One scan of the row's stored entries (sorted ascending, so the first
-  /// strictly-greater win is the lowest id at the max) decides when the
-  /// stored maximum is positive or every allowed id is stored. Otherwise
-  /// the maximum is exactly 0.0, and a merge of the allowed bits against
-  /// the sorted keys stops at the first id that is missing or stores +-0.0
-  /// — O(row entries), never a binary search per allowed id.
+  /// Q(state, action) and the greedy argmax, read in place through the
+  /// one sparse row reader (mdp::KeyedRow): a v2 row is already the
+  /// SparseQTable row format, so both serve identical results.
+  double Get(model::ItemId state, model::ItemId action) const {
+    return Row(state).Get(action);
+  }
   model::ItemId ArgmaxAction(model::ItemId state,
-                             const util::DynamicBitset& allowed) const;
+                             const util::DynamicBitset& allowed) const {
+    return Row(state).ArgmaxAction(allowed);
+  }
 
   const SnapshotV2Meta& meta() const { return meta_; }
   std::uint64_t entry_count() const { return meta_.entry_count; }
   std::size_t file_bytes() const { return map_size_; }
 
-  /// Non-zero stored values over |I|^2 — touches every value page.
-  double NonZeroFraction() const;
-
  private:
   MappedPolicy() = default;
 
-  const SnapshotV2RowSpan& RowSpan(model::ItemId state) const;
+  // `state`'s stored entries, in place in the mapping.
+  mdp::KeyedRow Row(model::ItemId state) const {
+    const SnapshotV2RowSpan& span = rows_[static_cast<std::size_t>(state)];
+    return {keys_ + span.begin_entry, values_ + span.begin_entry,
+            static_cast<std::size_t>(span.count)};
+  }
 
   void* map_ = nullptr;
   std::size_t map_size_ = 0;

@@ -76,16 +76,16 @@ struct Kernels {
                               std::size_t n);
   void (*complement_words)(std::uint64_t* dst, const std::uint64_t* src,
                            std::size_t n);
-  // --- keyed-row kernel (snapshot v2 rows, SparseQTable hash rows) --------
+  // --- keyed-row kernel (mdp::KeyedRow: SparseQTable and snapshot rows) --
   // Masked argmax over a keyed row: entry i holds values[i] for action
-  // keys[i], and keys are distinct within the row (ascending or unordered).
-  // An entry is allowed when keys[i] < allowed_size and bit keys[i] of
-  // `allowed` (ceil(allowed_size / 64) words) is set; any other key, such as
-  // a hash row's 0xFFFFFFFF empty slot, is skipped without indexing
-  // `allowed`. Returns the allowed count and the winner among them: the
-  // first allowed entry in row order if its value is NaN, otherwise the
-  // lowest key attaining the maximum, where later NaNs never win, +0.0 and
-  // -0.0 tie, and +-inf are ordinary values.
+  // keys[i], and keys are distinct within the row (in any order; the rows
+  // that call it are ascending). An entry is allowed when keys[i] <
+  // allowed_size and bit keys[i] of `allowed` (ceil(allowed_size / 64)
+  // words) is set; any other key is skipped without indexing `allowed`.
+  // Returns the allowed count and the winner among them: the first allowed
+  // entry in row order if its value is NaN, otherwise the lowest key
+  // attaining the maximum, where later NaNs never win, +0.0 and -0.0 tie,
+  // and +-inf are ordinary values.
   KeyedArgmax (*argmax_keyed_f64)(const std::uint32_t* keys,
                                   const double* values, std::size_t n,
                                   const std::uint64_t* allowed,

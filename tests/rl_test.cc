@@ -500,6 +500,49 @@ TEST(PolicyInspectorTest, TrainedPolicyHasMeaningfulStructure) {
   EXPECT_FALSE(inspector.TopTransitions(10).empty());
 }
 
+void ExpectSameEdges(const std::vector<PolicyEdge>& a,
+                     const std::vector<PolicyEdge>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].from, b[i].from) << "edge " << i;
+    EXPECT_EQ(a[i].to, b[i].to) << "edge " << i;
+    EXPECT_EQ(a[i].q_value, b[i].q_value) << "edge " << i;
+  }
+}
+
+TEST(PolicyInspectorTest, SparseTableInspectsLikeItsDenseTwin) {
+  // Both learners train bit-identical tables from one seed; the inspector
+  // reads only their non-zero cells, so every query must agree.
+  datagen::Dataset dataset = datagen::MakeUniv1DsCt();
+  const model::TaskInstance instance = dataset.Instance();
+  const mdp::RewardWeights weights;
+  const mdp::RewardFunction reward(instance, weights);
+  SarsaConfig config;
+  config.num_episodes = 200;
+  config.start_item = dataset.default_start;
+  SarsaLearner dense_learner(instance, reward, config, 5);
+  SparseSarsaLearner sparse_learner(instance, reward, config, 5);
+  const mdp::QTable dense = dense_learner.Learn();
+  const mdp::SparseQTable sparse = sparse_learner.Learn();
+  const PolicyInspector from_dense(dense, dataset.catalog);
+  const PolicyInspector from_sparse(sparse, dataset.catalog);
+
+  ASSERT_FALSE(from_dense.TopTransitions(-1).empty());
+  ExpectSameEdges(from_sparse.TopTransitions(-1),
+                  from_dense.TopTransitions(-1));
+  ExpectSameEdges(from_sparse.TopTransitions(12),
+                  from_dense.TopTransitions(12));
+  for (std::size_t s = 0; s < dataset.catalog.size(); ++s) {
+    const auto state = static_cast<model::ItemId>(s);
+    ExpectSameEdges(from_sparse.TopActions(state, -1),
+                    from_dense.TopActions(state, -1));
+    ExpectSameEdges(from_sparse.TopActions(state, 3),
+                    from_dense.TopActions(state, 3));
+  }
+  EXPECT_EQ(from_sparse.GreedySuccessors(), from_dense.GreedySuccessors());
+  EXPECT_EQ(from_sparse.ToDot(40), from_dense.ToDot(40));
+}
+
 // --------------------------------------------------------------- Transfer --
 
 TEST(TransferTest, SharedCodesMapDirectly) {

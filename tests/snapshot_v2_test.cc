@@ -144,7 +144,8 @@ TEST(SnapshotV2Test, MappedPolicyServesIdenticalValues) {
                 table.ArgmaxAction(state, allowed));
     }
   }
-  EXPECT_EQ(mapped.value().NonZeroFraction(), table.NonZeroFraction());
+  EXPECT_EQ(InspectSnapshotFile(path).value().nonzero_fraction,
+            table.NonZeroFraction());
 }
 
 // The dense-alias snapshot of a dense-trained planner.

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,17 +63,80 @@ TEST(SparseQTableTest, SetGetRoundTripAndOverwrite) {
 }
 
 TEST(SparseQTableTest, ManyInsertsSurviveRowGrowth) {
-  // Push one row far past the initial capacity so Grow() rehashing runs.
+  // Grow row 0 to 2,000 keys in ascending order (every insert appends) and
+  // row 1 in descending order (every insert lands in front of the row).
   SparseQTable q(4096);
   QTable dense(4096);
   util::Rng rng(11);
   for (int i = 0; i < 2000; ++i) {
-    const auto action = static_cast<model::ItemId>(i * 2 + 1);
     const double value = rng.NextDouble(-1.0, 1.0);
-    q.Set(0, action, value);
-    dense.Set(0, action, value);
+    const auto ascending = static_cast<model::ItemId>(i * 2 + 1);
+    const auto descending = static_cast<model::ItemId>(4095 - i * 2);
+    q.Set(0, ascending, value);
+    dense.Set(0, ascending, value);
+    q.Set(1, descending, -value);
+    dense.Set(1, descending, -value);
   }
   EXPECT_TRUE(SameCells(dense, q));
+  EXPECT_EQ(q.entry_count(), 4000u);
+}
+
+TEST(SparseQTableTest, InsertOrderNeverChangesTheRow) {
+  // Rows filled ascending, descending and interleaved from both ends, each
+  // past 64 and 128 keys, then overwritten, including with stored +0.0 and
+  // -0.0: every cell, the entry count and the traversal must match the
+  // dense twin, and the traversal must be ascending.
+  constexpr std::size_t kN = 150;
+  SparseQTable sparse(kN);
+  QTable dense(kN);
+  std::vector<bool> stored(kN * kN, false);
+  std::size_t entries = 0;
+  auto set = [&](model::ItemId s, model::ItemId a, double value) {
+    const auto cell = static_cast<std::size_t>(s) * kN +
+                      static_cast<std::size_t>(a);
+    if (!stored[cell]) ++entries;
+    stored[cell] = true;
+    sparse.Set(s, a, value);
+    dense.Set(s, a, value);
+  };
+  for (model::ItemId a = 0; a < 140; ++a) set(0, a, 0.5 * a - 30.0);
+  for (model::ItemId a = 149; a >= 10; --a) set(1, a, 1.0 / (a + 1));
+  for (model::ItemId i = 0; i < 70; ++i) {
+    set(2, i, -0.25 * (i + 1));
+    set(2, 149 - i, 0.75 * (i + 1));
+  }
+  for (model::ItemId a = 0; a < 150; a += 3) set(3, a, 1.0);
+  for (model::ItemId a = 148; a >= 0; a -= 3) set(3, a, 2.0);
+  for (model::ItemId a = 1; a < 150; a += 3) set(3, a, 3.0);
+  // Overwrites: new values, and values that leave stored zeros.
+  set(0, 0, 2.0);
+  set(0, 60, 0.0);
+  set(1, 149, -0.0);
+  set(1, 64, 4.0);
+  set(2, 69, -0.0);
+  set(2, 80, 0.0);
+  set(3, 128, -1.0);
+  // Row 4 stores only zeros.
+  set(4, 7, 0.0);
+  set(4, 3, -0.0);
+
+  EXPECT_TRUE(SameCells(dense, sparse));
+  EXPECT_EQ(sparse.entry_count(), entries);
+  EXPECT_TRUE(std::signbit(sparse.Get(1, 149)));
+  EXPECT_TRUE(std::signbit(sparse.Get(2, 69)));
+  EXPECT_FALSE(std::signbit(sparse.Get(2, 80)));
+  using Cell = std::pair<model::ItemId, model::ItemId>;
+  std::vector<Cell> visited;
+  sparse.ForEachNonZeroEntrySorted(
+      [&](model::ItemId s, model::ItemId a, double value) {
+        visited.emplace_back(s, a);
+        EXPECT_EQ(value, dense.Get(s, a));
+      });
+  std::vector<Cell> want;
+  dense.ForEachNonZeroEntrySorted([&](model::ItemId s, model::ItemId a,
+                                      double) { want.emplace_back(s, a); });
+  EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
+  EXPECT_EQ(visited, want);
 }
 
 TEST(SparseQTableTest, SarsaUpdateBitIdenticalToDense) {
@@ -132,8 +198,8 @@ TEST(SparseQTableTest, BitsetArgmaxTieBreaksToLowestId) {
   util::DynamicBitset allowed(12);
   allowed.SetAll();
   // All three tie at the row max; the winner is the lowest allowed id, as
-  // in the dense table (hash rows are unordered, so this exercises the
-  // explicit tie-break in the stored-entry scan).
+  // in the dense table (inserted out of order, the row stores them
+  // ascending, so the first entry at the max wins).
   EXPECT_EQ(q.ArgmaxAction(1, allowed), 3);
   allowed.Set(3, false);
   EXPECT_EQ(q.ArgmaxAction(1, allowed), 6);
@@ -202,6 +268,55 @@ TEST(SparseQTableTest, BitsetArgmaxZeroMaxEdgeCases) {
   expect(2, {2, 6}, 6);
 }
 
+TEST(KeyedRowTest, EmptyRowReadsZeroAndPicksTheLowestAllowedId) {
+  const KeyedRow empty;
+  EXPECT_EQ(empty.Get(0), 0.0);
+  EXPECT_EQ(empty.Get(9), 0.0);
+  EXPECT_EQ(empty.ArgmaxAction(Allowed(10, {})), -1);
+  EXPECT_EQ(empty.ArgmaxAction(Allowed(10, {4, 7})), 4);
+  EXPECT_EQ(empty.ArgmaxAction(Allowed(10, {9})), 9);
+  EXPECT_EQ(empty.ArgmaxAction(Allowed(10, {0, 9})), 0);
+}
+
+TEST(KeyedRowTest, KeysAtBothEndsOfTheCatalog) {
+  // Keys 0 and n - 1 sit at both ends of the row and of every allowed set.
+  constexpr std::size_t kN = 70;
+  const std::vector<std::uint32_t> keys = {0, 5, 63, 64, 69};
+  for (const std::vector<double>& values :
+       {std::vector<double>{-1.0, 0.0, 2.5, -0.0, 3.0},
+        std::vector<double>{4.0, -2.0, 1.0, 0.5, -3.0},
+        std::vector<double>{-1.0, -2.0, -0.5, -0.25, -4.0}}) {
+    const KeyedRow row{keys.data(), values.data(), keys.size()};
+    QTable dense(kN);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      dense.Set(0, static_cast<model::ItemId>(keys[i]), values[i]);
+    }
+    for (std::size_t a = 0; a < kN; ++a) {
+      const auto action = static_cast<model::ItemId>(a);
+      EXPECT_EQ(row.Get(action), dense.Get(0, action)) << "action " << a;
+    }
+    EXPECT_EQ(row.Get(0), values[0]);
+    EXPECT_EQ(row.Get(69), values[4]);
+    for (const std::vector<std::size_t>& ids :
+         std::vector<std::vector<std::size_t>>{{},
+                                               {0},
+                                               {69},
+                                               {0, 69},
+                                               {0, 1},
+                                               {1, 69},
+                                               {5, 64},
+                                               {63, 64, 69},
+                                               {0, 5, 63, 64, 69},
+                                               {68, 69}}) {
+      const util::DynamicBitset allowed = Allowed(kN, ids);
+      EXPECT_EQ(row.ArgmaxAction(allowed), dense.ArgmaxAction(0, allowed));
+    }
+    util::DynamicBitset all(kN);
+    all.SetAll();
+    EXPECT_EQ(row.ArgmaxAction(all), dense.ArgmaxAction(0, all));
+  }
+}
+
 TEST(SparseQTableTest, AccumulateDeltaMatchesDenseMerge) {
   auto [dense, sparse] = RandomPair(32, 13);
   auto [dense_base, sparse_base] = RandomPair(32, 17, 0.2);
@@ -218,6 +333,53 @@ TEST(SparseQTableTest, AccumulateDeltaMatchesDenseMerge) {
   dense.AccumulateDelta(dense_local, dense_base);
   sparse.AccumulateDelta(sparse_local, sparse_base);
   EXPECT_TRUE(SameCells(dense, sparse));
+}
+
+TEST(SparseQTableTest, AccumulateDeltaMergesEveryKeyShapeInOneRow) {
+  // One row whose keys are stored here only, in local only, in base only,
+  // in local and base, and in all three, interleaved so the merge takes
+  // every branch; the shared keys include one whose delta is exactly 0.
+  constexpr std::size_t kN = 80;
+  constexpr model::ItemId kRow = 3;
+  QTable dense(kN), dense_local(kN), dense_base(kN);
+  SparseQTable sparse(kN), sparse_local(kN), sparse_base(kN);
+  auto set = [](QTable& d, SparseQTable& q, model::ItemId a, double value) {
+    d.Set(kRow, a, value);
+    q.Set(kRow, a, value);
+  };
+  for (model::ItemId a = 0; a < 80; ++a) {
+    const double v = 0.125 * (a + 1);
+    switch (a % 5) {
+      case 0:  // this only
+        set(dense, sparse, a, v);
+        break;
+      case 1:  // local only
+        set(dense_local, sparse_local, a, -v);
+        break;
+      case 2:  // base only
+        set(dense_base, sparse_base, a, v);
+        break;
+      case 3:  // local and base
+        set(dense_local, sparse_local, a, 3.0 * v);
+        set(dense_base, sparse_base, a, a == 8 ? 3.0 * v : v);
+        break;
+      default:  // all three
+        set(dense, sparse, a, -v);
+        set(dense_local, sparse_local, a, v);
+        set(dense_base, sparse_base, a, 2.0 * v);
+        break;
+    }
+  }
+  dense.AccumulateDelta(dense_local, dense_base);
+  sparse.AccumulateDelta(sparse_local, sparse_base);
+  for (model::ItemId a = 0; a < 80; ++a) {
+    const double want = dense.Get(kRow, a);
+    const double got = sparse.Get(kRow, a);
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0) << "action " << a;
+  }
+  EXPECT_TRUE(SameCells(dense, sparse));
+  // Every key of the row is stored now: 16 kept, 64 merged in.
+  EXPECT_EQ(sparse.entry_count(), 80u);
 }
 
 TEST(SparseQTableTest, ScaleMatchesDense) {

@@ -455,26 +455,19 @@ int CmdMetrics(const Dataset& dataset, const CommandLine& cmd) {
 }
 
 // Trains a policy and prints its strongest transitions; with --out, also
-// writes a Graphviz DOT rendering. The inspector reads the dense table, so
-// a run that resolves to the sparse representation stops before training.
+// writes a Graphviz DOT rendering. Dense and sparse policies print the same.
 int CmdInspect(const Dataset& dataset, const CommandLine& cmd) {
   const rlplanner::model::TaskInstance instance = dataset.Instance();
-  rlplanner::core::PlannerConfig config = BuildConfig(dataset, cmd);
-  if (rlplanner::rl::ResolveQRepresentation(config.sarsa.q_representation,
-                                            dataset.catalog.size()) ==
-      rlplanner::rl::QRepresentation::kSparse) {
-    std::fprintf(stderr,
-                 "inspect reads the dense Q-table: the sparse policy needs "
-                 "--q-repr dense\n");
-    return 1;
-  }
+  const rlplanner::core::PlannerConfig config = BuildConfig(dataset, cmd);
   rlplanner::core::RlPlanner planner(instance, config);
   if (const auto status = planner.Train(); !status.ok()) {
     std::fprintf(stderr, "training failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  const rlplanner::rl::PolicyInspector inspector(planner.q_table(),
-                                                 dataset.catalog);
+  const rlplanner::rl::PolicyInspector inspector =
+      planner.VisitQ([&](const auto& q) {
+        return rlplanner::rl::PolicyInspector(q, dataset.catalog);
+      });
   std::printf("strongest learned transitions:\n");
   for (const auto& edge : inspector.TopTransitions(15)) {
     std::printf("  %-28s -> %-28s Q=%.2f\n",
