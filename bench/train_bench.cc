@@ -1,7 +1,7 @@
-// Training-throughput benchmark for the intra-run parallel SARSA learner
-// (rl/parallel_sarsa.h). For each dataset it times a full training run at
-// K in {1, 2, 4, 8} episode workers — K = 1 is the serial learner (the
-// `serial` row), K > 1 the deterministic sharded learner — reporting
+// Training-throughput benchmark for the SARSA learner (rl/sarsa.h). For
+// each dataset it times a full training run at K in {1, 2, 4, 8} episode
+// workers — K = 1 runs each round serially (the `serial` row), K > 1
+// shards it deterministically over K workers — reporting
 // episodes/sec and time-to-constraint-satisfaction (wall-clock until the
 // first policy-iteration round whose greedy rollout satisfies every hard
 // constraint).
@@ -36,7 +36,6 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "obs/training_metrics.h"
-#include "rl/parallel_sarsa.h"
 #include "rl/sarsa.h"
 #include "rl/sarsa_config.h"
 #include "util/simd.h"
@@ -149,11 +148,11 @@ RunResult RunOne(const Scenario& scenario, int workers, int episodes,
   result.episodes = episodes;
   result.q_repr = scenario.sparse ? "sparse" : "dense";
 
-  // K = 1 runs the plain SarsaLearner via the parallel learner's
-  // delegation (identical table and draws). Every run records into its
-  // own registry, which also exercises the metrics hot path under bench
-  // load — the reported throughput is the instrumented throughput. The
-  // dense and sparse learners share one templated implementation, so the
+  // One learner class serves every K: config.num_workers alone picks the
+  // serial or the sharded round. Every run records into its own registry,
+  // which also exercises the metrics hot path under bench load — the
+  // reported throughput is the instrumented throughput. The dense and
+  // sparse learners share one templated implementation, so the
   // representation is the only variable between the two branches.
   rlplanner::obs::Registry registry;
   rlplanner::obs::TrainingMetrics metrics(&registry);
@@ -169,9 +168,9 @@ RunResult RunOne(const Scenario& scenario, int workers, int episodes,
   };
   const double begin = Now();
   if (scenario.sparse) {
-    run_learner(std::type_identity<rlplanner::rl::SparseParallelSarsaLearner>{});
+    run_learner(std::type_identity<rlplanner::rl::SparseSarsaLearner>{});
   } else {
-    run_learner(std::type_identity<rlplanner::rl::ParallelSarsaLearner>{});
+    run_learner(std::type_identity<rlplanner::rl::SarsaLearner>{});
   }
   result.seconds = Now() - begin;
   for (const auto& metric : registry.Collect().metrics) {

@@ -7,8 +7,8 @@
 #include "core/scoring.h"
 #include "obs/span.h"
 #include "obs/training_metrics.h"
-#include "rl/parallel_sarsa.h"
 #include "rl/recommender.h"
+#include "rl/sarsa.h"
 
 namespace rlplanner::core {
 
@@ -57,8 +57,8 @@ util::Status RlPlanner::Train() {
   // loop at one worker and shards the rounds beyond that.
   auto train_as = [&](auto& storage) {
     using Model = typename std::decay_t<decltype(storage)>::value_type;
-    rl::ParallelSarsaLearnerT<Model> learner(*instance_, reward_,
-                                             config_.sarsa, config_.seed);
+    rl::SarsaLearnerT<Model> learner(*instance_, reward_, config_.sarsa,
+                                     config_.seed);
     learner.set_metrics(training_metrics_.get());
     learner.set_trace(config_.trace);
     storage = learner.Learn();

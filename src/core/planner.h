@@ -85,11 +85,15 @@ class RlPlanner {
     return fn(*q_);
   }
 
-  /// The learned dense Q-table. Requires trained() && !uses_sparse().
-  const mdp::QTable& q_table() const { return *q_; }
+  /// The learned dense Q-table. Requires trained() && !uses_sparse();
+  /// otherwise throws std::bad_optional_access.
+  const mdp::QTable& q_table() const { return q_.value(); }
 
-  /// The learned sparse Q-table. Requires uses_sparse().
-  const mdp::SparseQTable& sparse_q_table() const { return *sparse_q_; }
+  /// The learned sparse Q-table. Requires uses_sparse(); otherwise throws
+  /// std::bad_optional_access.
+  const mdp::SparseQTable& sparse_q_table() const {
+    return sparse_q_.value();
+  }
 
   /// Wall-clock seconds of the last Train() call.
   double train_seconds() const { return train_seconds_; }

@@ -212,8 +212,11 @@ FleetOrchestrator::RetrainResult FleetOrchestrator::Retrain(SpecState& state) {
   }
   mdp::QTable shaped =
       adaptive::FoldFeedback(base, state.feedback, state.spec.feedback_strength);
+  // The retrain follows the spec's num_workers like RlPlanner::Train. Its
+  // shards run in the orchestrator's pool: when several specs retrain at
+  // once the nested ParallelFor runs them inline on this retrain's thread.
   rl::SarsaLearner learner(*instance_, reward_, state.spec.sarsa,
-                           result.derived_seed);
+                           result.derived_seed, pool_);
   result.table = learner.LearnFrom(std::move(shaped));
   result.ok = true;
   span.AddArg("status", "ok");

@@ -62,9 +62,9 @@ struct KeyedRow {
 ///
 /// Satisfies EpisodeRunner's QModel concept (Get/Set/SarsaUpdate) plus the
 /// learner surface (ArgmaxAction/AccumulateDelta/Scale/AddNoise/
-/// MaxAbsValue), so SarsaLearnerT/ParallelSarsaLearnerT train on it
-/// unchanged. Not thread-safe for concurrent writers (the sharded learner
-/// gives every worker its own copy).
+/// MaxAbsValue), so SarsaLearnerT trains on it unchanged at every worker
+/// count. Not thread-safe for concurrent writers (a sharded round gives
+/// every worker its own copy).
 class SparseQTable {
  public:
   /// All-zero (fully empty) table over `num_items` items.

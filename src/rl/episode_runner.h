@@ -31,14 +31,14 @@ inline model::ItemId PickStartItem(const mdp::RewardFunction& reward,
       rng.NextIndex(reward.instance().catalog->size()));
 }
 
-/// The episode generator of Algorithm 1, shared by the serial and sharded
-/// learners. `QModel` is the value table the TD updates land in —
+/// The episode generator of Algorithm 1, run by SarsaLearnerT for each
+/// round's episodes. `QModel` is the value table the TD updates land in —
 /// mdp::QTable or mdp::SparseQTable — and must provide Get/Set/SarsaUpdate
 /// with QTable's signatures.
 ///
-/// The runner holds *references* to its config and RNG: the serial learner
-/// shares its own RNG so the refactor preserves the historical draw
-/// sequence bit-exactly, while each sharded worker passes a private RNG
+/// The runner holds *references* to its config and RNG: at one worker the
+/// learner passes its own RNG, so the draw sequence is the historical
+/// serial one bit-exactly, while each sharded worker passes a private RNG
 /// reseeded per (seed, round, worker). Not thread-safe across calls on the
 /// same instance — give each worker its own runner (and its own ActionMask,
 /// whose scratch buffers are also per-thread).
@@ -61,9 +61,9 @@ class EpisodeRunner {
         ranker_(reward) {}
 
   /// Generates one episode against `q`, applying the configured TD update
-  /// at every step, and appends the episode's total Eq. 2 return to
-  /// `episode_returns()`.
-  void RunEpisode(QModel& q, const ActionMask& mask, double explore_epsilon) {
+  /// at every step, and returns the episode's total Eq. 2 return.
+  double RunEpisode(QModel& q, const ActionMask& mask,
+                    double explore_epsilon) {
     const int horizon = EpisodeHorizon(*instance_);
     mdp::EpisodeState state(*instance_);
     double episode_return = 0.0;
@@ -120,18 +120,12 @@ class EpisodeRunner {
       action = next_action;
     }
     if (metrics_ != nullptr) metrics_->RecordEpisode();
-    episode_returns_.push_back(episode_return);
+    return episode_return;
   }
 
   /// Attaches the hot-path metrics facade (null detaches). Recording uses
   /// Q-value reads only, so attaching one changes no training output.
   void set_metrics(obs::TrainingMetrics* metrics) { metrics_ = metrics; }
-
-  /// Total Eq. 2 return of each episode run so far, in order.
-  const std::vector<double>& episode_returns() const {
-    return episode_returns_;
-  }
-  std::vector<double>& mutable_episode_returns() { return episode_returns_; }
 
  private:
   // Behavior-policy action selection among the actions in `allowed_`;
@@ -195,7 +189,6 @@ class EpisodeRunner {
   const SarsaConfig* config_;
   util::Rng* rng_;
   obs::TrainingMetrics* metrics_ = nullptr;
-  std::vector<double> episode_returns_;
   // Reusable per-step scratch (no heap allocation per step): the
   // admissible set of the current state, shared by SelectAction and
   // ContinuationValue; the reward ranker; the Q-tied set.

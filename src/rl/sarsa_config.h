@@ -43,10 +43,9 @@ enum class QRepresentation {
 };
 
 /// Catalog size above which QRepresentation::kAuto selects sparse. At 2048
-/// items the dense table is 2048^2 * 8 B = 32 MiB per table — the
-/// sharded learner holds K + 2 copies, so this is roughly
-/// where dense stops being free and the visited set is reliably a small
-/// fraction of |I|^2.
+/// items the dense table is 2048^2 * 8 B = 32 MiB per table — a sharded
+/// round holds K + 2 copies, so this is roughly where dense stops being
+/// free and the visited set is reliably a small fraction of |I|^2.
 inline constexpr std::size_t kSparseAutoThreshold = 2048;
 
 /// Resolves `repr` to a concrete representation for a `num_items` catalog.
@@ -87,10 +86,11 @@ struct SarsaConfig {
   int policy_rounds = 5;
   /// Q decay applied when a round's rollout is constraint-violating.
   double restart_decay = 0.25;
-  /// Episode workers K (ParallelSarsaLearner): 1 runs the serial learner,
-  /// K > 1 shards each round over K workers. K is a *logical* shard count:
-  /// the learned table depends on (seed, K) only, never on how many
-  /// physical threads execute the shards.
+  /// Episode workers K, read by SarsaLearnerT on every training path
+  /// (RlPlanner::Train, the fleet's retrains, Learn and LearnFrom): 1 runs
+  /// each round's episodes serially, K > 1 shards each round over K
+  /// workers. K is a *logical* shard count: the learned table depends on
+  /// (seed, K) only, never on how many physical threads execute the shards.
   int num_workers = 1;
   /// Q-table layout; kAuto resolves by catalog size (see
   /// ResolveQRepresentation).

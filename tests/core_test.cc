@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -245,6 +246,36 @@ TEST(PlannerTest, AdoptPolicyChecksDimension) {
   EXPECT_FALSE(planner.AdoptPolicy(mdp::QTable(3)).ok());
   EXPECT_TRUE(planner.AdoptPolicy(mdp::QTable(6)).ok());
   EXPECT_TRUE(planner.trained());
+}
+
+// Asking a planner for the table it does not hold is a defined failure,
+// not a read through an empty optional.
+TEST(PlannerTest, DenseTableOfSparsePlannerThrows) {
+  datagen::Dataset dataset = datagen::MakeTableIIToy();
+  const model::TaskInstance instance = dataset.Instance();
+  PlannerConfig config;
+  config.sarsa.num_episodes = 20;
+  config.sarsa.q_representation = rl::QRepresentation::kSparse;
+  RlPlanner planner(instance, config);
+  EXPECT_THROW(planner.q_table(), std::bad_optional_access);
+  ASSERT_TRUE(planner.Train().ok());
+  ASSERT_TRUE(planner.uses_sparse());
+  EXPECT_EQ(planner.sparse_q_table().num_items(), dataset.catalog.size());
+  EXPECT_THROW(planner.q_table(), std::bad_optional_access);
+}
+
+TEST(PlannerTest, SparseTableOfDensePlannerThrows) {
+  datagen::Dataset dataset = datagen::MakeTableIIToy();
+  const model::TaskInstance instance = dataset.Instance();
+  PlannerConfig config;
+  config.sarsa.num_episodes = 20;
+  config.sarsa.q_representation = rl::QRepresentation::kDense;
+  RlPlanner planner(instance, config);
+  EXPECT_THROW(planner.sparse_q_table(), std::bad_optional_access);
+  ASSERT_TRUE(planner.Train().ok());
+  ASSERT_FALSE(planner.uses_sparse());
+  EXPECT_EQ(planner.q_table().num_items(), dataset.catalog.size());
+  EXPECT_THROW(planner.sparse_q_table(), std::bad_optional_access);
 }
 
 }  // namespace

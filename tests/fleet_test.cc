@@ -151,6 +151,46 @@ TEST(FleetDeterminismTest, SameSeedsAndFeedbackPublishBitIdenticalSnapshots) {
   }
 }
 
+// The snapshots a two-slot fleet publishes over eight ticks when its specs
+// train with `workers` episode workers and its pool has `threads` threads.
+// The slots' cadences differ, so some ticks retrain one slot (its shards
+// run in the pool) and some retrain both at once (each retrain's shards
+// then run inline on its own pool thread).
+std::vector<std::string> PublishedSnapshots(int workers, std::size_t threads) {
+  FleetFixture fix;
+  fix.config.sarsa.num_workers = workers;
+  util::ThreadPool pool(threads);
+  std::vector<std::string> published;
+  FleetOrchestrator fleet(fix.instance, fix.config.reward, fix.registry,
+                          pool, fix.BaseConfig());
+  fleet.set_publish_observer(
+      [&](const PolicySpec& spec, std::uint64_t, const std::string& bytes) {
+        published.push_back(spec.slot + ":" + bytes);
+      });
+  EXPECT_TRUE(fleet.AddSpec(fix.Spec("alpha", 17, /*freshness=*/2)).ok());
+  EXPECT_TRUE(fleet.AddSpec(fix.Spec("beta", 23, /*freshness=*/3)).ok());
+  fleet.RunTicks(8);
+  return published;
+}
+
+TEST(FleetDeterminismTest, ShardedRetrainsFollowWorkersNotThreads) {
+  const std::vector<std::string> one_thread = PublishedSnapshots(3, 1);
+  const std::vector<std::string> four_threads = PublishedSnapshots(3, 4);
+  ASSERT_GE(one_thread.size(), 4u);
+  // Compared with EXPECT_TRUE so a failure names the entry, not its bytes.
+  ASSERT_EQ(one_thread.size(), four_threads.size());
+  for (std::size_t i = 0; i < one_thread.size(); ++i) {
+    EXPECT_TRUE(one_thread[i] == four_threads[i]) << "entry " << i;
+  }
+  // The spec's num_workers reaches the retrain: the same recipe at K = 1
+  // publishes other tables (the snapshot bytes carry no worker count).
+  const std::vector<std::string> serial = PublishedSnapshots(1, 4);
+  ASSERT_EQ(serial.size(), one_thread.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(serial[i] != one_thread[i]) << "entry " << i;
+  }
+}
+
 // --- Gate -----------------------------------------------------------------
 
 TEST(CanaryGateTest, RejectsConstraintViolatingCandidate) {

@@ -1,7 +1,7 @@
-// Tests for the intra-run parallel SARSA learner: bit-determinism of the
-// sharded merge, bit-exact K=1 delegation to the serial learner, hard-
-// constraint safety of both, and cross-revision pins of what they learn and
-// of what every step-ranking traversal outputs.
+// Tests for the SARSA learner's serial (K = 1) and sharded (K > 1) rounds:
+// bit-determinism of the sharded merge across thread counts and entry
+// points, hard-constraint safety at both K, and cross-revision pins of what
+// the learner learns and of what every step-ranking traversal outputs.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,6 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "obs/training_metrics.h"
-#include "rl/parallel_sarsa.h"
 #include "rl/recommender.h"
 #include "rl/sarsa.h"
 #include "util/thread_pool.h"
@@ -43,7 +42,7 @@ SarsaConfig ParallelConfig(int workers, int episodes, model::ItemId start) {
   return config;
 }
 
-// ----------------------------------------------------- sharded learner --
+// ------------------------------------------------------ sharded rounds --
 
 TEST(ParallelSarsaTest, SameSeedSameWorkersIsBitIdentical) {
   datagen::Dataset dataset = datagen::MakeUniv1DsCt();
@@ -52,8 +51,8 @@ TEST(ParallelSarsaTest, SameSeedSameWorkersIsBitIdentical) {
   const mdp::RewardFunction reward(instance, weights);
   const SarsaConfig config = ParallelConfig(4, 100, dataset.default_start);
 
-  ParallelSarsaLearner first(instance, reward, config, /*seed=*/123);
-  ParallelSarsaLearner second(instance, reward, config, /*seed=*/123);
+  SarsaLearner first(instance, reward, config, /*seed=*/123);
+  SarsaLearner second(instance, reward, config, /*seed=*/123);
   const mdp::QTable q1 = first.Learn();
   const mdp::QTable q2 = second.Learn();
   EXPECT_TRUE(q1 == q2);
@@ -71,13 +70,13 @@ TEST(ParallelSarsaTest, TracingDoesNotPerturbTraining) {
   for (int workers : {1, 4}) {
     const SarsaConfig config =
         ParallelConfig(workers, 100, dataset.default_start);
-    ParallelSarsaLearner untraced(instance, reward, config, /*seed=*/123);
+    SarsaLearner untraced(instance, reward, config, /*seed=*/123);
     const mdp::QTable q1 = untraced.Learn();
 
     obs::Registry registry;
     obs::TrainingMetrics metrics(&registry);
     obs::TraceCollector trace;
-    ParallelSarsaLearner traced(instance, reward, config, /*seed=*/123);
+    SarsaLearner traced(instance, reward, config, /*seed=*/123);
     traced.set_metrics(&metrics);
     traced.set_trace(&trace);
     const mdp::QTable q2 = traced.Learn();
@@ -110,32 +109,46 @@ TEST(ParallelSarsaTest, DeterministicResultIndependentOfThreadCount) {
   const SarsaConfig config = ParallelConfig(4, 100, dataset.default_start);
 
   util::ThreadPool small_pool(2);
-  ParallelSarsaLearner pooled(instance, reward, config, /*seed=*/9,
-                              &small_pool);
-  ParallelSarsaLearner owned(instance, reward, config, /*seed=*/9);
+  SarsaLearner pooled(instance, reward, config, /*seed=*/9, &small_pool);
+  SarsaLearner owned(instance, reward, config, /*seed=*/9);
   const mdp::QTable q1 = pooled.Learn();
   const mdp::QTable q2 = owned.Learn();
   EXPECT_TRUE(q1 == q2);
   EXPECT_EQ(pooled.episode_returns(), owned.episode_returns());
 }
 
-TEST(ParallelSarsaTest, SingleWorkerIsBitIdenticalToSerialLearner) {
+// Learn() is LearnFrom(zero table) on the sharded path too: same table,
+// same episode returns. A random rollout start makes the coordinator draw
+// the start item, and an unsafe round makes it draw restart jitter.
+template <typename QModel>
+void ExpectLearnFromZerosIsLearn() {
   datagen::Dataset dataset = datagen::MakeUniv1DsCt();
   const model::TaskInstance instance = dataset.Instance();
   const mdp::RewardWeights weights;
   const mdp::RewardFunction reward(instance, weights);
-  const SarsaConfig parallel_config =
-      ParallelConfig(1, 100, dataset.default_start);
+  const SarsaConfig config = ParallelConfig(4, 200, -1);
 
-  ParallelSarsaLearner parallel(instance, reward, parallel_config,
-                                /*seed=*/77);
-  const mdp::QTable q_parallel = parallel.Learn();
+  obs::Registry registry;
+  obs::TrainingMetrics metrics(&registry);
+  SarsaLearnerT<QModel> cold(instance, reward, config, /*seed=*/31);
+  cold.set_metrics(&metrics);
+  SarsaLearnerT<QModel> warm(instance, reward, config, /*seed=*/31);
+  const QModel q_cold = cold.Learn();
+  const QModel q_warm = warm.LearnFrom(QModel(dataset.catalog.size()));
+  EXPECT_TRUE(q_cold == q_warm);
+  EXPECT_EQ(cold.episode_returns(), warm.episode_returns());
+  EXPECT_EQ(cold.episode_returns().size(), 200u);
+  const auto& rounds = metrics.rounds();
+  EXPECT_TRUE(std::any_of(rounds.begin(), rounds.end(),
+                          [](const auto& round) { return !round.safe; }));
+}
 
-  SarsaLearner serial(instance, reward, parallel_config, /*seed=*/77);
-  const mdp::QTable q_serial = serial.Learn();
+TEST(ParallelSarsaTest, ShardedLearnFromZerosIsLearnDense) {
+  ExpectLearnFromZerosIsLearn<mdp::QTable>();
+}
 
-  EXPECT_TRUE(q_parallel == q_serial);
-  EXPECT_EQ(parallel.episode_returns(), serial.episode_returns());
+TEST(ParallelSarsaTest, ShardedLearnFromZerosIsLearnSparse) {
+  ExpectLearnFromZerosIsLearn<mdp::SparseQTable>();
 }
 
 TEST(ParallelSarsaTest, RunsExactlyTheConfiguredEpisodeBudget) {
@@ -147,7 +160,7 @@ TEST(ParallelSarsaTest, RunsExactlyTheConfiguredEpisodeBudget) {
   // shard remainder and the uneven round remainder.
   const SarsaConfig config = ParallelConfig(4, 103, 0);
 
-  ParallelSarsaLearner learner(instance, reward, config, /*seed=*/5);
+  SarsaLearner learner(instance, reward, config, /*seed=*/5);
   const mdp::QTable q = learner.Learn();
   EXPECT_EQ(q.num_items(), dataset.catalog.size());
   EXPECT_EQ(learner.episode_returns().size(), 103u);
@@ -157,22 +170,22 @@ TEST(ParallelSarsaTest, WorkerSeedsAreDistinctAcrossRoundsAndWorkers) {
   std::set<std::uint64_t> seen;
   for (int round = 0; round < 8; ++round) {
     for (int worker = 0; worker < 16; ++worker) {
-      seen.insert(ParallelSarsaLearner::WorkerSeed(17, round, worker));
+      seen.insert(SarsaLearner::WorkerSeed(17, round, worker));
     }
   }
   EXPECT_EQ(seen.size(), 8u * 16u);
   // Different run seeds decorrelate every shard stream.
-  EXPECT_NE(ParallelSarsaLearner::WorkerSeed(17, 0, 0),
-            ParallelSarsaLearner::WorkerSeed(18, 0, 0));
+  EXPECT_NE(SarsaLearner::WorkerSeed(17, 0, 0),
+            SarsaLearner::WorkerSeed(18, 0, 0));
 }
 
 // ------------------------------------------------------------ safety --
 
 TEST(ParallelSarsaTest, SerialAndShardedPoliciesSatisfyHardConstraints) {
-  // Across seeds, the greedy rollout of the policy learned at K = 1 (the
-  // serial learner) and at K = 4 (the sharded learner) must satisfy every
-  // hard constraint, and the sharded plan's score must be in the same
-  // range as the serial one's.
+  // Across seeds, the greedy rollout of the policy learned at K = 1 (serial
+  // rounds) and at K = 4 (sharded rounds) must satisfy every hard
+  // constraint, and the sharded plan's score must be in the same range as
+  // the serial one's.
   datagen::Dataset dataset = datagen::MakeUniv1DsCt();
   const model::TaskInstance instance = dataset.Instance();
   const mdp::RewardWeights weights;
@@ -185,7 +198,7 @@ TEST(ParallelSarsaTest, SerialAndShardedPoliciesSatisfyHardConstraints) {
   for (std::uint64_t seed = 100; seed < 105; ++seed) {
     double serial_score = 0.0;
     for (int workers : {1, 4}) {
-      ParallelSarsaLearner learner(
+      SarsaLearner learner(
           instance, reward,
           ParallelConfig(workers, 500, dataset.default_start), seed);
       const model::Plan plan =
@@ -199,7 +212,7 @@ TEST(ParallelSarsaTest, SerialAndShardedPoliciesSatisfyHardConstraints) {
       }
       // On Univ-1 the learner's outcome is bimodal: every (seed, budget)
       // combination converges to one of two feasible policies (scores ~4.8
-      // and ~10.0), and the serial learner itself lands on the low mode at
+      // and ~10.0), and serial training itself lands on the low mode at
       // other seeds/budgets. Per-seed parity is therefore not a property
       // even of two serial runs; the contract is "no policy collapse": the
       // sharded score must stay inside the serial support, i.e. above a
@@ -216,14 +229,14 @@ TEST(ParallelSarsaTest, SerialAndShardedPoliciesSatisfyHardConstraints) {
 void ExpectMetricsDoNotPerturbTraining(
     const model::TaskInstance& instance, const mdp::RewardFunction& reward,
     const SarsaConfig& config, std::uint64_t seed,
-    const std::function<mdp::QTable(ParallelSarsaLearner&)>& run) {
+    const std::function<mdp::QTable(SarsaLearner&)>& run) {
   obs::Registry registry;
   obs::TrainingMetrics metrics(&registry);
-  ParallelSarsaLearner instrumented(instance, reward, config, seed);
+  SarsaLearner instrumented(instance, reward, config, seed);
   instrumented.set_metrics(&metrics);
   const mdp::QTable q_instrumented = run(instrumented);
 
-  ParallelSarsaLearner plain(instance, reward, config, seed);
+  SarsaLearner plain(instance, reward, config, seed);
   const mdp::QTable q_plain = run(plain);
 
   EXPECT_TRUE(q_instrumented == q_plain) << "seed " << seed;
@@ -246,16 +259,16 @@ TEST(ParallelSarsaTest, MetricsRecordingIsBitExactAcrossSeedsAndWorkers) {
   const mdp::RewardWeights weights;
   const mdp::RewardFunction reward(instance, weights);
 
-  const auto run_direct = [](ParallelSarsaLearner& learner) {
+  const auto run_direct = [](SarsaLearner& learner) {
     return learner.Learn();
   };
-  // The sharded learner inside an outer ParallelFor, where its nested
+  // A sharded run inside an outer ParallelFor, where its nested
   // region degrades to an inline loop over the shards: recording must stay
   // bit-exact on that path too. The outer region needs n >= 2 — a
   // single-index ParallelFor takes the trivial inline fast path without
   // entering a parallel region.
   util::ThreadPool outer_pool(2);
-  const auto run_nested = [&outer_pool](ParallelSarsaLearner& learner) {
+  const auto run_nested = [&outer_pool](SarsaLearner& learner) {
     mdp::QTable q(0);
     outer_pool.ParallelFor(2, [&](std::size_t i) {
       if (i == 0) q = learner.Learn();
@@ -278,7 +291,7 @@ TEST(ParallelSarsaTest, MetricsRecordingIsBitExactAcrossSeedsAndWorkers) {
 //
 // Hashes of learned tables and episode returns recorded once and checked
 // on every revision: a refactor of the training loops must reproduce them
-// bit for bit. The cases cover both learners (K = 1 and the sharded K = 4),
+// bit for bit. The cases cover both round bodies (K = 1 and sharded K = 4),
 // both rollout start modes, both behaviour policies under all three update
 // rules, the decay-and-jitter restart path (each restart case has at least
 // one unsafe round), and the warm-start LearnFrom entry point, in both Q
@@ -394,8 +407,7 @@ void ExpectGolden(const GoldenCase& c) {
   const mdp::RewardFunction reward(instance, config.reward);
   obs::Registry registry;
   obs::TrainingMetrics metrics(&registry);
-  ParallelSarsaLearnerT<QModel> learner(instance, reward, config.sarsa,
-                                        c.seed);
+  SarsaLearnerT<QModel> learner(instance, reward, config.sarsa, c.seed);
   learner.set_metrics(&metrics);
   const QModel q = learner.Learn();
 
@@ -598,6 +610,45 @@ TEST(WarmStartGoldenTest, DenseMatchesRecordedHashes) {
 
 TEST(WarmStartGoldenTest, SparseMatchesRecordedHashes) {
   ExpectWarmStartGolden<mdp::SparseQTable>();
+}
+
+// The same warm start at K = 4: the retrain learns one table whether its
+// shards run on an external 1-thread pool or on the learner's own pool.
+// That table is neither the K = 1 one (LearnFrom follows num_workers) nor
+// a cold K = 4 run's (the shards start from the warm table).
+template <typename QModel>
+void ExpectShardedWarmStartIgnoresThreadCount() {
+  const datagen::Dataset dataset = datagen::MakeParisTrip();
+  const model::TaskInstance instance = dataset.Instance();
+  core::PlannerConfig config = GoldenConfig(dataset, 1, 25, true);
+  const mdp::RewardFunction reward(instance, config.reward);
+  SarsaLearnerT<QModel> cold(instance, reward, config.sarsa, /*seed=*/5);
+  const QModel warm = cold.Learn();
+  SarsaLearnerT<QModel> serial(instance, reward, config.sarsa, /*seed=*/6);
+  const QModel q_serial = serial.LearnFrom(warm);
+
+  config.sarsa.num_workers = 4;
+  util::ThreadPool one_thread(1);
+  SarsaLearnerT<QModel> pooled(instance, reward, config.sarsa, /*seed=*/6,
+                               &one_thread);
+  SarsaLearnerT<QModel> owned(instance, reward, config.sarsa, /*seed=*/6);
+  const QModel q_pooled = pooled.LearnFrom(warm);
+  const QModel q_owned = owned.LearnFrom(warm);
+  EXPECT_TRUE(q_pooled == q_owned);
+  EXPECT_EQ(pooled.episode_returns(), owned.episode_returns());
+  EXPECT_EQ(pooled.episode_returns().size(), 25u);
+  EXPECT_FALSE(q_pooled == q_serial);
+  SarsaLearnerT<QModel> cold_sharded(instance, reward, config.sarsa,
+                                     /*seed=*/6);
+  EXPECT_FALSE(q_pooled == cold_sharded.Learn());
+}
+
+TEST(WarmStartGoldenTest, ShardedWarmStartIgnoresThreadCountDense) {
+  ExpectShardedWarmStartIgnoresThreadCount<mdp::QTable>();
+}
+
+TEST(WarmStartGoldenTest, ShardedWarmStartIgnoresThreadCountSparse) {
+  ExpectShardedWarmStartIgnoresThreadCount<mdp::SparseQTable>();
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "datagen/synthetic.h"
-#include "rl/parallel_sarsa.h"
 #include "rl/recommender.h"
 #include "rl/sarsa.h"
 #include "util/bitset.h"
@@ -579,15 +578,15 @@ TEST_F(TrainingDeterminismTest,
   ForceLevelForTesting(Level::kScalar);
   rl::SparseSarsaLearner scalar_serial(instance, reward, serial_config, 77);
   const mdp::SparseQTable scalar_serial_q = scalar_serial.Learn();
-  rl::SparseParallelSarsaLearner scalar_parallel(instance, reward,
-                                                 parallel_config, 77);
+  rl::SparseSarsaLearner scalar_parallel(instance, reward, parallel_config,
+                                         77);
   const mdp::SparseQTable scalar_parallel_q = scalar_parallel.Learn();
 
   ForceLevelForTesting(best);
   rl::SparseSarsaLearner vector_serial(instance, reward, serial_config, 77);
   const mdp::SparseQTable vector_serial_q = vector_serial.Learn();
-  rl::SparseParallelSarsaLearner vector_parallel(instance, reward,
-                                                 parallel_config, 77);
+  rl::SparseSarsaLearner vector_parallel(instance, reward, parallel_config,
+                                         77);
   const mdp::SparseQTable vector_parallel_q = vector_parallel.Learn();
 
   EXPECT_GT(scalar_serial_q.entry_count(), 0u);

@@ -21,7 +21,6 @@
 #include "mdp/q_table.h"
 #include "mdp/sparse_q_table.h"
 #include "random_tables.h"
-#include "rl/parallel_sarsa.h"
 #include "rl/sarsa.h"
 #include "rl/sarsa_config.h"
 #include "util/bitset.h"
@@ -475,9 +474,8 @@ void ExpectParallelTrainingIdentical(datagen::Dataset dataset,
   config.start_item = dataset.default_start;
   config.num_workers = workers;
 
-  rl::ParallelSarsaLearner dense_learner(instance, reward, config, seed);
-  rl::SparseParallelSarsaLearner sparse_learner(instance, reward, config,
-                                                seed);
+  rl::SarsaLearner dense_learner(instance, reward, config, seed);
+  rl::SparseSarsaLearner sparse_learner(instance, reward, config, seed);
   const QTable dense = dense_learner.Learn();
   const SparseQTable sparse = sparse_learner.Learn();
   EXPECT_TRUE(sparse.ToDense() == dense)

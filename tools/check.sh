@@ -46,19 +46,22 @@ run_tsan_lane() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DRLPLANNER_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}"
-  # The serving layer and the parallel trainer are where the threads are;
-  # util_test covers the ThreadPool substrate both run on. The
-  # parallel_sarsa tests drive the sharded-merge barrier, pooled and
-  # nested, under TSan; obs_test hammers the sharded metric cells, the
-  # registry's concurrent registration path, and the trace collector's
-  # single-writer rings (concurrent emit + export); simd_test covers the
-  # dispatch table's concurrent first-use resolution (and its _scalar ctest
-  # variant keeps the scalar kernels sanitized too); net_test crosses the
-  # epoll shards' completion-queue/eventfd edge under concurrent clients
-  # and drains the server under live load; fleet_test stresses the
-  # orchestrator's publish/canary/rollback pipeline against concurrent
-  # serving clients. The ASan/UBSan lane below runs the complete suite,
-  # obs_test included — no filter there.
+  # The serving layer and the sharded trainer are where the threads are;
+  # util_test covers the ThreadPool substrate both run on.
+  # parallel_sarsa_test (named for the sharded rounds; it tests the one
+  # learner, SarsaLearnerT, at K = 1 and K > 1) drives the sharded-merge
+  # barrier on an external pool, the learner's own pool and nested inside
+  # an outer ParallelFor, under TSan; obs_test hammers the sharded metric
+  # cells, the registry's concurrent registration path, and the trace
+  # collector's single-writer rings (concurrent emit + export); simd_test
+  # covers the dispatch table's concurrent first-use resolution (and its
+  # _scalar ctest variant keeps the scalar kernels sanitized too); net_test
+  # crosses the epoll shards' completion-queue/eventfd edge under
+  # concurrent clients and drains the server under live load; fleet_test
+  # stresses the orchestrator's publish/canary/rollback pipeline against
+  # concurrent serving clients and runs sharded retrains inside the
+  # orchestrator's pool. The ASan/UBSan lane below runs the complete
+  # suite, obs_test included — no filter there.
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
     -R 'serve_test|net_test|util_test|parallel_sarsa_test|obs_test|simd_test|fleet_test'
 }
