@@ -5,33 +5,16 @@
 // Expected shape (paper): learning time grows linearly with N; applying a
 // learned policy takes only fractions of a second ("interactive mode").
 //
-// An argument-less run emits BENCH_scalability.json (same conventions as
-// BENCH_micro.json / BENCH_train.json) with the learn-vs-N and recommend
-// timings; `--smoke` shrinks the budgets for the CI smoke lane while keeping
-// the 10k-item sparse scenario alive, so the big-catalog path is exercised
-// on every run; gbench arguments run the registered suite with its table
-// output.
-//
-// Beyond the paper's ~1k-item ceiling, the JSON includes synthetic 10k and
-// 100k catalogs trained on the sparse Q representation (the dense |I|²
-// table would need 0.8–80 GB at those sizes). Every entry carries a
-// `q_repr` field ("dense" | "sparse") so tools/bench_gate.py only compares
-// like-for-like.
+// A google-benchmark suite: run it with no arguments, or with gbench flags
+// (--benchmark_filter=..., --benchmark_format=json). Training throughput
+// beyond the paper's catalogs is train_bench's question (BENCH_train.json).
 
 #include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <cstdio>
-#include <string>
-#include <vector>
 
 #include "core/config.h"
 #include "core/planner.h"
 #include "datagen/course_data.h"
-#include "datagen/synthetic.h"
 #include "datagen/trip_data.h"
-#include "rl/sarsa_config.h"
-#include "util/simd.h"
 
 namespace {
 
@@ -103,190 +86,6 @@ void BM_RecommendTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_RecommendTrip)->Arg(100)->Arg(500)->Arg(1000);
 
-// Beyond the paper: learning time vs catalog size (the Q-table is
-// |I| x |I|, so this exposes the quadratic state-action space).
-void BM_LearnVsCatalogSize(benchmark::State& state) {
-  rlplanner::datagen::SyntheticSpec spec;
-  spec.num_items = static_cast<int>(state.range(0));
-  spec.vocab_size = 2 * spec.num_items;
-  spec.seed = 7;
-  const Dataset dataset = rlplanner::datagen::GenerateSynthetic(spec);
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  PlannerConfig config;
-  config.sarsa.num_episodes = 100;
-  config.sarsa.start_item = dataset.default_start;
-  for (auto _ : state) {
-    RlPlanner planner(instance, config);
-    benchmark::DoNotOptimize(planner.Train().ok());
-  }
-  state.counters["items"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_LearnVsCatalogSize)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
-
-// ---------------------------------------------------------------------------
-// Machine-readable output (BENCH_scalability.json)
-// ---------------------------------------------------------------------------
-
-double Now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct Entry {
-  std::string name;
-  double seconds = 0.0;      // one op (a full Train(), or one Recommend())
-  double ops_per_sec = 0.0;  // episodes/sec for learn, plans/sec for recommend
-  std::size_t items = 0;     // catalog size
-  const char* q_repr = "dense";
-};
-
-// Times one full training run of `episodes` episodes.
-Entry TimeLearnJson(const char* prefix, const Dataset& dataset,
-                    PlannerConfig config, int episodes) {
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  ConfigureEpisodes(config, episodes, dataset);
-  Entry entry;
-  entry.name = std::string(prefix) + "/N" + std::to_string(episodes);
-  entry.items = dataset.catalog.size();
-  entry.q_repr = rlplanner::rl::ResolveQRepresentation(
-                     config.sarsa.q_representation, dataset.catalog.size()) ==
-                         rlplanner::rl::QRepresentation::kSparse
-                     ? "sparse"
-                     : "dense";
-  const double begin = Now();
-  RlPlanner planner(instance, config);
-  if (!planner.Train().ok()) return entry;  // zero metrics mark the failure
-  entry.seconds = Now() - begin;
-  if (entry.seconds > 0.0) entry.ops_per_sec = episodes / entry.seconds;
-  return entry;
-}
-
-// Times recommendation from a policy learned with the default N.
-Entry TimeRecommendJson(const char* prefix, const Dataset& dataset,
-                        PlannerConfig config, int episodes, int reps = 50) {
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  ConfigureEpisodes(config, episodes, dataset);
-  Entry entry;
-  entry.name = std::string(prefix) + "/N" + std::to_string(episodes);
-  entry.items = dataset.catalog.size();
-  entry.q_repr = rlplanner::rl::ResolveQRepresentation(
-                     config.sarsa.q_representation, dataset.catalog.size()) ==
-                         rlplanner::rl::QRepresentation::kSparse
-                     ? "sparse"
-                     : "dense";
-  RlPlanner planner(instance, config);
-  if (!planner.Train().ok()) return entry;
-  const double begin = Now();
-  for (int rep = 0; rep < reps; ++rep) {
-    if (!planner.Recommend(dataset.default_start).ok()) return entry;
-  }
-  const double seconds = Now() - begin;
-  entry.seconds = seconds / reps;
-  if (seconds > 0.0) entry.ops_per_sec = reps / seconds;
-  return entry;
-}
-
-// A synthetic catalog far beyond the paper's programs, trained on the
-// sparse Q representation. The vocabulary stays small and fixed (512) so
-// catalog size is the only scaling axis, and policy_rounds is pinned to 1:
-// restart rounds AddNoise over all |I|² cells, which is exactly the dense
-// blow-up the sparse table exists to avoid.
-Dataset MakeScaleDataset(int num_items) {
-  rlplanner::datagen::SyntheticSpec spec;
-  spec.num_items = num_items;
-  spec.vocab_size = 512;
-  spec.seed = 7;
-  return rlplanner::datagen::GenerateSynthetic(spec);
-}
-
-PlannerConfig ScaleConfig() {
-  PlannerConfig config;
-  config.sarsa.q_representation = rlplanner::rl::QRepresentation::kSparse;
-  config.sarsa.policy_rounds = 1;
-  return config;
-}
-
-int WriteScalabilityJson(bool smoke) {
-  const Dataset univ1 = rlplanner::datagen::MakeUniv1DsCt();
-  const Dataset nyc = rlplanner::datagen::MakeNycTrip();
-  const PlannerConfig course_config = rlplanner::core::DefaultUniv1Config();
-  const PlannerConfig trip_config = rlplanner::core::DefaultTripConfig();
-
-  std::vector<Entry> entries;
-  const std::vector<int> paper_ns =
-      smoke ? std::vector<int>{100} : std::vector<int>{100, 200, 300, 500, 1000};
-  for (int episodes : paper_ns) {
-    entries.push_back(
-        TimeLearnJson("learn_course", univ1, course_config, episodes));
-  }
-  for (int episodes : paper_ns) {
-    entries.push_back(TimeLearnJson("learn_trip", nyc, trip_config, episodes));
-  }
-  const int recommend_n = smoke ? 100 : 500;
-  entries.push_back(
-      TimeRecommendJson("recommend_course", univ1, course_config, recommend_n));
-  entries.push_back(
-      TimeRecommendJson("recommend_trip", nyc, trip_config, recommend_n));
-
-  // Sparse-representation scale sweep. The 10k catalog runs in every mode
-  // (it IS the smoke lane's big-catalog coverage); 100k only in full runs.
-  const Dataset synth10k = MakeScaleDataset(10000);
-  entries.push_back(TimeLearnJson("learn_synth10k", synth10k, ScaleConfig(),
-                                  smoke ? 10 : 100));
-  entries.push_back(TimeRecommendJson("recommend_synth10k", synth10k,
-                                      ScaleConfig(), smoke ? 10 : 50,
-                                      /*reps=*/smoke ? 5 : 20));
-  if (!smoke) {
-    const Dataset synth100k = MakeScaleDataset(100000);
-    entries.push_back(
-        TimeLearnJson("learn_synth100k", synth100k, ScaleConfig(), 10));
-    entries.push_back(TimeRecommendJson("recommend_synth100k", synth100k,
-                                        ScaleConfig(), 10, /*reps=*/5));
-  }
-
-  bool all_ok = true;
-  std::FILE* f = std::fopen("BENCH_scalability.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_scalability.json for writing\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"simd\": \"%s\",\n",
-               rlplanner::util::simd::ActiveLevelName());
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& entry = entries[i];
-    all_ok = all_ok && entry.seconds > 0.0;
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"items\": %zu, \"q_repr\": \"%s\", "
-                 "\"seconds\": %.6f, \"ops_per_sec\": %.2f}%s\n",
-                 entry.name.c_str(), entry.items, entry.q_repr, entry.seconds,
-                 entry.ops_per_sec, i + 1 == entries.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-
-  for (const Entry& entry : entries) {
-    std::printf("%-24s %10.4fs  %10.2f ops/sec  [%s]\n", entry.name.c_str(),
-                entry.seconds, entry.ops_per_sec, entry.q_repr);
-  }
-  std::printf("wrote BENCH_scalability.json\n");
-  return all_ok ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc <= 1) return WriteScalabilityJson(/*smoke=*/false);
-  if (argc == 2 && std::string(argv[1]) == "--smoke") {
-    return WriteScalabilityJson(/*smoke=*/true);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

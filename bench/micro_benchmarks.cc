@@ -1,10 +1,9 @@
 // Micro-benchmarks for the hot paths of the library: the reward components,
-// the interleaving similarity, bitset operations, Q-table queries and full
-// episode generation.
+// the interleaving similarity, bitset operations and Q-table queries.
+// Training throughput is train_bench's question (BENCH_train.json).
 //
-// Run with no arguments, the binary times a full Learn() on a
-// Univ-1-scale synthetic catalog and the counting SIMD word kernels (scalar
-// vs. the best level the host supports), and writes the results to
+// Run with no arguments, the binary times the counting SIMD word kernels
+// (scalar vs. the best level the host supports) and writes the results to
 // BENCH_micro.json. Run with any google-benchmark argument (e.g.
 // --benchmark_filter=.) it runs the registered gbench suite instead.
 
@@ -17,12 +16,10 @@
 #include <vector>
 
 #include "datagen/course_data.h"
-#include "datagen/synthetic.h"
 #include "mdp/episode_state.h"
 #include "mdp/q_table.h"
 #include "mdp/reward.h"
 #include "mdp/similarity.h"
-#include "rl/sarsa.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -120,29 +117,8 @@ void BM_QTableArgmaxBitset(benchmark::State& state) {
 }
 BENCHMARK(BM_QTableArgmaxBitset)->Arg(31)->Arg(114)->Arg(500)->Arg(2000);
 
-void BM_SingleEpisode(benchmark::State& state) {
-  rlplanner::datagen::SyntheticSpec spec;
-  spec.num_items = static_cast<int>(state.range(0));
-  spec.vocab_size = 2 * spec.num_items;
-  const Dataset dataset = rlplanner::datagen::GenerateSynthetic(spec);
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  rlplanner::mdp::RewardWeights weights;
-  const rlplanner::mdp::RewardFunction reward(instance, weights);
-  rlplanner::rl::SarsaConfig config;
-  config.num_episodes = 1;
-  config.start_item = dataset.default_start;
-  config.policy_rounds = 1;
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    rlplanner::rl::SarsaLearner learner(instance, reward, config, ++seed);
-    benchmark::DoNotOptimize(learner.Learn());
-  }
-  state.counters["items"] = static_cast<double>(spec.num_items);
-}
-BENCHMARK(BM_SingleEpisode)->Arg(31)->Arg(114)->Arg(300);
-
 // ---------------------------------------------------------------------------
-// Learn() harness (BENCH_micro.json "benchmarks" section)
+// Per-kernel scalar-vs-SIMD entries (BENCH_micro.json "kernels" section)
 // ---------------------------------------------------------------------------
 
 double Now() {
@@ -150,49 +126,6 @@ double Now() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-struct Timing {
-  double ns_per_op = 0.0;      // one complete training run
-  double items_per_sec = 0.0;  // episodes per second
-};
-
-// Univ-1 CS is the largest course program in the paper (114 items); the
-// synthetic catalog mirrors that scale so the numbers track the real hot
-// path without depending on the curated datasets.
-Dataset MakeUniv1ScaleDataset() {
-  rlplanner::datagen::SyntheticSpec spec;
-  spec.num_items = 114;
-  spec.vocab_size = 228;
-  return rlplanner::datagen::GenerateSynthetic(spec);
-}
-
-// Times a full Learn(): one "op" is a complete training run; items/sec is
-// episodes per second.
-Timing TimeLearn(const Dataset& dataset) {
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  rlplanner::mdp::RewardWeights weights;
-  const rlplanner::mdp::RewardFunction reward(instance, weights);
-  rlplanner::rl::SarsaConfig config;
-  config.num_episodes = 50;
-  config.start_item = dataset.default_start;
-  config.policy_rounds = 1;
-  const int kReps = 5;
-  const double begin = Now();
-  for (int rep = 0; rep < kReps; ++rep) {
-    rlplanner::rl::SarsaLearner learner(instance, reward, config,
-                                        1000 + static_cast<std::uint64_t>(rep));
-    benchmark::DoNotOptimize(learner.Learn());
-  }
-  const double seconds = Now() - begin;
-  Timing t;
-  t.ns_per_op = seconds * 1e9 / kReps;
-  t.items_per_sec = static_cast<double>(config.num_episodes) * kReps / seconds;
-  return t;
-}
-
-// ---------------------------------------------------------------------------
-// Per-kernel scalar-vs-SIMD entries (BENCH_micro.json "kernels" section)
-// ---------------------------------------------------------------------------
 
 // Times one kernel invocation, calibrating the iteration count until a
 // measurement window of >= 30ms — long enough to be stable on a shared
@@ -267,16 +200,7 @@ std::vector<KernelBench> RunKernelBenchmarks() {
   return rows;
 }
 
-void PrintEntry(std::FILE* f, const char* name, const Timing& t) {
-  std::fprintf(f,
-               "    {\"name\": \"%s\", \"ns_per_op\": %.1f, "
-               "\"items_per_sec\": %.1f}\n",
-               name, t.ns_per_op, t.items_per_sec);
-}
-
 int WriteMicroJson() {
-  const Dataset dataset = MakeUniv1ScaleDataset();
-  const Timing learn = TimeLearn(dataset);
   const std::vector<KernelBench> kernels = RunKernelBenchmarks();
 
   std::FILE* f = std::fopen("BENCH_micro.json", "w");
@@ -285,14 +209,10 @@ int WriteMicroJson() {
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"catalog_items\": %zu,\n", dataset.catalog.size());
   // Dispatch level the "simd" columns below were measured at; the bench
   // gate refuses to compare runs taken at different levels.
   std::fprintf(f, "  \"simd\": \"%s\",\n",
                rlplanner::util::simd::ActiveLevelName());
-  std::fprintf(f, "  \"benchmarks\": [\n");
-  PrintEntry(f, "learn/optimized", learn);
-  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"kernels\": [\n");
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const KernelBench& kb = kernels[i];
@@ -306,7 +226,6 @@ int WriteMicroJson() {
   std::fprintf(f, "}\n");
   std::fclose(f);
 
-  std::printf("learn: %.0f ns/op\n", learn.ns_per_op);
   for (const KernelBench& kb : kernels) {
     std::printf("%-36s %10.2f ns scalar %10.2f ns %s (%.2fx)\n",
                 kb.name.c_str(), kb.scalar_ns, kb.simd_ns,

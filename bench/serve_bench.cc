@@ -4,13 +4,15 @@
 // latency, throughput and the fleet cycle, as medians over repeated ~2 s
 // runs) in three phases:
 //
-//  1. Profiler overhead: a closed-loop wire workload at Univ-1 scale (114
-//     items, 2 shards, 4 connections) in five off → on → off triples
-//     (SIGPROF sampling at 97 Hz in the on window, which runs until it
-//     holds 50 samples; each off window runs the same request count),
-//     reporting each triple's on-throughput / mean(off-throughputs) and
-//     their median. The gate's absolute floor (>= 0.98) on the median
-//     enforces the <= 2% overhead budget.
+//  1. Profiler cost: the sampling path itself. With the profiler running,
+//     one thread raises SIGPROF N times from a stack deeper than
+//     Profiler::kMaxFrames (each backtrace() fills every frame slot), over
+//     a window of at least 0.1 s, and checks that every raise took a
+//     sample. It reports ns_per_sample and overhead_share = sample_hz x
+//     ns_per_sample: the CPU share sampling takes from a thread that is
+//     busy all the time. The gate's ceiling (<= 0.02) on overhead_share
+//     enforces the <= 2% profiler budget. Profiling a live server is
+//     tested, not timed: obs_test, and tools/check.sh's /debug/pprof smoke.
 //  2. Snapshot-load latency: installing a policy from disk via the two
 //     load paths — v2 deserialize and v2 mmap (zero-copy) — timed against
 //     a 10k-item snapshot large enough (~100 MB full, ~15 MB smoke) that
@@ -23,12 +25,12 @@
 //     work, not a deserialize pass).
 //
 // Usage: serve_bench [--smoke]   (writes BENCH_serve.json to the cwd;
-// --smoke shrinks the request budgets for CI smoke lanes and keeps one
-// short profiler triple)
+// --smoke shrinks the snapshot fixture and the hot-swap request budget)
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
@@ -41,7 +43,6 @@
 #include "core/config.h"
 #include "core/planner.h"
 #include "datagen/synthetic.h"
-#include "mdp/q_table.h"
 #include "mdp/sparse_q_table.h"
 #include "net/client.h"
 #include "net/plan_handler.h"
@@ -55,33 +56,6 @@
 namespace {
 
 using rlplanner::datagen::Dataset;
-
-// Univ-1 CS scale: 114 items, 228 topics (see bench/micro_benchmarks.cc).
-Dataset MakeUniv1ScaleDataset() {
-  rlplanner::datagen::SyntheticSpec spec;
-  spec.num_items = 114;
-  spec.vocab_size = 228;
-  return rlplanner::datagen::GenerateSynthetic(spec);
-}
-
-rlplanner::core::PlannerConfig BenchConfig(const Dataset& dataset) {
-  rlplanner::core::PlannerConfig config = rlplanner::core::DefaultUniv1Config();
-  config.sarsa.num_episodes = 120;
-  config.sarsa.start_item = dataset.default_start;
-  config.seed = 17;
-  return config;
-}
-
-rlplanner::mdp::QTable TrainPolicy(const rlplanner::model::TaskInstance& instance,
-                                   const rlplanner::core::PlannerConfig& config) {
-  rlplanner::core::RlPlanner planner(instance, config);
-  const rlplanner::util::Status status = planner.Train();
-  if (!status.ok()) {
-    std::fprintf(stderr, "training failed: %s\n", status.ToString().c_str());
-    std::exit(1);
-  }
-  return planner.q_table();
-}
 
 // The full plan-serving stack behind the wire: PlanService → PlanHandler →
 // epoll HttpServer on an ephemeral loopback port. Owns the CLI's drain
@@ -123,100 +97,82 @@ struct WireStack {
   std::unique_ptr<rlplanner::net::HttpServer> server;
 };
 
-struct WireResult {
-  double wall_seconds = 0.0;
-  std::uint64_t requests = 0;
-  double requests_per_sec = 0.0;
-  std::uint64_t samples = 0;  // profiler samples in the window (0 when off)
-};
-
-// Closed-loop HTTP clients over loopback: each connection keeps exactly one
-// request in flight, with keep-alive reuse. The connections share one
-// budget: `requests` in all or, when it is 0, as many as they send before
-// `done()` holds. Any transport error or non-200 fails the bench (a healthy
-// closed loop never fills the admission queue).
-WireResult RunWireWindow(std::uint16_t port, const Dataset& dataset,
-                         std::size_t connections, std::uint64_t requests,
-                         const std::function<bool()>& done) {
-  std::atomic<std::uint64_t> tickets{0};
-  const auto begin = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(connections);
-  for (std::size_t c = 0; c < connections; ++c) {
-    threads.emplace_back([&, c] {
-      rlplanner::net::BlockingHttpClient client;
-      if (!client.Connect("127.0.0.1", port).ok()) {
-        std::fprintf(stderr, "wire client connect failed\n");
-        std::exit(1);
-      }
-      for (std::size_t i = 0;; ++i) {
-        const std::uint64_t ticket = tickets.fetch_add(1);
-        if (requests != 0 ? ticket >= requests : done()) break;
-        const std::size_t start = (c * 31 + i) % dataset.catalog.size();
-        const std::string body =
-            "{\"start_item\": " + std::to_string(start) + "}";
-        auto response = client.Request("POST", "/v1/plan", body);
-        if (!response.ok() || response.value().status != 200) {
-          std::fprintf(stderr, "wire request failed: %s\n",
-                       response.ok()
-                           ? std::to_string(response.value().status).c_str()
-                           : response.status().ToString().c_str());
-          std::exit(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const auto end = std::chrono::steady_clock::now();
-
-  WireResult result;
-  result.wall_seconds = std::chrono::duration<double>(end - begin).count();
-  // Each connection drew one ticket past the last request it sent.
-  result.requests = requests != 0 ? requests : tickets.load() - connections;
-  result.requests_per_sec =
-      static_cast<double>(result.requests) / result.wall_seconds;
-  return result;
-}
-
-// One on window: SIGPROF sampling at 97 Hz while the clients plan, until
-// the profiler holds `min_samples` samples. Exits the bench if sampling
-// stalls, rather than hanging.
-WireResult RunProfiledWindow(std::uint16_t port, const Dataset& dataset,
-                             std::size_t connections,
-                             std::uint64_t min_samples) {
-  rlplanner::obs::ProfilerConfig profiler_config;
-  profiler_config.enabled = true;
-  rlplanner::obs::Profiler profiler(profiler_config);
-  if (!profiler.Start().ok()) {
-    std::fprintf(stderr, "profiler start failed\n");
-    std::exit(1);
-  }
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  WireResult result = RunWireWindow(port, dataset, connections, 0, [&] {
-    return profiler.samples_total() >= min_samples ||
-           std::chrono::steady_clock::now() > give_up;
-  });
-  profiler.Stop();
-  result.samples = profiler.samples_total();
-  if (result.samples < min_samples) {
-    std::fprintf(stderr, "profiler took %llu samples in 60 s, wanted %llu\n",
-                 static_cast<unsigned long long>(result.samples),
-                 static_cast<unsigned long long>(min_samples));
-    std::exit(1);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Phases 2 and 3: snapshot loading and zero-copy hot swap at 10k items.
-// ---------------------------------------------------------------------------
-
 double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+// ---------------------------------------------------------------------------
+// Phase 1: the profiler's own cost per sample.
+// ---------------------------------------------------------------------------
+
+struct ProfilerCost {
+  int sample_hz = 0;
+  int frames = 0;             // stack depth the raises came from
+  std::uint64_t signals = 0;  // SIGPROFs raised in the timed window
+  std::uint64_t samples = 0;  // samples_total() growth over the window
+  double wall_s = 0.0;
+  double ns_per_sample = 0.0;
+  double overhead_share = 0.0;  // sample_hz * ns_per_sample * 1e-9
+};
+
+// Written after the recursive call, so that call is never a tail call and
+// every level keeps its frame.
+volatile int g_depth_sink = 0;
+
+// Runs `fn` below `depth` nested frames of this function.
+[[gnu::noinline]] void AtDepth(int depth, const std::function<void()>& fn) {
+  if (depth == 0) {
+    fn();
+  } else {
+    AtDepth(depth - 1, fn);
+  }
+  g_depth_sink = depth;
+}
+
+// Raises SIGPROF on this thread, 1024, 2048, ... times, until the raises
+// fill a window of at least 0.1 s; each raise runs the signal handler's
+// backtrace into the ring synchronously. Exits the bench if a raise took
+// no sample. The profiler's own 97 Hz timer adds a few samples to the
+// window, so ns_per_sample errs high.
+ProfilerCost MeasureProfilerCost() {
+  rlplanner::obs::ProfilerConfig config;
+  config.enabled = true;
+  rlplanner::obs::Profiler profiler(config);
+  if (!profiler.Start().ok()) {
+    std::fprintf(stderr, "profiler start failed\n");
+    std::exit(1);
+  }
+  ProfilerCost cost;
+  cost.sample_hz = profiler.sample_hz();
+  cost.frames = rlplanner::obs::Profiler::kMaxFrames + 8;
+  for (std::uint64_t signals = 1024;; signals *= 2) {
+    const std::uint64_t before = profiler.samples_total();
+    const double begin = Now();
+    AtDepth(cost.frames, [signals] {
+      for (std::uint64_t i = 0; i < signals; ++i) std::raise(SIGPROF);
+    });
+    cost.wall_s = Now() - begin;
+    cost.signals = signals;
+    cost.samples = profiler.samples_total() - before;
+    if (cost.samples < signals || cost.wall_s >= 0.1) break;
+  }
+  profiler.Stop();
+  if (cost.samples < cost.signals) {
+    std::fprintf(stderr, "profiler took %llu samples for %llu SIGPROFs\n",
+                 static_cast<unsigned long long>(cost.samples),
+                 static_cast<unsigned long long>(cost.signals));
+    std::exit(1);
+  }
+  cost.ns_per_sample = cost.wall_s * 1e9 / static_cast<double>(cost.signals);
+  cost.overhead_share = cost.sample_hz * cost.ns_per_sample * 1e-9;
+  return cost;
+}
+
+// ---------------------------------------------------------------------------
+// Phases 2 and 3: snapshot loading and zero-copy hot swap at 10k items.
+// ---------------------------------------------------------------------------
 
 // The 10k-item sparse fixture: a briefly trained policy whose v2 snapshot
 // is padded with deterministic filler entries (tiny negative values, so
@@ -451,84 +407,17 @@ int main(int argc, char** argv) {
   // skips them via the "smoke" context key.
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
 
-  const Dataset dataset = MakeUniv1ScaleDataset();
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  const rlplanner::mdp::RewardWeights weights;
-  const rlplanner::core::PlannerConfig config = BenchConfig(dataset);
-  const rlplanner::mdp::QTable policy = TrainPolicy(instance, config);
+  // Phase 1: the profiler's cost per sample, on this thread alone.
+  const ProfilerCost profiler_cost = MeasureProfilerCost();
+  std::printf(
+      "profiler cost: %.0f ns per sample over %llu SIGPROFs from %d frames "
+      "in %.3f s; %.5f of a busy thread at %d Hz\n",
+      profiler_cost.ns_per_sample,
+      static_cast<unsigned long long>(profiler_cost.signals),
+      profiler_cost.frames, profiler_cost.wall_s,
+      profiler_cost.overhead_share, profiler_cost.sample_hz);
 
-  // Phase 1: profiler overhead on the wire path, judged on the median of
-  // several off → on → off triples; each triple's denominator (the mean of
-  // its two off windows) absorbs machine drift across it. An on window runs
-  // until the profiler holds min_samples samples, so the ratio rests on
-  // enough samples to judge, and each off window runs the request count of
-  // the latest on window (the first, of an unscored on window that also
-  // warms the stack). The profiler is process-global (one ITIMER_PROF), so
-  // the wire stack needs no wiring — arming it profiles the epoll shards and
-  // plan workers alike.
-  constexpr std::size_t kConnections = 4;
-  const int overhead_triples = smoke ? 1 : 5;
-  const std::uint64_t min_samples = smoke ? 5 : 50;
-  struct OverheadTriple {
-    WireResult off, on, off2;
-    double ratio = 0.0;
-  };
-  std::vector<OverheadTriple> triples(
-      static_cast<std::size_t>(overhead_triples));
-  {
-    rlplanner::serve::PolicyRegistry overhead_registry(
-        rlplanner::serve::CatalogFingerprint(dataset.catalog),
-        dataset.catalog.size());
-    if (!overhead_registry
-             .Install("default", policy, config.sarsa, config.seed)
-             .ok()) {
-      return 1;
-    }
-    WireStack stack(instance, weights, overhead_registry, /*workers=*/2,
-                    /*shards=*/2, /*max_queue=*/2 * kConnections + 8);
-    const std::uint16_t port = stack.server->port();
-    const auto off_window = [&](std::uint64_t requests) {
-      return RunWireWindow(port, dataset, kConnections, requests, nullptr);
-    };
-    std::uint64_t requests =
-        RunProfiledWindow(port, dataset, kConnections, min_samples).requests;
-    for (OverheadTriple& triple : triples) {
-      triple.off = off_window(requests);
-      triple.on =
-          RunProfiledWindow(port, dataset, kConnections, min_samples);
-      requests = triple.on.requests;
-      triple.off2 = off_window(requests);
-      triple.ratio = triple.on.requests_per_sec /
-                     (0.5 * (triple.off.requests_per_sec +
-                             triple.off2.requests_per_sec));
-      std::printf(
-          "profiler overhead: off %.0f / on %.0f / off %.0f req/s over %llu "
-          "requests (ratio %.4f, %llu samples)\n",
-          triple.off.requests_per_sec, triple.on.requests_per_sec,
-          triple.off2.requests_per_sec,
-          static_cast<unsigned long long>(requests), triple.ratio,
-          static_cast<unsigned long long>(triple.on.samples));
-    }
-  }
-  std::vector<double> ratios;
-  std::uint64_t profiler_samples = triples.front().on.samples;
-  // The gate's floor check judges the ratio only when the shortest
-  // measurement window clears --min-seconds.
-  double profiler_window_s = triples.front().on.wall_seconds;
-  for (const OverheadTriple& triple : triples) {
-    ratios.push_back(triple.ratio);
-    profiler_samples = std::min(profiler_samples, triple.on.samples);
-    profiler_window_s =
-        std::min({profiler_window_s, triple.off.wall_seconds,
-                  triple.on.wall_seconds, triple.off2.wall_seconds});
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const std::size_t mid = ratios.size() / 2;
-  const double profiler_ratio =
-      ratios.size() % 2 == 1 ? ratios[mid]
-                             : 0.5 * (ratios[mid - 1] + ratios[mid]);
-  std::printf("profiler overhead: median ratio %.4f over %zu triples\n",
-              profiler_ratio, triples.size());
+  const rlplanner::mdp::RewardWeights weights;
 
   // Phase 2: snapshot-load latency across the two install paths, on the
   // 10k-item padded v2 fixture (~101 MB full, ~15 MB smoke).
@@ -589,37 +478,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"catalog_items\": %zu,\n", dataset.catalog.size());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"simd\": \"%s\",\n",
                rlplanner::util::simd::ActiveLevelName());
   std::fprintf(f, "  \"profiler_overhead\": {\n");
-  std::fprintf(f, "    \"sample_hz\": 97,\n");
-  std::fprintf(f, "    \"shards\": 2,\n");
-  std::fprintf(f, "    \"connections\": %zu,\n", kConnections);
-  std::fprintf(f, "    \"min_samples\": %llu,\n",
-               static_cast<unsigned long long>(min_samples));
-  std::fprintf(f, "    \"triples\": [\n");
-  for (std::size_t i = 0; i < triples.size(); ++i) {
-    const OverheadTriple& t = triples[i];
-    std::fprintf(f,
-                 "      {\"requests\": %llu, \"off_requests_per_sec\": %.1f, "
-                 "\"on_requests_per_sec\": %.1f, "
-                 "\"off2_requests_per_sec\": %.1f, \"samples\": %llu, "
-                 "\"on_off_ratio\": %.4f}%s\n",
-                 static_cast<unsigned long long>(t.on.requests),
-                 t.off.requests_per_sec, t.on.requests_per_sec,
-                 t.off2.requests_per_sec,
-                 static_cast<unsigned long long>(t.on.samples), t.ratio,
-                 i + 1 == triples.size() ? "" : ",");
-  }
-  std::fprintf(f, "    ],\n");
+  std::fprintf(f, "    \"sample_hz\": %d,\n", profiler_cost.sample_hz);
+  std::fprintf(f, "    \"frames\": %d,\n", profiler_cost.frames);
+  std::fprintf(f, "    \"signals\": %llu,\n",
+               static_cast<unsigned long long>(profiler_cost.signals));
   std::fprintf(f, "    \"samples\": %llu,\n",
-               static_cast<unsigned long long>(profiler_samples));
-  std::fprintf(f, "    \"wall_s\": %.3f,\n", profiler_window_s);
-  std::fprintf(f, "    \"on_off_ratio\": %.4f\n", profiler_ratio);
+               static_cast<unsigned long long>(profiler_cost.samples));
+  std::fprintf(f, "    \"wall_s\": %.3f,\n", profiler_cost.wall_s);
+  std::fprintf(f, "    \"ns_per_sample\": %.1f,\n",
+               profiler_cost.ns_per_sample);
+  std::fprintf(f, "    \"overhead_share\": %.6f\n",
+               profiler_cost.overhead_share);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"snapshot_load\": [\n");
   for (std::size_t i = 0; i < snapshot_load.size(); ++i) {

@@ -18,11 +18,13 @@ double Clamp15(double value) { return std::clamp(value, 1.0, 5.0); }
 double OrderingQuality(const model::TaskInstance& instance,
                        const model::Plan& plan) {
   if (plan.empty()) return 0.0;
-  const auto positions = plan.PositionTable(instance.catalog->size());
+  const auto position_of = [&plan](model::ItemId id) {
+    return plan.LastPositionOf(id);
+  };
   int satisfied = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const model::Item& item = instance.catalog->item(plan.at(i));
-    if (item.prereqs.SatisfiedAt(positions, static_cast<int>(i),
+    if (item.prereqs.SatisfiedAt(position_of, static_cast<int>(i),
                                  instance.hard.gap)) {
       ++satisfied;
     }

@@ -11,11 +11,13 @@ namespace {
 // expression is not satisfied at their position with the required gap.
 double GapViolations(const model::TaskInstance& instance,
                      const model::Plan& plan) {
-  const auto positions = plan.PositionTable(instance.catalog->size());
+  const auto position_of = [&plan](model::ItemId id) {
+    return plan.LastPositionOf(id);
+  };
   double violations = 0.0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const model::Item& item = instance.catalog->item(plan.at(i));
-    if (!item.prereqs.SatisfiedAt(positions, static_cast<int>(i),
+    if (!item.prereqs.SatisfiedAt(position_of, static_cast<int>(i),
                                   instance.hard.gap)) {
       violations += 1.0;
     }

@@ -17,15 +17,11 @@ int Plan::PositionOf(ItemId item) const {
   return -1;
 }
 
-std::vector<int> Plan::PositionTable(std::size_t catalog_size) const {
-  std::vector<int> table(catalog_size, -1);
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    const ItemId id = items_[i];
-    if (id >= 0 && static_cast<std::size_t>(id) < catalog_size) {
-      table[id] = static_cast<int>(i);
-    }
+int Plan::LastPositionOf(ItemId item) const {
+  for (std::size_t i = items_.size(); i-- > 0;) {
+    if (items_[i] == item) return static_cast<int>(i);
   }
-  return table;
+  return -1;
 }
 
 double Plan::TotalCredits(const Catalog& catalog) const {

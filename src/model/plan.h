@@ -30,9 +30,11 @@ class Plan {
   /// 0-based position of `item`, or -1.
   int PositionOf(ItemId item) const;
 
-  /// Position lookup table over `catalog_size` ids (-1 = absent), as used by
-  /// `PrereqExpr::SatisfiedAt`.
-  std::vector<int> PositionTable(std::size_t catalog_size) const;
+  /// 0-based position of the last occurrence of `item`, or -1. The
+  /// prerequisite-gap check reads positions this way
+  /// (`PrereqExpr::SatisfiedAt`), so a repeated item counts where it was
+  /// last placed.
+  int LastPositionOf(ItemId item) const;
 
   /// Sum of `cr^m` over the plan.
   double TotalCredits(const Catalog& catalog) const;

@@ -21,25 +21,6 @@ void PrereqExpr::AddGroup(std::vector<ItemId> group) {
   groups_.push_back(std::move(group));
 }
 
-bool PrereqExpr::SatisfiedAt(const std::vector<int>& position_of,
-                             int candidate_position, int gap) const {
-  for (const auto& group : groups_) {
-    bool group_ok = false;
-    for (ItemId member : group) {
-      if (member < 0 || static_cast<std::size_t>(member) >= position_of.size()) {
-        continue;
-      }
-      const int pos = position_of[member];
-      if (pos >= 0 && candidate_position - pos >= gap) {
-        group_ok = true;
-        break;
-      }
-    }
-    if (!group_ok) return false;
-  }
-  return true;
-}
-
 std::vector<ItemId> PrereqExpr::ReferencedItems() const {
   std::vector<ItemId> out;
   for (const auto& group : groups_) {

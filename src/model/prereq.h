@@ -36,13 +36,41 @@ class PrereqExpr {
 
   /// Evaluates the expression against a partial plan.
   ///
-  /// `position_of[item]` is the 0-based position of each already-chosen item
+  /// `position_of(item)` is the 0-based position of an already-chosen item
   /// or -1, `candidate_position` is where the new item would be placed, and
   /// `gap` is the minimum allowed distance (the paper's `Dist(pre^m, m) >=
   /// gap`, so a group member at position j satisfies its group iff
   /// `candidate_position - j >= gap`).
+  template <typename PositionOf>
+  bool SatisfiedAt(const PositionOf& position_of, int candidate_position,
+                   int gap) const {
+    for (const auto& group : groups_) {
+      bool group_ok = false;
+      for (ItemId member : group) {
+        const int pos = position_of(member);
+        if (pos >= 0 && candidate_position - pos >= gap) {
+          group_ok = true;
+          break;
+        }
+      }
+      if (!group_ok) return false;
+    }
+    return true;
+  }
+
+  /// The same, reading positions from a table indexed by item id (-1 =
+  /// absent; ids past its end are absent too).
   bool SatisfiedAt(const std::vector<int>& position_of, int candidate_position,
-                   int gap) const;
+                   int gap) const {
+    return SatisfiedAt(
+        [&position_of](ItemId item) {
+          return item >= 0 && static_cast<std::size_t>(item) <
+                                  position_of.size()
+                     ? position_of[static_cast<std::size_t>(item)]
+                     : -1;
+        },
+        candidate_position, gap);
+  }
 
   /// All item ids referenced anywhere in the expression (with duplicates
   /// removed, ascending).

@@ -62,6 +62,25 @@ Status AllowFlags(const CommandLine& cmd,
   return Status::Ok();
 }
 
+Result<std::uint64_t> ParseDecimal(const std::string& text, std::uint64_t min,
+                                   std::uint64_t max, const std::string& what) {
+  std::string range = "[";
+  range += std::to_string(min) + ", " + std::to_string(max) + "]";
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return Status::InvalidArgument(what + " '" + text +
+                                   "' is not a decimal in " + range);
+  }
+  // 19 digits cannot overflow a u64; longer runs count as out of range.
+  const std::uint64_t value =
+      text.size() > 19 ? 0 : std::strtoull(text.c_str(), nullptr, 10);
+  if (text.size() > 19 || value < min || value > max) {
+    return Status::InvalidArgument(what + " " + text + " out of range " +
+                                   range);
+  }
+  return value;
+}
+
 Result<HostPort> ParseHostPort(const std::string& spec) {
   const auto colon = spec.rfind(':');
   if (colon == std::string::npos) {
@@ -73,17 +92,9 @@ Result<HostPort> ParseHostPort(const std::string& spec) {
   if (result.host.empty()) {
     return Status::InvalidArgument("'" + spec + "' has an empty host");
   }
-  const std::string port = spec.substr(colon + 1);
-  if (port.empty() || port.size() > 5 ||
-      port.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument("'" + port + "' is not a valid port");
-  }
-  const long value = std::strtol(port.c_str(), nullptr, 10);
-  if (value < 0 || value > 65535) {
-    return Status::InvalidArgument("port " + port +
-                                   " out of range [0, 65535]");
-  }
-  result.port = static_cast<std::uint16_t>(value);
+  auto port = ParseDecimal(spec.substr(colon + 1), 0, 65535, "port");
+  if (!port.ok()) return port.status();
+  result.port = static_cast<std::uint16_t>(port.value());
   return result;
 }
 

@@ -53,6 +53,12 @@ Status RequireFlags(const CommandLine& cmd,
 Status AllowFlags(const CommandLine& cmd,
                   const std::vector<std::string>& allowed);
 
+/// Parses `text` as a bare decimal integer in [min, max]: no sign, space or
+/// suffix. Anything else is InvalidArgument naming `what`, the text and the
+/// range (the CLIs turn this into usage-on-stderr + exit 2).
+Result<std::uint64_t> ParseDecimal(const std::string& text, std::uint64_t min,
+                                   std::uint64_t max, const std::string& what);
+
 /// A validated `HOST:PORT` pair as parsed from `--listen` / `--target`
 /// flags. `port` 0 is legal and means "bind an ephemeral port".
 struct HostPort {

@@ -61,6 +61,24 @@ TEST_F(ToyCmdpTest, GapViolationDetected) {
             violations.end());
 }
 
+TEST_F(ToyCmdpTest, RepeatedAntecedentCountsAtItsLastPosition) {
+  // m1 -> m2 -> m5 -> m2 -> m4 -> m6, gap 1. m5 needs m2 OR m3: m2 sits
+  // one step before it, but also two steps after, and the gap check reads
+  // an item's last position, so m5 is one gap violation. m6 (m4 AND m2)
+  // still meets both.
+  const Plan plan({0, 1, 4, 1, 3, 5});
+  const CmdpSpec spec = CmdpSpec::FromInstance(instance_);
+  const std::vector<double> costs = spec.Evaluate(plan);
+  bool found = false;
+  for (std::size_t i = 0; i < spec.constraints().size(); ++i) {
+    if (spec.constraints()[i].name == "prerequisite_gap") {
+      EXPECT_DOUBLE_EQ(costs[i], 1.0);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST_F(ToyCmdpTest, DuplicateItemsDetected) {
   const Plan plan({0, 0, 1, 3, 4, 2});
   const CmdpSpec spec = CmdpSpec::FromInstance(instance_);

@@ -319,10 +319,11 @@ TEST(PlanTest, BasicAccessors) {
   EXPECT_EQ(plan.CountByCategory(catalog, 1), 1);
 }
 
-TEST(PlanTest, PositionTable) {
-  Plan plan({1});
-  const auto table = plan.PositionTable(3);
-  EXPECT_EQ(table, (std::vector<int>{-1, 0, -1}));
+TEST(PlanTest, LastPositionOfReadsTheLastOccurrence) {
+  Plan plan({1, 0, 1});
+  EXPECT_EQ(plan.LastPositionOf(1), 2);
+  EXPECT_EQ(plan.LastPositionOf(0), 1);
+  EXPECT_EQ(plan.LastPositionOf(2), -1);
 }
 
 TEST(PlanTest, TypeSequenceAndCoveredTopics) {

@@ -477,6 +477,25 @@ TEST(ParseHostPortTest, RejectsMalformedSpecsByName) {
   }
 }
 
+TEST(ParseDecimalTest, AcceptsBareDecimalsInRange) {
+  EXPECT_EQ(ParseDecimal("0", 0, 1000, "--x").value(), 0u);
+  EXPECT_EQ(ParseDecimal("1000", 0, 1000, "--x").value(), 1000u);
+  EXPECT_EQ(ParseDecimal("007", 1, 8, "--x").value(), 7u);
+}
+
+TEST(ParseDecimalTest, RejectsSignsGarbageAndOutOfRange) {
+  for (const char* text : {"-1", "+1", "", " 1", "1 ", "1e3", "0x10", "4k",
+                           "1025", "0", "99999999999999999999999"}) {
+    auto parsed = ParseDecimal(text, 1, 1024, "--threads");
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(parsed.status().message().find("--threads"), std::string::npos)
+        << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find("[1, 1024]"), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(JsonParseTest, ParsesScalarsArraysAndObjects) {
   auto document = json::Parse(
       " {\"a\": 1, \"b\": -2.5e2, \"c\": [true, false, null], "

@@ -2,19 +2,21 @@
 """Perf-regression gate over the checked-in benchmark baselines.
 
 Compares a fresh benchmark run (BENCH_micro.json / BENCH_train.json /
-BENCH_serve.json / BENCH_scalability.json, as written by
-build/bench/{micro_benchmarks,train_bench,serve_bench,fig2_scalability})
-against the baselines checked into the repo root, and fails (exit 1) when
-any comparable entry regressed beyond the tolerance.
+BENCH_serve.json, as written by
+build/bench/{micro_benchmarks,train_bench,serve_bench}) against the
+baselines checked into the repo root, and fails (exit 1) when any
+comparable entry regressed beyond the tolerance.
 
 Design constraints, in order:
 
   * No false failures on shared/noisy runners. Entries measured over tiny
     wall-clock windows (the sub-10ms train_bench scenarios vary 4x run-to-run
     on a 1-core container) are skipped via --min-seconds; everything else
-    gets a generous multiplicative --tolerance.
+    gets a generous multiplicative --tolerance on its cost ratio: ns/op
+    fresh/baseline, or throughput baseline/fresh, so both directions fail
+    at the same ratio the verdict line prints.
   * Like-for-like only. A baseline recorded at a different SIMD dispatch
-    level, hardware thread count, catalog size, or smoke setting is not
+    level, hardware thread count, or smoke setting is not
     comparable; mismatched files are skipped with a warning instead of
     producing nonsense verdicts. (Refresh the baseline on the new hardware
     rather than loosening the tolerance.) Entries that carry a `q_repr`
@@ -30,7 +32,7 @@ Usage:
   tools/bench_gate.py --self-test
 
 Refreshing a baseline after an intentional change (new kernel, different
-benchmark budget): rerun the four binaries from build/bench and copy the
+benchmark budget): rerun the three binaries from build/bench and copy the
 JSON files over the repo-root copies (see EXPERIMENTS.md).
 """
 
@@ -44,10 +46,8 @@ import sys
 # (ns/op), "higher" = larger is better (throughput).
 GATE_SPEC = {
     "BENCH_micro.json": {
-        "context": ["simd", "catalog_items"],
+        "context": ["simd"],
         "sections": [
-            ("benchmarks", lambda e: e["name"],
-             [("ns_per_op", "lower")], None),
             ("kernels", lambda e: e["name"],
              [("scalar_ns_per_op", "lower"), ("simd_ns_per_op", "lower")],
              None),
@@ -61,30 +61,21 @@ GATE_SPEC = {
              [("episodes_per_sec", "higher")], "seconds"),
         ],
     },
-    "BENCH_scalability.json": {
-        "context": ["simd", "smoke"],
-        "sections": [
-            ("benchmarks",
-             lambda e: f"{e['name']}/{e.get('q_repr', 'dense')}",
-             [("ops_per_sec", "higher")], "seconds"),
-        ],
-    },
     "BENCH_serve.json": {
-        "context": ["simd", "catalog_items", "hardware_threads", "smoke"],
+        "context": ["simd", "hardware_threads", "smoke"],
         "sections": [
             ("snapshot_load",
              lambda e: f"{e['format']}/{e['mode']}",
              [("seconds", "lower")], "seconds"),
         ],
-        # Absolute floors: (object section, field, floor, window field).
-        # Judged against the fresh run alone — the profiler-overhead ratio
-        # is on-vs-off on the *same* machine in the *same* run, so neither
-        # the checked-in baseline nor --tolerance may loosen it, and a
-        # context mismatch that skips the relative sections leaves floors
-        # armed. The 0.98 floor is the serving layer's <= 2% profiler
-        # overhead budget.
-        "floors": [
-            ("profiler_overhead", "on_off_ratio", 0.98, "wall_s"),
+        # Absolute ceilings: (object section, field, ceiling, window field).
+        # Judged against the fresh run alone — the profiler's overhead share
+        # is its own cost per sample times its sample rate, so neither the
+        # checked-in baseline nor --tolerance may loosen it, and a context
+        # mismatch that skips the relative sections leaves ceilings armed.
+        # The 0.02 ceiling is the serving layer's <= 2% profiler budget.
+        "ceilings": [
+            ("profiler_overhead", "overhead_share", 0.02, "wall_s"),
         ],
     },
 }
@@ -101,9 +92,9 @@ def compare_file(name, baseline, fresh, tolerance, min_seconds):
     spec = GATE_SPEC[name]
     failures, skipped, passed = [], [], []
 
-    # Floors first: absolute, baseline-independent, and deliberately outside
-    # the context gate (a self-relative ratio is comparable on any machine).
-    for section, field, floor, window_field in spec.get("floors", []):
+    # Ceilings first: absolute, baseline-independent, and deliberately
+    # outside the context gate (a budget share holds on any machine).
+    for section, field, ceiling, window_field in spec.get("ceilings", []):
         label = f"{name}:{section}.{field}"
         entry = fresh.get(section)
         if not isinstance(entry, dict) or field not in entry:
@@ -116,10 +107,10 @@ def compare_file(name, baseline, fresh, tolerance, min_seconds):
                 f"--min-seconds={min_seconds} (too noisy to judge)")
             continue
         value = entry[field]
-        verdict = (f"{label}: {value:.4f} vs absolute floor {floor:.4f} "
+        verdict = (f"{label}: {value:.6f} vs absolute ceiling {ceiling:.4f} "
                    f"(tolerance does not apply)")
-        if value < floor:
-            failures.append("FLOOR " + verdict)
+        if value > ceiling:
+            failures.append("CEILING " + verdict)
         else:
             passed.append(verdict)
 
@@ -157,12 +148,12 @@ def compare_file(name, baseline, fresh, tolerance, min_seconds):
                 if not base_v or fresh_v is None:
                     skipped.append(f"{label}.{field}: value missing or zero")
                     continue
+                # The cost ratio: > 1 is worse, in either direction.
                 if direction == "lower":
                     ratio = fresh_v / base_v
-                    regressed = fresh_v > base_v * (1.0 + tolerance)
                 else:
                     ratio = base_v / fresh_v if fresh_v else float("inf")
-                    regressed = fresh_v < base_v * (1.0 - tolerance)
+                regressed = ratio > 1.0 + tolerance
                 verdict = (f"{label}.{field}: baseline {base_v:.2f} -> "
                            f"fresh {fresh_v:.2f} ({ratio:.2f}x of baseline "
                            f"cost, tolerance {1.0 + tolerance:.2f}x)")
@@ -219,12 +210,7 @@ def self_test():
 
     baseline = {
         "BENCH_micro.json": {
-            "catalog_items": 114,
             "simd": "avx2",
-            "benchmarks": [
-                {"name": "learn/optimized", "ns_per_op": 100.0,
-                 "items_per_sec": 1e6},
-            ],
             "kernels": [
                 {"name": "popcount_words/16384b", "scalar_ns_per_op": 900.0,
                  "simd_ns_per_op": 90.0, "speedup": 10.0},
@@ -242,7 +228,6 @@ def self_test():
             ],
         },
         "BENCH_serve.json": {
-            "catalog_items": 114,
             "hardware_threads": 1,
             "smoke": False,
             "simd": "avx2",
@@ -254,21 +239,10 @@ def self_test():
                  "snapshot_bytes": 105906176, "seconds": 0.0001},
             ],
             "profiler_overhead": {
-                "sample_hz": 97, "shards": 2, "connections": 4,
-                "off_requests_per_sec": 11000.0,
-                "on_requests_per_sec": 10950.0,
-                "off2_requests_per_sec": 11020.0,
-                "samples": 300, "wall_s": 0.8, "on_off_ratio": 0.995,
+                "sample_hz": 97, "frames": 32, "signals": 16384,
+                "samples": 16390, "wall_s": 0.104, "ns_per_sample": 6300.0,
+                "overhead_share": 0.000611,
             },
-        },
-        "BENCH_scalability.json": {
-            "simd": "avx2",
-            "smoke": False,
-            "benchmarks": [
-                {"name": "learn_synth10k/N100", "items": 10000,
-                 "q_repr": "sparse", "seconds": 1.0,
-                 "ops_per_sec": 100.0},
-            ],
         },
     }
 
@@ -308,6 +282,16 @@ def self_test():
                        not run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                     verbose=False)))
 
+        # 3b. Throughput is judged on the cost ratio it prints: 400 -> 220
+        # episodes/s is 1.82x the baseline cost, past a 1.50x tolerance,
+        # although 220 is above 400 x (1 - 0.5).
+        slower = copy.deepcopy(baseline)
+        slower["BENCH_train.json"]["benchmarks"][0]["episodes_per_sec"] = 220.0
+        write_tree(fresh_dir, slower)
+        checks.append(("1.82x throughput cost fails at tolerance 0.5",
+                       not run_gate(base_dir, fresh_dir, 0.50, 0.05,
+                                    verbose=False)))
+
         # 3c. A slower snapshot load beyond tolerance fails (the mmap entry
         # sits below --min-seconds, so only the deserialize entry is armed).
         slow_load = copy.deepcopy(baseline)
@@ -317,39 +301,19 @@ def self_test():
                        not run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                     verbose=False)))
 
-        # 3d. A scalability throughput drop beyond tolerance fails.
-        scale_dropped = copy.deepcopy(baseline)
-        scale_dropped["BENCH_scalability.json"]["benchmarks"][0][
-            "ops_per_sec"] = 10.0
-        write_tree(fresh_dir, scale_dropped)
-        checks.append(("scalability throughput drop fails",
-                       not run_gate(base_dir, fresh_dir, 0.30, 0.05,
-                                    verbose=False)))
-
-        # 3e. The same drop under a flipped q_repr is a representation
-        # switch, not a regression: the keys no longer match, so both sides
-        # are reported as skips.
-        switched = copy.deepcopy(scale_dropped)
-        switched["BENCH_scalability.json"]["benchmarks"][0][
-            "q_repr"] = "dense"
-        write_tree(fresh_dir, switched)
-        checks.append(("q_repr switch skips, never fails",
-                       run_gate(base_dir, fresh_dir, 0.30, 0.05,
-                                verbose=False)))
-
-        # 3h. Profiler overhead past the 2% budget trips the absolute floor
-        # even though 0.90 is well inside the 30% relative tolerance of the
-        # baseline's 0.995 — floors ignore both baseline and tolerance.
+        # 3h. Profiler overhead past the 2% budget trips the absolute
+        # ceiling, whatever the baseline read — ceilings ignore both
+        # baseline and tolerance.
         slow_profiler = copy.deepcopy(baseline)
         slow_profiler["BENCH_serve.json"]["profiler_overhead"][
-            "on_off_ratio"] = 0.90
+            "overhead_share"] = 0.025
         write_tree(fresh_dir, slow_profiler)
-        checks.append(("profiler overhead past floor fails",
+        checks.append(("profiler overhead past ceiling fails",
                        not run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                     verbose=False)))
 
-        # 3i. The same ratio over a sub-min-seconds window is skipped — a
-        # 10ms wire run cannot judge a 2% budget.
+        # 3i. The same share over a sub-min-seconds window is skipped: too
+        # few samples to time.
         noisy_profiler = copy.deepcopy(slow_profiler)
         noisy_profiler["BENCH_serve.json"]["profiler_overhead"][
             "wall_s"] = 0.01
@@ -358,13 +322,12 @@ def self_test():
                        run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                 verbose=False)))
 
-        # 3j. Floors stay armed when a context mismatch skips the relative
-        # sections: the on-vs-off ratio is self-relative, so it is
-        # comparable on any machine.
+        # 3j. Ceilings stay armed when a context mismatch skips the relative
+        # sections: a budget share holds on any machine.
         mismatched_profiler = copy.deepcopy(slow_profiler)
         mismatched_profiler["BENCH_serve.json"]["hardware_threads"] = 64
         write_tree(fresh_dir, mismatched_profiler)
-        checks.append(("floor survives context mismatch",
+        checks.append(("ceiling survives context mismatch",
                        not run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                     verbose=False)))
 
@@ -392,12 +355,12 @@ def self_test():
                        run_gate(base_dir, fresh_dir, 0.30, 0.05,
                                 verbose=False)))
 
-        # 7. The report prints "ok" only for passes: a breached floor and a
+        # 7. The report prints "ok" only for passes: a breached ceiling and a
         # regressed kernel each appear once as FAIL and never as ok, while
         # the entries that held still print ok.
         for label, docs, entry in (
-                ("floor breach", slow_profiler,
-                 "profiler_overhead.on_off_ratio"),
+                ("ceiling breach", slow_profiler,
+                 "profiler_overhead.overhead_share"),
                 ("regression", slowed,
                  "popcount_words/16384b.simd_ns_per_op")):
             write_tree(fresh_dir, docs)

@@ -7,11 +7,10 @@
 #   3. TSan (-DRLPLANNER_SANITIZE=thread) over the concurrency-heavy tests
 #      (the serving layer, the parallel SARSA trainer, and their
 #      thread-pool substrate).
-# The Release lane also smoke-runs bench/train_bench and
-# bench/fig2_scalability (the latter keeps its 10k-item sparse lane even in
-# smoke mode) with tiny episode budgets and validates the BENCH_*.json they
-# emit, so a malformed benchmark artifact fails the check rather than the
-# downstream plots —
+# The Release lane also smoke-runs bench/train_bench with tiny episode
+# budgets (its 10k-item sparse catalog trains at every worker count even in
+# smoke mode) and validates the BENCH_train.json it emits, so a malformed
+# benchmark artifact fails the check rather than the downstream plots —
 # and likewise validates the CLI's --metrics-out JSON and --trace-out
 # Chrome trace-event file (the artifact docs/observability.md documents).
 # A fleet smoke lane runs `rlplanner_cli fleet status` as a three-policy
@@ -30,8 +29,8 @@
 # Set RLPLANNER_SANITIZE=thread to run only the TSan lane (the mode CI's
 # sanitizer matrix uses); any other value runs everything.
 # `tools/check.sh smoke` runs only the Release smoke lanes and their
-# validators (train_bench, fig2_scalability, --metrics-out, --trace-out,
-# the fleet drill and the wire server) against an existing Release build/;
+# validators (train_bench, --metrics-out, --trace-out, the fleet drill and
+# the wire server) against an existing Release build/;
 # CI's release job runs exactly that, so each validator has one copy.
 # Usage: tools/check.sh [smoke]  (from the repo root; build trees go to
 # build/, build-sanitize/, and build-tsan/).
@@ -73,39 +72,12 @@ run_bench_gate() {
   # gate skips cross-context comparisons. The big-catalog lanes (100k-item
   # training, the ~100 MB snapshot fixture) push this to a couple minutes.
   (cd build/bench && ./micro_benchmarks > /dev/null \
-    && ./train_bench > /dev/null && ./serve_bench > /dev/null \
-    && ./fig2_scalability > /dev/null)
+    && ./train_bench > /dev/null && ./serve_bench > /dev/null)
   python3 tools/bench_gate.py --baseline-dir . --fresh-dir build/bench
 }
 
-run_scalability_smoke() {
-  echo "==> Scalability-bench smoke run (10k sparse lane + JSON shape check)"
-  # --smoke keeps the 10k-item sparse catalog but trims episode/rep budgets,
-  # so the big-catalog path (sparse SARSA end to end) runs on every check.
-  (cd build/bench && ./fig2_scalability --smoke)
-  python3 - <<'EOF'
-import json
-with open("build/bench/BENCH_scalability.json") as f:
-    doc = json.load(f)
-assert doc["smoke"] is True
-runs = doc["benchmarks"]
-assert runs, "no benchmark entries"
-for run in runs:
-    for key in ("name", "items", "q_repr", "seconds", "ops_per_sec"):
-        assert key in run, f"missing {key} in {run.get('name', '?')}"
-    assert run["ops_per_sec"] > 0, run["name"]
-sparse_10k = [r for r in runs
-              if r["items"] == 10000 and r["q_repr"] == "sparse"]
-assert sparse_10k, "no 10k-item sparse entries — big-catalog lane missing"
-assert any(r["name"].startswith("learn_") for r in sparse_10k), sparse_10k
-assert any(r["name"].startswith("recommend_") for r in sparse_10k), sparse_10k
-print(f"BENCH_scalability.json OK ({len(runs)} entries, "
-      f"{len(sparse_10k)} sparse 10k lanes)")
-EOF
-}
-
 run_bench_smoke() {
-  echo "==> Training-bench smoke run (JSON shape check)"
+  echo "==> Training-bench smoke run (10k sparse lane + JSON shape check)"
   # Run from build/bench so the artifact lands next to the binary (the same
   # path the validator and CI's artifact upload read).
   (cd build/bench && ./train_bench --smoke)
@@ -118,13 +90,20 @@ assert doc["smoke"] is True
 runs = doc["benchmarks"]
 assert runs, "no benchmark entries"
 for run in runs:
-    for key in ("name", "mode", "workers", "episodes", "seconds",
-                "episodes_per_sec", "time_to_safe_seconds", "steps",
-                "td_error_abs_p95", "merge_wait_p95_us"):
+    for key in ("name", "mode", "workers", "catalog_items", "episodes",
+                "q_repr", "seconds", "episodes_per_sec",
+                "time_to_safe_seconds", "steps", "td_error_abs_p95",
+                "merge_wait_p95_us"):
         assert key in run, f"missing {key} in {run.get('name', '?')}"
     assert run["episodes_per_sec"] > 0, run["name"]
     assert run["steps"] > 0, run["name"]
-print(f"BENCH_train.json OK ({len(runs)} entries)")
+# Sparse SARSA end to end at 10k items, serial and sharded (steps > 0 is
+# checked above for every row).
+rows_10k = [run for run in runs if run["catalog_items"] == 10000]
+assert all(run["q_repr"] == "sparse" for run in rows_10k), rows_10k
+assert sorted(run["workers"] for run in rows_10k) == [1, 2, 4, 8], rows_10k
+print(f"BENCH_train.json OK ({len(runs)} entries, 10k sparse at K = 1, 2, "
+      f"4, 8)")
 EOF
 }
 
@@ -429,7 +408,6 @@ EOF
 
 run_smoke_lanes() {
   run_bench_smoke
-  run_scalability_smoke
   run_metrics_smoke
   run_trace_smoke
   run_fleet_smoke

@@ -146,6 +146,21 @@ int Usage(const std::string& error) {
   return 2;
 }
 
+// Counts that size threads, queues and traffic shares: a decimal in
+// [min, max], or `fallback` when the flag is unset. Commands read them
+// before any training, so a bad one is a usage error, never a huge size.
+constexpr std::uint64_t kMaxThreads = 1024;
+
+rlplanner::util::Result<std::uint64_t> CountFlag(const CommandLine& cmd,
+                                                 const std::string& flag,
+                                                 std::uint64_t fallback,
+                                                 std::uint64_t min,
+                                                 std::uint64_t max) {
+  const auto value = cmd.GetFlag(flag);
+  if (!value.has_value()) return fallback;
+  return rlplanner::util::ParseDecimal(*value, min, max, "--" + flag);
+}
+
 std::optional<Dataset> LoadDataset(const std::string& spec) {
   using namespace rlplanner::datagen;
   if (spec == "toy") return MakeTableIIToy();
@@ -608,13 +623,13 @@ void OnShutdownSignal(int) { g_shutdown_signal = 1; }
 // meanwhile), then the server drains its connections, then the workers join.
 int RunWireServer(rlplanner::serve::PlanService& service,
                   const rlplanner::util::HostPort& listen,
+                  std::size_t shards,
                   rlplanner::net::PlanHandler::Options options,
                   const CommandLine& cmd) {
   rlplanner::net::HttpServerConfig server_config;
   server_config.host = listen.host;
   server_config.port = listen.port;
-  server_config.num_shards = static_cast<std::size_t>(
-      std::atoi(cmd.GetFlagOr("shards", "0").c_str()));
+  server_config.num_shards = shards;
   server_config.metrics = options.metrics;
   server_config.trace = options.trace;
   rlplanner::net::PlanHandler handler(&service, std::move(options));
@@ -678,6 +693,13 @@ int CmdServe(const Dataset& dataset, const CommandLine& cmd) {
     auto parsed = rlplanner::util::ParseHostPort(*spec);
     if (!parsed.ok()) return Usage(parsed.status().message());
     listen = parsed.value();
+  }
+  const auto threads = CountFlag(cmd, "threads", 4, 1, kMaxThreads);
+  const auto queue = CountFlag(cmd, "queue", 256, 1, 1u << 20);
+  const auto shards = CountFlag(cmd, "shards", 0, 0, kMaxThreads);
+  const auto canary_permille = CountFlag(cmd, "canary-permille", 200, 0, 1000);
+  for (const auto* count : {&threads, &queue, &shards, &canary_permille}) {
+    if (!count->ok()) return Usage(count->status().message());
   }
   const rlplanner::model::TaskInstance instance = dataset.Instance();
   rlplanner::core::PlannerConfig config = BuildConfig(dataset, cmd);
@@ -766,8 +788,8 @@ int CmdServe(const Dataset& dataset, const CommandLine& cmd) {
   if (fleet_policies > 0) {
     fleet_pool = std::make_unique<rlplanner::util::ThreadPool>();
     rlplanner::fleet::FleetConfig fleet_config;
-    fleet_config.canary_permille = static_cast<std::uint32_t>(
-        std::atoi(cmd.GetFlagOr("canary-permille", "200").c_str()));
+    fleet_config.canary_permille =
+        static_cast<std::uint32_t>(canary_permille.value());
     fleet_config.canary_hold_ticks =
         std::atoi(cmd.GetFlagOr("hold-ticks", "1").c_str());
     fleet_config.reward_band =
@@ -803,10 +825,8 @@ int CmdServe(const Dataset& dataset, const CommandLine& cmd) {
   }
 
   rlplanner::serve::PlanServiceConfig service_config;
-  service_config.num_workers = static_cast<std::size_t>(
-      std::atoi(cmd.GetFlagOr("threads", "4").c_str()));
-  service_config.max_queue = static_cast<std::size_t>(
-      std::atoi(cmd.GetFlagOr("queue", "256").c_str()));
+  service_config.num_workers = static_cast<std::size_t>(threads.value());
+  service_config.max_queue = static_cast<std::size_t>(queue.value());
   service_config.default_deadline_ms =
       std::atof(cmd.GetFlagOr("deadline-ms", "0").c_str());
   service_config.metrics = &metrics_registry;
@@ -857,8 +877,9 @@ int CmdServe(const Dataset& dataset, const CommandLine& cmd) {
       handler_options.fleet_status =
           [fleet_ptr = fleet.get()] { return fleet_ptr->StatusJson(); };
     }
-    const int wire_rc =
-        RunWireServer(service, *listen, std::move(handler_options), cmd);
+    const int wire_rc = RunWireServer(
+        service, *listen, static_cast<std::size_t>(shards.value()),
+        std::move(handler_options), cmd);
     if (fleet != nullptr) {
       std::fprintf(stderr, "fleet: %s\n", fleet->SummaryJson().c_str());
     }
@@ -985,6 +1006,8 @@ int CmdProfile(const Dataset& dataset, const CommandLine& cmd) {
 // machine-readable flavor the smoke lane parses).
 int CmdFleet(const Dataset& dataset, const CommandLine& cmd,
              const std::string& mode) {
+  const auto canary_permille = CountFlag(cmd, "canary-permille", 200, 0, 1000);
+  if (!canary_permille.ok()) return Usage(canary_permille.status().message());
   const rlplanner::model::TaskInstance instance = dataset.Instance();
   rlplanner::core::PlannerConfig config = BuildConfig(dataset, cmd);
   const bool verbose = mode == "run";
@@ -999,8 +1022,8 @@ int CmdFleet(const Dataset& dataset, const CommandLine& cmd,
   rlplanner::util::ThreadPool pool;
 
   rlplanner::fleet::FleetConfig fleet_config;
-  fleet_config.canary_permille = static_cast<std::uint32_t>(
-      std::atoi(cmd.GetFlagOr("canary-permille", "200").c_str()));
+  fleet_config.canary_permille =
+      static_cast<std::uint32_t>(canary_permille.value());
   fleet_config.canary_hold_ticks =
       std::atoi(cmd.GetFlagOr("hold-ticks", "1").c_str());
   fleet_config.reward_band =
@@ -1087,6 +1110,13 @@ int main(int argc, char** argv) {
                 "workers"});
       !status.ok()) {
     return Usage(status.message());
+  }
+  // Only `snapshot-info FILE` and `fleet <run|status>` take a positional.
+  // Elsewhere a stray one is often a flag value starting with '-' (as in
+  // `--threads -1`, which binds --threads as a boolean): write --flag=-1.
+  if (!cmd.positional.empty() && cmd.command != "snapshot-info" &&
+      cmd.command != "fleet") {
+    return Usage("unexpected argument '" + cmd.positional.front() + "'");
   }
   if (cmd.command == "list") return CmdList();
   if (cmd.command == "snapshot-info") {
