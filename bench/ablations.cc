@@ -7,7 +7,9 @@
 //   D. exploration epsilon 0 / 0.1 / 0.3.
 //
 // Each row reports the mean score and the fraction of runs whose plan
-// satisfies every hard constraint, over 10 seeds on Univ-1 DS-CT and NYC.
+// satisfies every hard constraint, over 10 seeds on Univ-1 DS-CT and NYC,
+// from eval::RunMethod's RL-Planner (Avg) runs: the defaults row equals
+// Figure 1's RL-Planner (Avg) cell.
 
 #include <cstdio>
 #include <functional>
@@ -15,43 +17,23 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/planner.h"
-#include "core/validation.h"
 #include "datagen/course_data.h"
 #include "datagen/trip_data.h"
+#include "eval/experiment.h"
+#include "paper_bench.h"
 #include "util/string_util.h"
 #include "util/table.h"
 
 namespace {
 
+using rlplanner::bench::Pool;
 using rlplanner::core::PlannerConfig;
-using rlplanner::core::RlPlanner;
 using rlplanner::datagen::Dataset;
+using rlplanner::eval::ExperimentResult;
+using rlplanner::eval::Method;
+using rlplanner::eval::RunMethod;
 
 constexpr int kRuns = 10;
-
-struct AblationResult {
-  double mean_score = 0.0;
-  double valid_fraction = 0.0;
-};
-
-AblationResult Run(const Dataset& dataset, PlannerConfig config) {
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  config.sarsa.start_item = dataset.default_start;
-  AblationResult result;
-  for (int run = 0; run < kRuns; ++run) {
-    config.seed = 1000 + static_cast<std::uint64_t>(run);
-    RlPlanner planner(instance, config);
-    if (!planner.Train().ok()) continue;
-    auto plan = planner.Recommend(dataset.default_start);
-    if (!plan.ok()) continue;
-    result.mean_score += planner.Score(plan.value());
-    if (planner.Validate(plan.value()).valid) result.valid_fraction += 1.0;
-  }
-  result.mean_score /= kRuns;
-  result.valid_fraction /= kRuns;
-  return result;
-}
 
 using Variant = std::pair<std::string, std::function<void(PlannerConfig&)>>;
 
@@ -62,7 +44,8 @@ void RunTable(const char* title, const Dataset& dataset,
   for (const auto& [label, mutate] : variants) {
     PlannerConfig config = base;
     mutate(config);
-    const AblationResult result = Run(dataset, config);
+    const ExperimentResult result =
+        RunMethod(dataset, Method::kRlPlannerAvg, config, kRuns, 1000, &Pool());
     table.AddRow({label, rlplanner::util::FormatDouble(result.mean_score, 2),
                   rlplanner::util::FormatDouble(result.valid_fraction, 2)});
   }

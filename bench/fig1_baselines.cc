@@ -14,12 +14,13 @@
 #include "datagen/course_data.h"
 #include "datagen/trip_data.h"
 #include "eval/experiment.h"
+#include "paper_bench.h"
 #include "util/string_util.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace {
 
+using rlplanner::bench::Pool;
 using rlplanner::core::PlannerConfig;
 using rlplanner::datagen::Dataset;
 using rlplanner::eval::ExperimentResult;
@@ -33,13 +34,6 @@ struct Row {
 };
 
 constexpr int kRuns = 10;
-
-// Process-wide worker pool: the 10 seeded runs of each method fan out
-// across it; results are bit-identical to a serial loop.
-rlplanner::util::ThreadPool& Pool() {
-  static rlplanner::util::ThreadPool pool;
-  return pool;
-}
 
 void RunPanel(const char* title, const std::vector<Row>& rows) {
   std::printf("%s\n", title);

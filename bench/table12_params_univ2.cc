@@ -12,7 +12,7 @@
 #include "core/config.h"
 #include "datagen/course_data.h"
 #include "eval/sweep.h"
-#include "util/thread_pool.h"
+#include "paper_bench.h"
 #include "util/string_util.h"
 
 namespace {
@@ -22,39 +22,9 @@ using rlplanner::eval::RunSweep;
 using rlplanner::eval::SweepRow;
 using rlplanner::eval::SweepValue;
 using rlplanner::util::FormatDouble;
+using namespace rlplanner::bench;
 
 constexpr int kRuns = 10;
-
-// Process-wide worker pool: independent (seed, sweep-point) SARSA runs fan
-// out across it; results are bit-identical to a serial sweep.
-rlplanner::util::ThreadPool& Pool() {
-  static rlplanner::util::ThreadPool pool;
-  return pool;
-}
-
-SweepValue Episodes(int n) {
-  return {std::to_string(n),
-          [n](PlannerConfig& c) { c.sarsa.num_episodes = n; }, nullptr,
-          false};
-}
-
-SweepValue Alpha(double alpha) {
-  return {FormatDouble(alpha, 2),
-          [alpha](PlannerConfig& c) { c.sarsa.alpha = alpha; }, nullptr,
-          false};
-}
-
-SweepValue Gamma(double gamma) {
-  return {FormatDouble(gamma, 2),
-          [gamma](PlannerConfig& c) { c.sarsa.gamma = gamma; }, nullptr,
-          false};
-}
-
-SweepValue EpsilonValue(double epsilon) {
-  return {FormatDouble(epsilon, 4),
-          [epsilon](PlannerConfig& c) { c.reward.epsilon = epsilon; },
-          nullptr, true};
-}
 
 SweepValue CategoryWeights(std::vector<double> weights) {
   std::vector<std::string> parts;
@@ -64,23 +34,6 @@ SweepValue CategoryWeights(std::vector<double> weights) {
             c.reward.category_weights = weights;
           },
           nullptr, true};
-}
-
-SweepValue DeltaBeta(double delta, double beta) {
-  return {FormatDouble(delta, 2) + "/" + FormatDouble(beta, 2),
-          [delta, beta](PlannerConfig& c) {
-            c.reward.delta = delta;
-            c.reward.beta = beta;
-          },
-          nullptr, true};
-}
-
-SweepValue StartPoint(const rlplanner::datagen::Dataset& dataset,
-                      const char* code) {
-  const rlplanner::model::ItemId id =
-      dataset.catalog.FindByCode(code).value();
-  return {code, [id](PlannerConfig& c) { c.sarsa.start_item = id; }, nullptr,
-          false};
 }
 
 }  // namespace

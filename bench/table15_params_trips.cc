@@ -12,7 +12,7 @@
 #include "core/config.h"
 #include "datagen/trip_data.h"
 #include "eval/sweep.h"
-#include "util/thread_pool.h"
+#include "paper_bench.h"
 #include "util/string_util.h"
 
 namespace {
@@ -23,33 +23,9 @@ using rlplanner::eval::RunSweep;
 using rlplanner::eval::SweepRow;
 using rlplanner::eval::SweepValue;
 using rlplanner::util::FormatDouble;
+using namespace rlplanner::bench;
 
 constexpr int kRuns = 10;
-
-// Process-wide worker pool: independent (seed, sweep-point) SARSA runs fan
-// out across it; results are bit-identical to a serial sweep.
-rlplanner::util::ThreadPool& Pool() {
-  static rlplanner::util::ThreadPool pool;
-  return pool;
-}
-
-SweepValue Episodes(int n) {
-  return {std::to_string(n),
-          [n](PlannerConfig& c) { c.sarsa.num_episodes = n; }, nullptr,
-          false};
-}
-
-SweepValue Alpha(double alpha) {
-  return {FormatDouble(alpha, 2),
-          [alpha](PlannerConfig& c) { c.sarsa.alpha = alpha; }, nullptr,
-          false};
-}
-
-SweepValue Gamma(double gamma) {
-  return {FormatDouble(gamma, 2),
-          [gamma](PlannerConfig& c) { c.sarsa.gamma = gamma; }, nullptr,
-          false};
-}
 
 SweepValue DistanceThreshold(double d) {
   return {FormatDouble(d, 1),
@@ -61,15 +37,6 @@ SweepValue DistanceThreshold(double d) {
 SweepValue TimeThreshold(double t) {
   return {FormatDouble(t, 1), nullptr,
           [t](Dataset& dataset) { dataset.hard.min_credits = t; }, true};
-}
-
-SweepValue DeltaBeta(double delta, double beta) {
-  return {FormatDouble(delta, 2) + "/" + FormatDouble(beta, 2),
-          [delta, beta](PlannerConfig& c) {
-            c.reward.delta = delta;
-            c.reward.beta = beta;
-          },
-          nullptr, true};
 }
 
 void RunCity(const char* city,

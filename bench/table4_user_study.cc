@@ -9,108 +9,50 @@
 // 4.2 vs 4.5 for trips).
 
 #include <cstdio>
-#include <vector>
 
-#include "baselines/gold.h"
 #include "core/config.h"
-#include "core/planner.h"
 #include "datagen/course_data.h"
 #include "datagen/trip_data.h"
 #include "eval/user_study.h"
 #include "util/string_util.h"
 #include "util/table.h"
 
-namespace {
-
-using rlplanner::baselines::BuildGoldStandard;
-using rlplanner::core::PlannerConfig;
-using rlplanner::core::RlPlanner;
-using rlplanner::datagen::Dataset;
-using rlplanner::eval::SimulateRatings;
-using rlplanner::eval::StudyRatings;
-
-StudyRatings Average(const std::vector<StudyRatings>& all) {
-  StudyRatings mean;
-  for (const StudyRatings& r : all) {
-    mean.overall += r.overall;
-    mean.ordering += r.ordering;
-    mean.topic_coverage += r.topic_coverage;
-    mean.interleaving += r.interleaving;
-  }
-  const double n = all.empty() ? 1.0 : static_cast<double>(all.size());
-  mean.overall /= n;
-  mean.ordering /= n;
-  mean.topic_coverage /= n;
-  mean.interleaving /= n;
-  return mean;
-}
-
-// Rates `plans_per_method` RL and gold plans on `dataset` with `raters`
-// simulated raters each.
-void Study(const Dataset& dataset, const PlannerConfig& base_config,
-           int plans_per_method, int raters, StudyRatings& rl_out,
-           StudyRatings& gold_out) {
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  std::vector<StudyRatings> rl_ratings;
-  std::vector<StudyRatings> gold_ratings;
-  for (int i = 0; i < plans_per_method; ++i) {
-    PlannerConfig config = base_config;
-    config.seed = 500 + static_cast<std::uint64_t>(i);
-    config.sarsa.start_item = dataset.default_start;
-    RlPlanner planner(instance, config);
-    if (planner.Train().ok()) {
-      auto plan = planner.Recommend(dataset.default_start);
-      if (plan.ok()) {
-        rl_ratings.push_back(SimulateRatings(instance, plan.value(), raters,
-                                             9000 + i));
-      }
-    }
-    auto gold = BuildGoldStandard(instance, 40 + i);
-    if (gold.ok()) {
-      gold_ratings.push_back(
-          SimulateRatings(instance, gold.value(), raters, 4500 + i));
-    }
-  }
-  rl_out = Average(rl_ratings);
-  gold_out = Average(gold_ratings);
-}
-
-}  // namespace
-
 int main() {
   using namespace rlplanner::datagen;
+  using rlplanner::eval::AverageRatings;
+  using rlplanner::eval::RunUserStudy;
+  using rlplanner::eval::UserStudyResult;
 
   // Course planning: 25 simulated DS-CT students rating 5 plan pairs.
-  StudyRatings course_rl, course_gold;
-  Study(MakeUniv1DsCt(), rlplanner::core::DefaultUniv1Config(),
-        /*plans_per_method=*/5, /*raters=*/25, course_rl, course_gold);
+  const UserStudyResult course =
+      RunUserStudy(MakeUniv1DsCt(), rlplanner::core::DefaultUniv1Config(),
+                   /*plans_per_method=*/5, /*raters=*/25);
 
   // Trip planning: 5 itineraries per city, 5 simulated travelers each
   // (matching the paper's 10 itineraries x 5 raters = 50 workers).
-  StudyRatings nyc_rl, nyc_gold, paris_rl, paris_gold;
-  Study(MakeNycTrip(), rlplanner::core::DefaultTripConfig(), 5, 5, nyc_rl,
-        nyc_gold);
-  Study(MakeParisTrip(), rlplanner::core::DefaultTripConfig(), 5, 5,
-        paris_rl, paris_gold);
-  const StudyRatings trip_rl = Average({nyc_rl, paris_rl});
-  const StudyRatings trip_gold = Average({nyc_gold, paris_gold});
+  const UserStudyResult nyc =
+      RunUserStudy(MakeNycTrip(), rlplanner::core::DefaultTripConfig(), 5, 5);
+  const UserStudyResult paris = RunUserStudy(
+      MakeParisTrip(), rlplanner::core::DefaultTripConfig(), 5, 5);
+  const UserStudyResult trip = {AverageRatings({nyc.rl, paris.rl}),
+                                AverageRatings({nyc.gold, paris.gold})};
 
   rlplanner::util::AsciiTable table(
       {"Question", "Course RL-Planner", "Course Gold", "Trip RL-Planner",
        "Trip Gold"});
   auto fmt = [](double v) { return rlplanner::util::FormatDouble(v, 2); };
-  table.AddRow({"Overall Rating", fmt(course_rl.overall),
-                fmt(course_gold.overall), fmt(trip_rl.overall),
-                fmt(trip_gold.overall)});
-  table.AddRow({"Ordering of Items", fmt(course_rl.ordering),
-                fmt(course_gold.ordering), fmt(trip_rl.ordering),
-                fmt(trip_gold.ordering)});
-  table.AddRow({"Topic/Theme Coverage", fmt(course_rl.topic_coverage),
-                fmt(course_gold.topic_coverage), fmt(trip_rl.topic_coverage),
-                fmt(trip_gold.topic_coverage)});
-  table.AddRow({"Interleaving / Thresholds", fmt(course_rl.interleaving),
-                fmt(course_gold.interleaving), fmt(trip_rl.interleaving),
-                fmt(trip_gold.interleaving)});
+  table.AddRow({"Overall Rating", fmt(course.rl.overall),
+                fmt(course.gold.overall), fmt(trip.rl.overall),
+                fmt(trip.gold.overall)});
+  table.AddRow({"Ordering of Items", fmt(course.rl.ordering),
+                fmt(course.gold.ordering), fmt(trip.rl.ordering),
+                fmt(trip.gold.ordering)});
+  table.AddRow({"Topic/Theme Coverage", fmt(course.rl.topic_coverage),
+                fmt(course.gold.topic_coverage), fmt(trip.rl.topic_coverage),
+                fmt(trip.gold.topic_coverage)});
+  table.AddRow({"Interleaving / Thresholds", fmt(course.rl.interleaving),
+                fmt(course.gold.interleaving), fmt(trip.rl.interleaving),
+                fmt(trip.gold.interleaving)});
   std::printf("Table IV: simulated user-study ratings (1..5)\n%s",
               table.ToString().c_str());
   return 0;

@@ -14,7 +14,7 @@
 #include "core/config.h"
 #include "datagen/course_data.h"
 #include "eval/sweep.h"
-#include "util/thread_pool.h"
+#include "paper_bench.h"
 #include "util/string_util.h"
 
 namespace {
@@ -24,62 +24,14 @@ using rlplanner::eval::RunSweep;
 using rlplanner::eval::SweepRow;
 using rlplanner::eval::SweepValue;
 using rlplanner::util::FormatDouble;
+using namespace rlplanner::bench;
 
 constexpr int kRuns = 10;
-
-// Process-wide worker pool: independent (seed, sweep-point) SARSA runs fan
-// out across it; results are bit-identical to a serial sweep.
-rlplanner::util::ThreadPool& Pool() {
-  static rlplanner::util::ThreadPool pool;
-  return pool;
-}
-
-SweepValue EpsilonValue(double epsilon) {
-  return {FormatDouble(epsilon, 4),
-          [epsilon](PlannerConfig& c) { c.reward.epsilon = epsilon; },
-          nullptr,
-          /*eda_applicable=*/true};
-}
 
 SweepValue TypeWeights(double w1, double w2) {
   return {FormatDouble(w1, 2) + "/" + FormatDouble(w2, 2),
           [w1, w2](PlannerConfig& c) { c.reward.category_weights = {w1, w2}; },
           nullptr, true};
-}
-
-SweepValue Episodes(int n) {
-  return {std::to_string(n),
-          [n](PlannerConfig& c) { c.sarsa.num_episodes = n; }, nullptr,
-          false};
-}
-
-SweepValue Alpha(double alpha) {
-  return {FormatDouble(alpha, 2),
-          [alpha](PlannerConfig& c) { c.sarsa.alpha = alpha; }, nullptr,
-          false};
-}
-
-SweepValue Gamma(double gamma) {
-  return {FormatDouble(gamma, 2),
-          [gamma](PlannerConfig& c) { c.sarsa.gamma = gamma; }, nullptr,
-          false};
-}
-
-SweepValue DeltaBeta(double delta, double beta) {
-  return {FormatDouble(delta, 2) + "/" + FormatDouble(beta, 2),
-          [delta, beta](PlannerConfig& c) {
-            c.reward.delta = delta;
-            c.reward.beta = beta;
-          },
-          nullptr, true};
-}
-
-SweepValue StartPoint(const rlplanner::datagen::Dataset& dataset,
-                      const char* code) {
-  const rlplanner::model::ItemId id =
-      dataset.catalog.FindByCode(code).value();
-  return {code, [id](PlannerConfig& c) { c.sarsa.start_item = id; }, nullptr,
-          false};
 }
 
 }  // namespace

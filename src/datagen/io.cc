@@ -16,6 +16,23 @@ namespace {
 constexpr char kVocabularyRow[] = "__vocabulary__";
 constexpr char kCategoriesRow[] = "__categories__";
 
+// The one header SerializeCatalog writes. Both parsers index rows by these
+// positions, and util::ParseCsv only holds each row to the header's width.
+const std::vector<std::string>& CatalogHeader() {
+  static const std::vector<std::string> header = {
+      "code",   "name", "type", "category",   "credits", "prereqs",
+      "topics", "lat",  "lng",  "popularity", "theme"};
+  return header;
+}
+
+util::Status CheckCatalogHeader(const util::CsvDocument& doc) {
+  if (doc.header != CatalogHeader()) {
+    return util::Status::InvalidArgument(
+        "CSV header must be " + util::Join(CatalogHeader(), ","));
+  }
+  return util::Status::Ok();
+}
+
 std::string RenderPrereqs(const model::Catalog& catalog,
                           const model::PrereqExpr& prereqs) {
   std::vector<std::string> groups;
@@ -71,8 +88,7 @@ std::string RenderTopics(const model::Catalog& catalog,
 
 std::string SerializeCatalog(const model::Catalog& catalog) {
   util::CsvDocument doc;
-  doc.header = {"code", "name",   "type", "category", "credits", "prereqs",
-                "topics", "lat", "lng",  "popularity", "theme"};
+  doc.header = CatalogHeader();
   auto blank_row = [&doc]() {
     return std::vector<std::string>(doc.header.size());
   };
@@ -114,6 +130,7 @@ util::Result<model::Catalog> ParseCatalog(model::Domain domain,
   auto parsed = util::ParseCsv(csv_text);
   if (!parsed.ok()) return parsed.status();
   const util::CsvDocument& doc = parsed.value();
+  RLP_RETURN_IF_ERROR(CheckCatalogHeader(doc));
   if (doc.rows.size() < 2 || doc.rows[0][0] != kVocabularyRow ||
       doc.rows[1][0] != kCategoriesRow) {
     return util::Status::InvalidArgument(
@@ -232,6 +249,7 @@ util::Result<Dataset> ParseDataset(const std::string& csv_text) {
   auto parsed = util::ParseCsv(csv_text);
   if (!parsed.ok()) return parsed.status();
   util::CsvDocument doc = std::move(parsed).value();
+  RLP_RETURN_IF_ERROR(CheckCatalogHeader(doc));
   if (doc.rows.size() < 3 || doc.rows[0][0] != "__meta__" ||
       doc.rows[1][0] != "__hard__" || doc.rows[2][0] != "__soft__") {
     return util::Status::InvalidArgument(

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "baselines/gold.h"
+#include "core/planner.h"
 #include "core/scoring.h"
 #include "core/validation.h"
 #include "util/rng.h"
@@ -87,6 +89,50 @@ StudyRatings SimulateRatings(const model::TaskInstance& instance,
   totals.topic_coverage /= n;
   totals.interleaving /= n;
   return totals;
+}
+
+StudyRatings AverageRatings(const std::vector<StudyRatings>& ratings) {
+  StudyRatings mean;
+  for (const StudyRatings& r : ratings) {
+    mean.overall += r.overall;
+    mean.ordering += r.ordering;
+    mean.topic_coverage += r.topic_coverage;
+    mean.interleaving += r.interleaving;
+  }
+  const double n =
+      ratings.empty() ? 1.0 : static_cast<double>(ratings.size());
+  mean.overall /= n;
+  mean.ordering /= n;
+  mean.topic_coverage /= n;
+  mean.interleaving /= n;
+  return mean;
+}
+
+UserStudyResult RunUserStudy(const datagen::Dataset& dataset,
+                             const core::PlannerConfig& config,
+                             int plans_per_method, int raters) {
+  const model::TaskInstance instance = dataset.Instance();
+  std::vector<StudyRatings> rl_ratings;
+  std::vector<StudyRatings> gold_ratings;
+  for (int i = 0; i < plans_per_method; ++i) {
+    core::PlannerConfig run_config = config;
+    run_config.seed = 500 + static_cast<std::uint64_t>(i);
+    run_config.sarsa.start_item = dataset.default_start;
+    core::RlPlanner planner(instance, run_config);
+    if (planner.Train().ok()) {
+      auto plan = planner.Recommend(dataset.default_start);
+      if (plan.ok()) {
+        rl_ratings.push_back(
+            SimulateRatings(instance, plan.value(), raters, 9000 + i));
+      }
+    }
+    auto gold = baselines::BuildGoldStandard(instance, 40 + i);
+    if (gold.ok()) {
+      gold_ratings.push_back(
+          SimulateRatings(instance, gold.value(), raters, 4500 + i));
+    }
+  }
+  return {AverageRatings(rl_ratings), AverageRatings(gold_ratings)};
 }
 
 }  // namespace rlplanner::eval

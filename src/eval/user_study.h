@@ -2,7 +2,10 @@
 #define RLPLANNER_EVAL_USER_STUDY_H_
 
 #include <cstdint>
+#include <vector>
 
+#include "core/config.h"
+#include "datagen/dataset.h"
 #include "model/constraints.h"
 #include "model/plan.h"
 
@@ -30,6 +33,26 @@ struct StudyRatings {
 StudyRatings SimulateRatings(const model::TaskInstance& instance,
                              const model::Plan& plan, int num_raters,
                              std::uint64_t seed);
+
+/// Per-question mean of `ratings` (all zero when empty).
+StudyRatings AverageRatings(const std::vector<StudyRatings>& ratings);
+
+/// One Table IV study arm pair on one dataset: mean ratings of RL-Planner
+/// plans and of gold standards.
+struct UserStudyResult {
+  StudyRatings rl;
+  StudyRatings gold;
+};
+
+/// Rates `plans_per_method` RL-Planner plans and as many gold standards on
+/// `dataset`, each by `raters` simulated raters, and averages per method.
+/// Plan i of RL-Planner trains from `dataset.default_start` with seed
+/// 500 + i and is rated with seed 9000 + i; gold standard i is built with
+/// seed 40 + i and rated with seed 4500 + i. A plan that fails to train,
+/// recommend or build is left out of its method's mean.
+UserStudyResult RunUserStudy(const datagen::Dataset& dataset,
+                             const core::PlannerConfig& config,
+                             int plans_per_method, int raters);
 
 }  // namespace rlplanner::eval
 

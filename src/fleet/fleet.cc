@@ -9,7 +9,6 @@
 #include "obs/export.h"
 #include "obs/span.h"
 #include "rl/sarsa.h"
-#include "rl/transfer.h"
 #include "serve/policy_snapshot.h"
 
 namespace rlplanner::fleet {
@@ -35,9 +34,6 @@ struct FleetOrchestrator::SpecState {
   std::uint64_t canary_version = 0;
   adaptive::FeedbackModel feedback;
   std::uint64_t feedback_events = 0;
-  /// Topic-space transfer warm start; consumed by the first successful
-  /// publication after adoption.
-  std::optional<mdp::QTable> warm;
   int consecutive_failures = 0;
   std::string last_error;
   std::uint64_t publishes = 0;
@@ -117,21 +113,6 @@ util::Status FleetOrchestrator::EnqueueFeedback(const std::string& slot,
   return util::Status::Ok();
 }
 
-util::Status FleetOrchestrator::AdoptExternalWarmStart(
-    const std::string& slot, const mdp::QTable& source_q,
-    const model::Catalog& source_catalog) {
-  mdp::QTable mapped = rl::PolicyTransfer::MapAcrossCatalogs(
-      source_q, source_catalog, *instance_->catalog);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& state : states_) {
-    if (state->spec.slot == slot) {
-      state->warm = std::move(mapped);
-      return util::Status::Ok();
-    }
-  }
-  return util::Status::OutOfRange("unknown fleet slot '" + slot + "'");
-}
-
 void FleetOrchestrator::DrainFeedback() {
   std::deque<std::pair<std::string, adaptive::FeedbackEvent>> batch;
   {
@@ -197,18 +178,14 @@ FleetOrchestrator::RetrainResult FleetOrchestrator::Retrain(SpecState& state) {
       return result;
     }
   }
-  // Warm-start base: an adopted topic-space transfer wins, then the slot's
-  // dense incumbent (continual update), then a cold zero table. The
-  // accumulated segment feedback is folded into whichever base applies.
+  // Warm-start base: the slot's dense incumbent (continual update), else a
+  // cold zero table. The accumulated segment feedback is folded into
+  // whichever base applies.
   mdp::QTable base(instance_->catalog->size());
-  if (state.warm.has_value()) {
-    base = *state.warm;
-  } else {
-    const std::shared_ptr<const serve::ServablePolicy> incumbent =
-        registry_->Current(state.spec.slot);
-    if (incumbent != nullptr && incumbent->dense.has_value()) {
-      base = *incumbent->dense;
-    }
+  const std::shared_ptr<const serve::ServablePolicy> incumbent =
+      registry_->Current(state.spec.slot);
+  if (incumbent != nullptr && incumbent->dense.has_value()) {
+    base = *incumbent->dense;
   }
   mdp::QTable shaped =
       adaptive::FoldFeedback(base, state.feedback, state.spec.feedback_strength);
@@ -337,7 +314,6 @@ void FleetOrchestrator::TryPublish(SpecState& state, RetrainResult result) {
   state.last_error.clear();
   state.last_published_tick = tick_;
   state.next_attempt_tick = tick_ + 1;
-  state.warm.reset();  // the transfer warm start has served its purpose
   if (auto* c = SegmentCounter("fleet_publishes_total",
                                "Fleet candidates published (direct or canary)",
                                state.spec.segment_id)) {

@@ -210,15 +210,6 @@ class FleetOrchestrator {
   util::Status EnqueueFeedback(const std::string& slot,
                                adaptive::FeedbackEvent event);
 
-  /// Warm-starts `slot` from a policy trained on a different catalog:
-  /// `source_q` is mapped into this fleet's catalog via topic-space
-  /// transfer (rl::PolicyTransfer::MapAcrossCatalogs) and used as the base
-  /// of the slot's next retrain instead of the incumbent. OutOfRange for an
-  /// unknown slot.
-  util::Status AdoptExternalWarmStart(const std::string& slot,
-                                      const mdp::QTable& source_q,
-                                      const model::Catalog& source_catalog);
-
   /// Advances the fleet one scheduling step: drains the feedback queue,
   /// retrains every due policy (staleness-priority order, parallel across
   /// specs on the pool), runs each candidate through the publish pipeline,

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 
 #include "baselines/gold.h"
 #include "core/config.h"
@@ -13,7 +11,6 @@
 #include "datagen/trip_data.h"
 #include "eval/experiment.h"
 #include "eval/convergence.h"
-#include "eval/report.h"
 #include "eval/sweep.h"
 #include "eval/transfer_study.h"
 #include "eval/user_study.h"
@@ -245,38 +242,6 @@ TEST(ConvergenceTest, InvalidConfigYieldsEmptyCurve) {
   const ConvergenceCurve curve = MeasureConvergence(toy, config);
   EXPECT_TRUE(curve.episode_returns.empty());
   EXPECT_EQ(curve.converged_at, -1);
-}
-
-// ------------------------------------------------------------------ Report --
-
-TEST(ReportTest, ContainsAllSections) {
-  ReportOptions options;
-  options.runs = 1;
-  options.course_raters = 3;
-  options.trip_raters = 3;
-  const std::string report = BuildEvaluationReport(options);
-  for (const char* needle :
-       {"# RL-Planner evaluation report", "Course planning (Figure 1a)",
-        "Trip planning (Figure 1b)", "Simulated user study",
-        "Transfer learning", "## Timing", "Univ-2 DS", "Paris", "Gold"}) {
-    EXPECT_NE(report.find(needle), std::string::npos) << needle;
-  }
-}
-
-TEST(ReportTest, WritesToDisk) {
-  ReportOptions options;
-  options.runs = 1;
-  options.course_raters = 2;
-  options.trip_raters = 2;
-  const std::string path = "/tmp/rlplanner_report_test.md";
-  ASSERT_TRUE(WriteEvaluationReport(options, path).ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string first_line;
-  std::getline(in, first_line);
-  EXPECT_EQ(first_line, "# RL-Planner evaluation report");
-  in.close();
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- Transfer --

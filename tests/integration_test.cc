@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "baselines/eda.h"
 #include "baselines/gold.h"
@@ -18,6 +19,7 @@
 #include "datagen/synthetic.h"
 #include "datagen/trip_data.h"
 #include "eval/experiment.h"
+#include "eval/user_study.h"
 
 namespace rlplanner {
 namespace {
@@ -128,6 +130,29 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Fig1Case>& info) {
       return std::string(info.param.name);
     });
+
+// ------------------------------------- Table IV: RL rates below gold --
+
+// bench/table4_user_study's two studies. The paper's shape: RL-Planner
+// rates below the gold standard on every question.
+TEST(Table4ShapeTest, RlRatesBelowGoldOnEveryQuestion) {
+  const eval::UserStudyResult course = eval::RunUserStudy(
+      datagen::MakeUniv1DsCt(), core::DefaultUniv1Config(), 5, 25);
+  const eval::UserStudyResult nyc = eval::RunUserStudy(
+      datagen::MakeNycTrip(), core::DefaultTripConfig(), 5, 5);
+  const eval::UserStudyResult paris = eval::RunUserStudy(
+      datagen::MakeParisTrip(), core::DefaultTripConfig(), 5, 5);
+  const eval::UserStudyResult trip = {
+      eval::AverageRatings({nyc.rl, paris.rl}),
+      eval::AverageRatings({nyc.gold, paris.gold})};
+  for (const auto& [study, result] :
+       {std::pair{"course", course}, std::pair{"trip", trip}}) {
+    EXPECT_LT(result.rl.overall, result.gold.overall) << study;
+    EXPECT_LT(result.rl.ordering, result.gold.ordering) << study;
+    EXPECT_LT(result.rl.topic_coverage, result.gold.topic_coverage) << study;
+    EXPECT_LT(result.rl.interleaving, result.gold.interleaving) << study;
+  }
+}
 
 TEST(EndToEndTest, FullPipelineIsDeterministic) {
   const datagen::Dataset dataset = datagen::MakeUniv1Cs();

@@ -86,6 +86,16 @@ TEST(IoTest, RejectsMissingReservedRows) {
   EXPECT_FALSE(parsed.ok());
 }
 
+TEST(IoTest, RejectsNarrowHeader) {
+  // Rows as wide as their header pass util::ParseCsv; the parser indexes
+  // columns up to `theme`, so a narrower header must fail before any read.
+  auto parsed = ParseCatalog(model::Domain::kCourse,
+                             "code,name,type\n__vocabulary__,,\n"
+                             "__categories__,,\nm1,M1,primary\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+}
+
 TEST(IoTest, RejectsUnknownTopic) {
   const Dataset toy = MakeTableIIToy();
   std::string csv = SerializeCatalog(toy.catalog);
@@ -163,6 +173,14 @@ TEST(DatasetIoTest, RejectsMissingMetaRows) {
   // A bare catalog document is not a dataset document.
   EXPECT_FALSE(ParseDataset(SerializeCatalog(toy.catalog)).ok());
   EXPECT_FALSE(ParseDataset("a,b\n1,2\n").ok());
+}
+
+TEST(DatasetIoTest, RejectsNarrowHeader) {
+  auto parsed = ParseDataset(
+      "code,name,type\n__meta__,x,course\n__hard__,1,1\n__soft__,PS,\n"
+      "__vocabulary__,,\n__categories__,,\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(DatasetIoTest, RejectsUnknownDomain) {

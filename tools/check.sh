@@ -28,9 +28,12 @@
 # request match /debug/tracez.
 # Set RLPLANNER_SANITIZE=thread to run only the TSan lane (the mode CI's
 # sanitizer matrix uses); any other value runs everything.
+# The paper lane runs every paper-table program in bench/ and keeps each
+# one's output in build/paper/<program>.txt: each table has one harness,
+# and that directory is the evidence EXPERIMENTS.md is checked against.
 # `tools/check.sh smoke` runs only the Release smoke lanes and their
-# validators (train_bench, --metrics-out, --trace-out, the fleet drill and
-# the wire server) against an existing Release build/;
+# validators (train_bench, --metrics-out, --trace-out, the fleet drill, the
+# wire server and the paper tables) against an existing Release build/;
 # CI's release job runs exactly that, so each validator has one copy.
 # Usage: tools/check.sh [smoke]  (from the repo root; build trees go to
 # build/, build-sanitize/, and build-tsan/).
@@ -406,7 +409,24 @@ print(f"serve-trace.json OK (trace {stalled['trace_id']} matches tracez)")
 EOF
 }
 
+run_paper_smoke() {
+  echo "==> Paper tables (one bench program per table, kept in build/paper/)"
+  mkdir -p build/paper
+  local program
+  for program in fig1_baselines table4_user_study table5_transfer_courses \
+      table7_transfer_trips table9_params_univ1 table12_params_univ2 \
+      table15_params_trips ablations convergence; do
+    "./build/bench/${program}" > "build/paper/${program}.txt"
+    if [ ! -s "build/paper/${program}.txt" ]; then
+      echo "${program} printed nothing" >&2
+      return 1
+    fi
+  done
+  echo "paper tables OK ($(ls build/paper | wc -l) files in build/paper/)"
+}
+
 run_smoke_lanes() {
+  run_paper_smoke
   run_bench_smoke
   run_metrics_smoke
   run_trace_smoke

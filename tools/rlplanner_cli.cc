@@ -213,9 +213,10 @@ rlplanner::core::PlannerConfig BuildConfig(const Dataset& dataset,
                                    : rlplanner::mdp::SimilarityMode::kAverage;
   }
   if (cmd.HasFlag("beam")) config.use_beam_search = true;
-  if (auto v = cmd.GetFlag("workers")) {
-    config.sarsa.num_workers = std::atoi(v->c_str());
-  }
+  // main() has range-checked --workers before any command runs.
+  config.sarsa.num_workers = static_cast<int>(
+      CountFlag(cmd, "workers", config.sarsa.num_workers, 1, kMaxThreads)
+          .value());
   if (auto v = cmd.GetFlag("q-repr")) {
     config.sarsa.q_representation =
         *v == "sparse" ? rlplanner::rl::QRepresentation::kSparse
@@ -1110,6 +1111,11 @@ int main(int argc, char** argv) {
                 "workers"});
       !status.ok()) {
     return Usage(status.message());
+  }
+  // --workers sizes every training command's worker pool.
+  if (const auto workers = CountFlag(cmd, "workers", 1, 1, kMaxThreads);
+      !workers.ok()) {
+    return Usage(workers.status().message());
   }
   // Only `snapshot-info FILE` and `fleet <run|status>` take a positional.
   // Elsewhere a stray one is often a flag value starting with '-' (as in
